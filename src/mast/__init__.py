@@ -5,18 +5,14 @@ series, a Monte Carlo harness measuring their delay/false-alarm tradeoff,
 and ingestion helpers for running them on real data.
 """
 
-from .core import Barriers, constrained_mean_estimates, mast_increment, page_increment
+from .core import Barriers, mast_increment, page_increment
 from .detectors import (
     AlarmReport,
     DetectorConfig,
     DetectorKind,
     DetectorState,
-    TraceRow,
     brute_force_statistic,
-    mast_update,
-    page_update,
     run_stream,
-    write_trace_csv,
 )
 from .ingestion import (
     CountSeries,
@@ -26,10 +22,8 @@ from .ingestion import (
     RatioSeries,
     estimate_sigma,
     parse_counts,
-    reconstruct_counts,
     smooth_counts,
     to_ratios,
-    write_ratios_csv,
 )
 from .simulation import (
     CurvePoint,
@@ -66,25 +60,18 @@ __all__ = [
     "PerformanceEstimate",
     "RatioSeries",
     "ScenarioSpec",
-    "TraceRow",
     "brute_force_statistic",
-    "constrained_mean_estimates",
     "estimate_delay",
     "estimate_pf",
     "estimate_sigma",
     "fit_linear",
     "generate_path",
     "mast_increment",
-    "mast_update",
     "operational_curve",
     "page_increment",
-    "page_update",
     "parse_counts",
-    "reconstruct_counts",
     "run_stream",
     "smooth_counts",
     "to_ratios",
-    "write_ratios_csv",
-    "write_trace_csv",
     "__version__",
 ]

@@ -37,8 +37,8 @@ from .ingestion import (
 )
 from .presets import grid_for, load_defaults
 from .simulation import (
-    _DELAY_SEED_TAG,
-    _PF_SEED_TAG,
+    DELAY_SEED_TAG,
+    PF_SEED_TAG,
     ScenarioSpec,
     estimate_delay,
     estimate_pf,
@@ -117,6 +117,15 @@ def _detector_params(config: DetectorConfig) -> dict:
     return params
 
 
+def _experiment_settings(args, *names: str) -> tuple[dict, list]:
+    """Experiment defaults (packaged, overlaid by ``--config``) and each named
+    flag's value, taken from the defaults where the flag was not given."""
+    defaults = load_defaults(args.config)
+    return defaults, [
+        defaults[name] if getattr(args, name) is None else getattr(args, name) for name in names
+    ]
+
+
 def _write_manifest(output: str, subcommand: str, parameters: dict) -> None:
     payload = {
         "tool": "mast",
@@ -166,18 +175,19 @@ def cmd_detect(args) -> int:
             raise ValueError(f"sigma estimation failed: {exc}; supply --sigma instead")
         sigma_source = f"estimated from trailing window of {window}"
 
-    config = _detector_config(args, sigma).with_threshold(args.gamma)
+    config = _detector_config(args, sigma)
     dates = [day for day, x in ratios.entries if x is not None]
     values = ratios.values
-    report = run_stream(values, config, record_trace=args.output is not None)
+    report = run_stream(values, config, args.gamma)
 
     if args.output is not None:
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "date", "x", "statistic", "alarmed"])
-            for row in report.trace:
+            for n, statistic in enumerate(report.path, 1):
                 writer.writerow(
-                    [row.n, dates[row.n - 1].isoformat(), _fmt(row.x), _fmt(row.statistic), int(row.alarmed)]
+                    [n, dates[n - 1].isoformat(), _fmt(values[n - 1]), _fmt(statistic),
+                     int(n == report.alarm_index)]
                 )
         parameters = _detector_params(config)
         parameters.update(
@@ -211,11 +221,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    defaults = load_defaults(args.config)
-    alpha = args.alpha if args.alpha is not None else defaults["alpha"]
-    sigma = args.sigma if args.sigma is not None else defaults["sigma"]
-    trials = args.trials if args.trials is not None else defaults["trials"]
-    seed = args.seed if args.seed is not None else defaults["seed"]
+    _, (alpha, sigma, trials, seed) = _experiment_settings(
+        args, "alpha", "sigma", "trials", "seed"
+    )
     spec = ScenarioSpec(args.scenario, alpha, sigma)
     config = _detector_config(args, sigma, alpha_default=alpha)
 
@@ -226,7 +234,7 @@ def cmd_simulate(args) -> int:
             config,
             args.gamma,
             trials,
-            seed=[seed, _DELAY_SEED_TAG, 0],
+            seed=[seed, DELAY_SEED_TAG, 0],
             run_in=args.run_in,
             horizon=args.horizon,
             workers=args.workers,
@@ -245,7 +253,7 @@ def cmd_simulate(args) -> int:
             spec.controlled(),
             config,
             args.gamma,
-            seed=[seed, _PF_SEED_TAG, 0],
+            seed=[seed, PF_SEED_TAG, 0],
             target_crossings=trials,
             workers=args.workers,
         )
@@ -286,12 +294,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    defaults = load_defaults(args.config)
-    alpha = args.alpha if args.alpha is not None else defaults["alpha"]
-    sigma = args.sigma if args.sigma is not None else defaults["sigma"]
-    trials = args.trials if args.trials is not None else defaults["trials"]
-    seed = args.seed if args.seed is not None else defaults["seed"]
-    r2_floor = args.r2_floor if args.r2_floor is not None else defaults["r2_floor"]
+    defaults, (alpha, sigma, trials, seed, r2_floor) = _experiment_settings(
+        args, "alpha", "sigma", "trials", "seed", "r2_floor"
+    )
     spec = ScenarioSpec(args.scenario, alpha, sigma)
 
     kinds = [DetectorKind(k.strip()) for k in args.detectors.split(",") if k.strip()]

@@ -13,8 +13,6 @@ This module holds the pure per-sample arithmetic shared by every detector:
   linear between the barriers, positive (quadratic) above the upper one.
 * ``page_increment`` -- the classical Page CUSUM increment for nominal
   means ``1 - alpha`` / ``1 + alpha``.
-* ``constrained_mean_estimates`` -- the barrier-clamped maximum-likelihood
-  estimates of the pre- and post-change means.
 
 All functions accept scalars or numpy arrays and share no state.
 """
@@ -28,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "Barriers",
-    "constrained_mean_estimates",
     "mast_increment",
     "page_increment",
 ]
@@ -71,10 +68,6 @@ class Barriers:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def check_sigma(sigma: float) -> float:
     """Validate a noise level and return it as a float."""
@@ -82,6 +75,17 @@ def check_sigma(sigma: float) -> float:
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     return sigma
+
+
+def check_gamma(gamma: float) -> float:
+    """Validate an alarm threshold and return it as a float.
+
+    ``inf`` is legal and means "never alarm"; NaN and negative values are not.
+    """
+    gamma = float(gamma)
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    return gamma
 
 
 def mast_increment(x, barriers: Barriers, sigma: float):
@@ -119,17 +123,3 @@ def page_increment(x, alpha: float, sigma: float):
     out = 2.0 * alpha * (x - 1.0) / (sigma * sigma)
     return float(out) if out.ndim == 0 else out
 
-
-def constrained_mean_estimates(x, barriers: Barriers):
-    """Barrier-clamped ML estimates of the two regime means.
-
-    Returns ``(min(x, lower), max(x, upper))``: the likelihood under the
-    controlled (resp. critical) hypothesis is maximised by the sample
-    itself when it respects the barrier, and by the barrier otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    mu0 = np.minimum(x, barriers.lower)
-    mu1 = np.maximum(x, barriers.upper)
-    if mu0.ndim == 0:
-        return float(mu0), float(mu1)
-    return mu0, mu1

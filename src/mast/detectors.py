@@ -12,6 +12,7 @@ variants differ only in the increment:
 * ``mast``         -- single barrier at 1 (ratios shrink vs. grow).
 * ``page``         -- classical Page CUSUM with nominal means ``1 +/- alpha``.
 
+``run_stream`` is the one implementation of that recursion.
 ``brute_force_statistic`` recomputes the same quantity for the MAST family
 by explicit maximisation over the unknown change index; it exists as a
 slow, structurally independent cross-check of the recursion.
@@ -19,26 +20,21 @@ slow, structurally independent cross-check of the recursion.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Barriers, check_sigma, mast_increment, page_increment
+from .core import Barriers, check_gamma, check_sigma, mast_increment, page_increment
 
 __all__ = [
     "AlarmReport",
     "DetectorConfig",
     "DetectorKind",
     "DetectorState",
-    "TraceRow",
     "brute_force_statistic",
-    "mast_update",
-    "page_update",
     "run_stream",
-    "write_trace_csv",
 ]
 
 
@@ -55,21 +51,19 @@ class DetectorKind(str, Enum):
 class DetectorConfig:
     """Detector variant plus the parameters its increment needs.
 
-    ``threshold`` is the alarm level gamma (>= 0).  MAST variants carry a
-    ``Barriers`` pair, Page carries the nominal offset ``alpha``.
+    MAST variants carry a ``Barriers`` pair, Page carries the nominal
+    offset ``alpha``.  The alarm threshold is not part of the
+    configuration; every run takes it as its own argument.
     """
 
     kind: DetectorKind
     sigma: float
-    threshold: float = 0.0
     barriers: Barriers | None = None
     alpha: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DetectorKind(self.kind))
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
-        if not self.threshold >= 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.kind is DetectorKind.PAGE:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError("page detector needs alpha in (0, 1)")
@@ -84,25 +78,20 @@ class DetectorConfig:
                 raise ValueError("plain mast fixes the barrier at 1")
 
     @classmethod
-    def mast(cls, sigma: float, threshold: float = 0.0) -> "DetectorConfig":
-        return cls(DetectorKind.MAST, sigma, threshold, barriers=Barriers.single(1.0))
+    def mast(cls, sigma: float) -> "DetectorConfig":
+        return cls(DetectorKind.MAST, sigma, barriers=Barriers.single(1.0))
 
     @classmethod
-    def mast_delta(cls, delta: float, sigma: float, threshold: float = 0.0) -> "DetectorConfig":
-        return cls(DetectorKind.MAST_DELTA, sigma, threshold, barriers=Barriers.single(delta))
+    def mast_delta(cls, delta: float, sigma: float) -> "DetectorConfig":
+        return cls(DetectorKind.MAST_DELTA, sigma, barriers=Barriers.single(delta))
 
     @classmethod
-    def mast_general(
-        cls, lower: float, upper: float, sigma: float, threshold: float = 0.0
-    ) -> "DetectorConfig":
-        return cls(DetectorKind.MAST_GENERAL, sigma, threshold, barriers=Barriers(lower, upper))
+    def mast_general(cls, lower: float, upper: float, sigma: float) -> "DetectorConfig":
+        return cls(DetectorKind.MAST_GENERAL, sigma, barriers=Barriers(lower, upper))
 
     @classmethod
-    def page(cls, alpha: float, sigma: float, threshold: float = 0.0) -> "DetectorConfig":
-        return cls(DetectorKind.PAGE, sigma, threshold, alpha=alpha)
-
-    def with_threshold(self, gamma: float) -> "DetectorConfig":
-        return replace(self, threshold=float(gamma))
+    def page(cls, alpha: float, sigma: float) -> "DetectorConfig":
+        return cls(DetectorKind.PAGE, sigma, alpha=alpha)
 
     def increment(self, x):
         """Per-sample score under this configuration (scalar or array)."""
@@ -113,7 +102,7 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class DetectorState:
-    """Current statistic value and number of samples consumed."""
+    """Statistic value and number of samples consumed at the end of a run."""
 
     statistic: float = 0.0
     samples_seen: int = 0
@@ -123,29 +112,22 @@ class DetectorState:
             raise ValueError(f"statistic must be >= 0, got {self.statistic}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One exported step of a detector run."""
-
-    n: int
-    x: float
-    statistic: float
-    alarmed: bool
-
-
 @dataclass
 class AlarmReport:
     """Outcome of running a detector over a sample stream.
 
     ``alarm_index`` is the 1-based index of the first sample whose updated
-    statistic exceeded the threshold, or ``None``.  In monitoring mode
-    ``crossings`` lists every crossing index (statistic reset to zero after
-    each) and ``alarm_index`` is the first of them.
+    statistic exceeded the threshold, or ``None``.  ``path`` holds the
+    statistic after each consumed sample (``path[n - 1]`` after sample
+    ``n``), up to and including the alarm sample.  In monitoring mode
+    ``crossings`` lists every crossing index (the path keeps the crossing
+    value; the statistic restarts from zero after it) and ``alarm_index``
+    is the first of them.
     """
 
     alarm_index: int | None
     final_state: DetectorState
-    trace: list[TraceRow] | None = None
+    path: list[float]
     crossings: list[int] = field(default_factory=list)
 
     @property
@@ -153,56 +135,43 @@ class AlarmReport:
         return self.alarm_index is not None
 
 
-def mast_update(state: DetectorState, x: float, config: DetectorConfig) -> DetectorState:
-    """Advance the MAST statistic by one ratio sample."""
-    value = max(0.0, state.statistic + mast_increment(x, config.barriers, config.sigma))
-    return DetectorState(value, state.samples_seen + 1)
-
-
-def page_update(state: DetectorState, x: float, config: DetectorConfig) -> DetectorState:
-    """Advance the Page CUSUM statistic by one ratio sample."""
-    value = max(0.0, state.statistic + page_increment(x, config.alpha, config.sigma))
-    return DetectorState(value, state.samples_seen + 1)
-
-
-def _updater(config: DetectorConfig):
-    return page_update if config.kind is DetectorKind.PAGE else mast_update
-
-
 def run_stream(
-    samples: Iterable[float],
+    samples: Sequence[float],
     config: DetectorConfig,
+    gamma: float,
     *,
-    record_trace: bool = False,
     monitor: bool = False,
 ) -> AlarmReport:
     """Run a detector over ``samples`` from a fresh state.
 
-    Stops at the first statistic value strictly above ``config.threshold``
-    (stopping-time semantics).  With ``monitor=True`` the statistic is
-    instead reset to zero at every crossing and the run continues to the
-    end of the stream, collecting all crossing indices; this is the
-    regime used to measure time between false alarms.
+    Stops at the first statistic value strictly above ``gamma``
+    (stopping-time semantics); ``gamma = inf`` never alarms.  With
+    ``monitor=True`` the statistic is instead reset to zero at every
+    crossing and the run continues to the end of the stream, collecting
+    all crossing indices; this is the regime used to measure time between
+    false alarms.
+
+    The whole stream is scored by one vectorised ``config.increment`` call,
+    the same array arithmetic the Monte Carlo engine uses, so both score a
+    sample identically.
     """
-    update = _updater(config)
-    gamma = config.threshold
-    state = DetectorState()
-    trace: list[TraceRow] | None = [] if record_trace else None
+    gamma = check_gamma(gamma)
+    increments = config.increment(np.asarray(samples, dtype=float)).tolist()
+    path: list[float] = []
     crossings: list[int] = []
     alarm_index: int | None = None
-    for x in samples:
-        state = update(state, float(x), config)
-        crossed = state.statistic > gamma
-        if trace is not None:
-            trace.append(TraceRow(state.samples_seen, float(x), state.statistic, crossed))
-        if crossed:
+    t = 0.0
+    for n, d in enumerate(increments, 1):
+        t = max(0.0, t + d)
+        path.append(t)
+        if t > gamma:
             if alarm_index is None:
-                alarm_index = state.samples_seen
+                alarm_index = n
             if not monitor:
                 break
-            crossings.append(state.samples_seen)
-            state = DetectorState(0.0, state.samples_seen)
-    return AlarmReport(alarm_index, state, trace, crossings)
+            crossings.append(n)
+            t = 0.0
+    return AlarmReport(alarm_index, DetectorState(t, len(path)), path, crossings)
 
 
 def brute_force_statistic(samples: Sequence[float], barriers: Barriers, sigma: float) -> float:
@@ -217,13 +186,3 @@ def brute_force_statistic(samples: Sequence[float], barriers: Barriers, sigma: f
     scores = mast_increment(x, barriers, sigma)
     suffix_sums = np.cumsum(scores[::-1])[::-1]
     return float(max(0.0, suffix_sums.max()))
-
-
-def write_trace_csv(report: AlarmReport, fileobj: IO[str]) -> None:
-    """Write the recorded trace as CSV rows ``n,x,statistic,alarmed``."""
-    if report.trace is None:
-        raise ValueError("report carries no trace; run with record_trace=True")
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["n", "x", "statistic", "alarmed"])
-    for row in report.trace:
-        writer.writerow([row.n, repr(row.x), repr(row.statistic), int(row.alarmed)])

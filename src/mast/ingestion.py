@@ -16,7 +16,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -28,10 +28,8 @@ __all__ = [
     "RatioSeries",
     "estimate_sigma",
     "parse_counts",
-    "reconstruct_counts",
     "smooth_counts",
     "to_ratios",
-    "write_ratios_csv",
 ]
 
 
@@ -113,6 +111,10 @@ def _parse_count(text: str, line: int) -> int:
         raise ParseError(line, f"unparseable count {text!r}")
     if value < 0:
         raise ParseError(line, f"negative count {value}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ParseError(line, f"count {text.strip()!r} is too large for a float")
     return value
 
 
@@ -129,8 +131,9 @@ def parse_counts(
     The delimiter is sniffed between comma and tab unless given.  A header
     row holding ``date_column`` and ``count_column`` is used when present;
     headerless input is accepted when the first row already parses as
-    (date, count).  Any malformed row, duplicate date, out-of-order date or
-    negative count raises ``ParseError`` naming the offending line.
+    (date, count).  Any malformed row, duplicate date, out-of-order date,
+    negative count or count too large for a float raises ``ParseError``
+    naming the offending line.
     """
     text = source if isinstance(source, str) else source.read()
     rows = list(csv.reader(io.StringIO(text), delimiter=delimiter or _sniff_delimiter(text)))
@@ -231,12 +234,6 @@ def estimate_sigma(ratios: RatioSeries, window: int = 30) -> float:
     return sigma
 
 
-def reconstruct_counts(first_count: float, ratios: Iterable[float]) -> list[int]:
-    """Rebuild integer counts from the first count and a gap-free ratio run."""
-    counts = first_count * np.cumprod(np.fromiter(ratios, dtype=float))
-    return [int(round(first_count))] + [int(round(c)) for c in counts]
-
-
 def smooth_counts(series: CountSeries, window: int = 7) -> CountSeries:
     """Centered moving average over a consecutive-day count series.
 
@@ -261,10 +258,3 @@ def smooth_counts(series: CountSeries, window: int = 7) -> CountSeries:
     entries = tuple((days[half + i], float(v)) for i, v in enumerate(smoothed))
     return CountSeries(entries)
 
-
-def write_ratios_csv(series: RatioSeries, fileobj: IO[str]) -> None:
-    """Write ``date,x`` rows; gap entries get an empty value field."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["date", "x"])
-    for day, x in series.entries:
-        writer.writerow([day.isoformat(), "" if x is None else repr(x)])

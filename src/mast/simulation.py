@@ -36,12 +36,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
-from .core import check_sigma
+from .core import check_gamma, check_sigma
 from .detectors import DetectorConfig
 
 __all__ = [
+    "DELAY_SEED_TAG",
+    "PF_SEED_TAG",
     "CurvePoint",
     "ExtrapolationError",
     "InsufficientEventsError",
@@ -58,8 +59,9 @@ __all__ = [
 
 _DELAY_CHUNK = 64
 _PF_CHUNK = 512
-_DELAY_SEED_TAG = 1
-_PF_SEED_TAG = 2
+# seed-path tags separating the delay and false-alarm substreams of one seed
+DELAY_SEED_TAG = 1
+PF_SEED_TAG = 2
 
 
 class InsufficientEventsError(RuntimeError):
@@ -317,8 +319,7 @@ def estimate_delay(
     the horizon adaptively to 100x the running mean of completed trials
     (at least 1000 samples, capped by ``max_steps``).
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = check_gamma(gamma)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if spec.change_time is None:
@@ -434,8 +435,7 @@ def estimate_pf(
     direct estimation is then out of reach and the threshold belongs on an
     extrapolated operational curve instead.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = check_gamma(gamma)
     if spec.change_time is not None:
         raise ValueError("false-alarm estimation needs a pure controlled spec")
     if horizon is not None and horizon < 1:
@@ -503,8 +503,15 @@ def fit_linear(points: Iterable[tuple[float, float]]) -> LinearFit:
     ys = np.array([p[1] for p in pts])
     if np.unique(gammas).size < 3:
         raise ValueError("linear fit needs at least 3 distinct gamma values")
-    result = stats.linregress(gammas, ys)
-    return LinearFit(float(result.slope), float(result.intercept), float(result.rvalue) ** 2)
+    # the arithmetic of scipy.stats.linregress, which it matches bit for bit
+    sxx, sxy, _, syy = np.cov(gammas, ys, bias=1).flat
+    slope = sxy / sxx
+    intercept = np.mean(ys) - slope * np.mean(gammas)
+    if syy == 0.0:
+        r = math.nan if sxy == 0.0 else 0.0
+    else:
+        r = min(1.0, max(-1.0, sxy / np.sqrt(sxx * syy)))
+    return LinearFit(float(slope), float(intercept), float(r) ** 2)
 
 
 @dataclass(frozen=True)
@@ -589,7 +596,7 @@ def operational_curve(
             config,
             gamma,
             n_trials,
-            seed=_child_seed(seed, _DELAY_SEED_TAG, i),
+            seed=_child_seed(seed, DELAY_SEED_TAG, i),
             run_in=run_in,
             workers=workers,
         )
@@ -597,7 +604,7 @@ def operational_curve(
             controlled,
             config,
             gamma,
-            seed=_child_seed(seed, _PF_SEED_TAG, i),
+            seed=_child_seed(seed, PF_SEED_TAG, i),
             n_chains=n_chains,
             target_crossings=n_trials,
             min_crossings=min_crossings,

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mast
 from mast.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
 
 
@@ -56,6 +61,14 @@ class TestDetect:
         code = main(["detect", "--input", str(path), "--gamma", "1", "--sigma", "0.1"])
         assert code == EXIT_ERROR
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("smooth", [[], ["--smooth-window", "3"]])
+    def test_count_too_large_for_a_float(self, tmp_path, capsys, smooth):
+        path = tmp_path / "huge.csv"
+        write_counts(path, [100, 110, 10**400, 120])
+        code = main(["detect", "--input", str(path), "--gamma", "1", "--sigma", "0.1"] + smooth)
+        assert code == EXIT_ERROR
+        assert "error: line 3: " in capsys.readouterr().err
 
     def test_sigma_estimation_failure_names_remedy(self, constant_series, capsys):
         code = main(["detect", "--input", str(constant_series), "--gamma", "1.0"])
@@ -120,6 +133,12 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "extrapolation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--mode", "delay", "--horizon", "200"], ["--mode", "pf"]])
+    def test_nan_gamma_rejected(self, capsys, extra):
+        code = main(["simulate", "--scenario", "1", "--gamma", "nan", "--trials", "10"] + extra)
+        assert code == EXIT_ERROR
+        assert "gamma must be >= 0" in capsys.readouterr().err
+
     def test_csv_and_manifest(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(
@@ -164,6 +183,11 @@ class TestCurve:
         code = main(["curve", "--scenario", "1", "--detectors", "sprt", "--gamma-grid", "1,2,3"])
         assert code == EXIT_ERROR
 
+    def test_nan_gamma_in_grid_rejected(self, capsys):
+        code = main(["curve", "--scenario", "1", "--gamma-grid", "nan,1,2", "--trials", "200"])
+        assert code == EXIT_ERROR
+        assert "gamma must be >= 0" in capsys.readouterr().err
+
     def test_detector_without_default_grid_needs_explicit(self, capsys):
         code = main(
             ["curve", "--scenario", "1", "--detectors", "mast-delta", "--delta-lower", "1.0",
@@ -187,3 +211,10 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "mast" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(mast.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mast.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

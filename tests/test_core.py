@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mast import Barriers, constrained_mean_estimates, mast_increment, page_increment
+from mast import Barriers, mast_increment, page_increment
 
 
 def random_barriers(rng):
@@ -54,7 +54,7 @@ class TestMastIncrement:
             at_upper = mast_increment(b.upper, b, sigma)
             # closed-form branch values evaluated at each boundary
             lower_expect = -((b.lower - b.upper) ** 2) / (2 * s2)
-            upper_expect = b.width / s2 * (b.upper - b.midpoint)
+            upper_expect = (b.upper - b.lower) / s2 * (b.upper - b.midpoint)
             scale = max(1.0, abs(lower_expect))
             assert abs(at_lower - lower_expect) <= 1e-12 * scale
             assert abs(at_upper - upper_expect) <= 1e-12 * max(1.0, abs(upper_expect))
@@ -77,7 +77,7 @@ class TestMastIncrement:
             above = rng.uniform(b.upper + 1e-9, b.upper + 1.0, 100)
             assert np.all(mast_increment(below, b, sigma) < 0)
             assert np.all(mast_increment(above, b, sigma) > 0)
-            if b.width > 0:
+            if b.upper > b.lower:
                 mid = rng.uniform(b.lower + 1e-9, b.upper, 100)
                 g = mast_increment(mid, b, sigma)
                 assert np.all(np.sign(g) == np.sign(mid - b.midpoint))
@@ -134,21 +134,3 @@ class TestPageIncrement:
         down = page_increment(1.0 - x, 0.05, 0.1)
         np.testing.assert_allclose(up, -down, rtol=1e-12)
 
-
-class TestConstrainedMeanEstimates:
-    def test_values(self):
-        assert constrained_mean_estimates(0.9, Barriers.single(1.0)) == (0.9, 1.0)
-        assert constrained_mean_estimates(1.0, Barriers.single(1.0)) == (1.0, 1.0)
-        assert constrained_mean_estimates(1.3, Barriers(0.95, 1.05)) == (0.95, 1.3)
-
-    def test_clamping(self):
-        rng = np.random.default_rng(2008)
-        b = Barriers(0.9, 1.1)
-        x = rng.uniform(0.0, 2.0, 1000)
-        mu0, mu1 = constrained_mean_estimates(x, b)
-        assert np.all(mu0 <= b.lower)
-        assert np.all(mu1 >= b.upper)
-        inside0 = x <= b.lower
-        inside1 = x >= b.upper
-        np.testing.assert_array_equal(mu0[inside0], x[inside0])
-        np.testing.assert_array_equal(mu1[inside1], x[inside1])

@@ -1,7 +1,5 @@
 """Unit tests for the streaming detectors and the brute-force oracle."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,11 @@ from mast import (
     DetectorState,
     brute_force_statistic,
     mast_increment,
-    mast_update,
     page_increment,
-    page_update,
     run_stream,
-    write_trace_csv,
 )
+
+NEVER = float("inf")
 
 
 def naive_statistic(samples, barriers, sigma):
@@ -45,8 +42,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             DetectorConfig.mast(0.0)
         with pytest.raises(ValueError):
-            DetectorConfig.mast(0.1, threshold=-1.0)
-        with pytest.raises(ValueError):
             DetectorConfig(DetectorKind.MAST, 0.1, barriers=Barriers(0.9, 0.9))
         with pytest.raises(ValueError):
             DetectorConfig(DetectorKind.MAST_DELTA, 0.1, barriers=Barriers(0.9, 1.1))
@@ -70,82 +65,78 @@ class TestConfig:
 class TestUpdates:
     def test_mast_update_values(self):
         cfg = DetectorConfig.mast(0.1)
-        s1 = mast_update(DetectorState(), 1.2, cfg)
-        assert s1.statistic == pytest.approx(2.0) and s1.samples_seen == 1
-        s2 = mast_update(DetectorState(2.0, 5), 0.8, cfg)
-        assert s2.statistic == pytest.approx(0.0, abs=1e-12) and s2.samples_seen == 6
-        assert mast_update(DetectorState(), 1.0, cfg).statistic == 0.0
+        assert run_stream([1.2], cfg, NEVER).path == pytest.approx([2.0])
+        assert run_stream([1.2, 0.8], cfg, NEVER).path == pytest.approx([2.0, 0.0], abs=1e-12)
+        assert run_stream([1.0], cfg, NEVER).path == [0.0]
 
     def test_mast_update_clamps_exactly_at_zero(self):
         cfg = DetectorConfig.mast(0.1)
         # a +2 increment followed by its own negation lands on exactly zero
-        state = mast_update(mast_update(DetectorState(), 1.2, cfg), 0.8, cfg)
-        assert state.statistic == 0.0
+        assert run_stream([1.2, 0.8], cfg, NEVER).path[-1] == 0.0
         # and any net-negative sum clamps to exactly zero too
-        assert mast_update(DetectorState(2.0, 0), 0.7, cfg).statistic == 0.0
+        assert run_stream([1.2, 0.7], cfg, NEVER).path[-1] == 0.0
 
     def test_page_update_values(self):
         cfg = DetectorConfig.page(0.05, 0.1)
-        assert page_update(DetectorState(), 1.02, cfg).statistic == pytest.approx(0.2)
-        assert page_update(DetectorState(0.1, 0), 0.98, cfg).statistic == 0.0
-        assert page_update(DetectorState(5.0, 0), 1.0, cfg).statistic == 5.0
+        assert run_stream([1.02], cfg, NEVER).path == pytest.approx([0.2])
+        assert run_stream([1.01, 0.98], cfg, NEVER).path[-1] == 0.0
+        # a zero increment leaves the statistic unchanged
+        path = run_stream([1.25, 1.25, 1.0], cfg, NEVER).path
+        assert path[1] == pytest.approx(5.0)
+        assert path[2] == path[1]
 
     def test_variants_share_the_update(self):
         # mast and mast-delta with the same barrier value step identically
         xs = np.random.default_rng(3001).normal(1.0, 0.1, 50)
-        a = run_stream(xs, DetectorConfig.mast(0.1, threshold=1e9), record_trace=True)
-        b = run_stream(xs, DetectorConfig.mast_delta(1.0, 0.1, threshold=1e9), record_trace=True)
-        assert [r.statistic for r in a.trace] == [r.statistic for r in b.trace]
+        a = run_stream(xs, DetectorConfig.mast(0.1), 1e9)
+        b = run_stream(xs, DetectorConfig.mast_delta(1.0, 0.1), 1e9)
+        assert a.path == b.path
 
     def test_statistic_never_negative(self):
         rng = np.random.default_rng(3002)
         for cfg in (DetectorConfig.mast_general(0.9, 1.1, 0.2), DetectorConfig.page(0.1, 0.2)):
-            state = DetectorState()
-            update = mast_update if cfg.kind is not DetectorKind.PAGE else page_update
-            for x in rng.normal(0.9, 0.3, 500):
-                state = update(state, x, cfg)
-                assert state.statistic >= 0.0
+            path = run_stream(rng.normal(0.9, 0.3, 500), cfg, NEVER).path
+            assert len(path) == 500
+            assert min(path) >= 0.0
 
 
 class TestRunStream:
     def test_alarm_examples(self):
-        cfg = DetectorConfig.mast(0.1, threshold=3.0)
-        report = run_stream([1.2, 1.2], cfg, record_trace=True)
+        cfg = DetectorConfig.mast(0.1)
+        report = run_stream([1.2, 1.2], cfg, 3.0)
         assert report.alarm_index == 2
-        assert [r.statistic for r in report.trace] == pytest.approx([2.0, 4.0])
-        assert run_stream([1.0] * 100, DetectorConfig.mast(0.1, threshold=0.5)).alarm_index is None
-        assert run_stream([1.2], DetectorConfig.mast(0.1, threshold=1.9)).alarm_index == 1
-        assert run_stream([], cfg).alarm_index is None
+        assert report.path == pytest.approx([2.0, 4.0])
+        assert run_stream([1.0] * 100, cfg, 0.5).alarm_index is None
+        assert run_stream([1.2], cfg, 1.9).alarm_index == 1
+        assert run_stream([], cfg, 3.0).alarm_index is None
 
     def test_threshold_is_strict(self):
         # statistic == gamma must not alarm
-        cfg = DetectorConfig.mast(0.1, threshold=2.0)
-        report = run_stream([1.2], cfg)
+        report = run_stream([1.2], DetectorConfig.mast(0.1), 2.0)
         assert report.alarm_index is None
         assert report.final_state.statistic == pytest.approx(2.0)
 
     def test_stops_at_alarm(self):
-        cfg = DetectorConfig.mast(0.1, threshold=1.0)
-        report = run_stream([1.2, 1.2, 1.2, 1.2], cfg, record_trace=True)
+        report = run_stream([1.2, 1.2, 1.2, 1.2], DetectorConfig.mast(0.1), 1.0)
         assert report.alarm_index == 1
-        assert len(report.trace) == 1
+        assert len(report.path) == 1
         assert report.final_state.samples_seen == 1
 
     def test_trace_marks_first_crossing(self):
         rng = np.random.default_rng(3003)
         xs = rng.normal(1.02, 0.1, 400)
-        cfg = DetectorConfig.mast(0.1, threshold=4.0)
-        report = run_stream(xs, cfg, record_trace=True)
+        gamma = 4.0
+        report = run_stream(xs, DetectorConfig.mast(0.1), gamma)
         if report.alarm_index is not None:
-            crossed = [r.n for r in report.trace if r.statistic > cfg.threshold]
-            assert crossed[0] == report.alarm_index == report.trace[-1].n
+            crossed = [n for n, t in enumerate(report.path, 1) if t > gamma]
+            assert crossed == [report.alarm_index] == [len(report.path)]
 
     def test_alarm_monotone_in_gamma(self):
         rng = np.random.default_rng(3004)
         xs = rng.normal(1.01, 0.1, 300)
         previous = 0
         for gamma in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]:
-            report = run_stream(xs, DetectorConfig.mast(0.1, threshold=gamma))
+            report = run_stream(xs, DetectorConfig.mast(0.1), gamma)
             index = report.alarm_index if report.alarm_index is not None else len(xs) + 1
             assert index >= previous
             previous = index
@@ -154,34 +145,44 @@ class TestRunStream:
         # from any zero of the statistic, the tail behaves like a fresh run
         rng = np.random.default_rng(3005)
         xs = rng.normal(0.98, 0.15, 300)
-        cfg = DetectorConfig.mast(0.15, threshold=1e9)
-        full = run_stream(xs, cfg, record_trace=True)
-        zeros = [r.n for r in full.trace if r.statistic == 0.0]
+        cfg = DetectorConfig.mast(0.15)
+        full = run_stream(xs, cfg, 1e9)
+        zeros = [n for n, t in enumerate(full.path, 1) if t == 0.0]
         assert zeros, "expected at least one reset under a shrinking mean"
         m = zeros[len(zeros) // 2]
-        tail = run_stream(xs[m:], cfg, record_trace=True)
-        np.testing.assert_allclose(
-            [r.statistic for r in tail.trace],
-            [r.statistic for r in full.trace[m:]],
-            rtol=1e-12,
-            atol=0.0,
-        )
+        tail = run_stream(xs[m:], cfg, 1e9)
+        np.testing.assert_allclose(tail.path, full.path[m:], rtol=1e-12, atol=0.0)
 
     def test_monitor_mode_resets_and_collects(self):
-        cfg = DetectorConfig.mast(0.1, threshold=3.0)
-        report = run_stream([1.2, 1.2, 0.9, 1.2, 1.2], cfg, monitor=True, record_trace=True)
+        report = run_stream([1.2, 1.2, 0.9, 1.2, 1.2], DetectorConfig.mast(0.1), 3.0, monitor=True)
         # paths: 2.0, 4.0 (cross, reset), -0.5 -> 0.0, 2.0, 4.0 (cross)
         assert report.crossings == [2, 5]
         assert report.alarm_index == 2
         assert report.final_state.samples_seen == 5
         # after the first crossing the statistic restarts from zero
-        assert report.trace[2].statistic == 0.0
-        assert report.trace[3].statistic == pytest.approx(2.0)
+        assert report.path[2] == 0.0
+        assert report.path[3] == pytest.approx(2.0)
 
     def test_page_stream(self):
-        cfg = DetectorConfig.page(0.05, 0.1, threshold=0.3)
-        report = run_stream([1.02, 1.02], cfg)
+        report = run_stream([1.02, 1.02], DetectorConfig.page(0.05, 0.1), 0.3)
         assert report.alarm_index == 2
+
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            run_stream([1.2], DetectorConfig.mast(0.1), gamma)
+
+    def test_scores_like_the_array_increment(self):
+        # one vectorised increment call: the path is the plain float
+        # recursion over exactly the scores the Monte Carlo engine sees
+        rng = np.random.default_rng(3009)
+        xs = rng.normal(1.0, 0.1, 200)
+        cfg = DetectorConfig.mast_general(0.95, 1.05, 0.1)
+        t, expect = 0.0, []
+        for d in cfg.increment(xs):
+            t = max(0.0, t + float(d))
+            expect.append(t)
+        assert run_stream(xs, cfg, NEVER).path == expect
 
 
 class TestBruteForce:
@@ -208,8 +209,8 @@ class TestBruteForce:
             b = Barriers(lo, lo + rng.uniform(0.0, 0.5))
             sigma = rng.uniform(0.01, 1.0)
             xs = rng.normal(1.0, 2 * sigma, int(rng.integers(1, 65)))
-            cfg = DetectorConfig.mast_general(b.lower, b.upper, sigma, threshold=float("inf"))
-            report = run_stream(xs, cfg)
+            cfg = DetectorConfig.mast_general(b.lower, b.upper, sigma)
+            report = run_stream(xs, cfg, NEVER)
             oracle = brute_force_statistic(xs, b, sigma)
             assert report.final_state.statistic == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -222,15 +223,3 @@ def test_mast_is_page_with_estimated_alpha():
     q = page_increment(x, np.abs(x - 1.0), 0.07)
     np.testing.assert_allclose(g, 0.25 * q, rtol=1e-12, atol=1e-15)
 
-
-def test_write_trace_csv():
-    cfg = DetectorConfig.mast(0.1, threshold=3.0)
-    report = run_stream([1.2, 1.2], cfg, record_trace=True)
-    buffer = io.StringIO()
-    write_trace_csv(report, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "n,x,statistic,alarmed"
-    assert lines[1].startswith("1,1.2,") and lines[1].endswith(",0")
-    assert lines[2].endswith(",1")
-    with pytest.raises(ValueError):
-        write_trace_csv(run_stream([1.0], cfg), io.StringIO())

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import linregress, norm
 
 from mast import (
     DetectorConfig,
@@ -104,7 +104,7 @@ class TestEstimateDelay:
                 reference = []
                 for trial in range(25):
                     xs = trial_samples(spec, 123, trial, 3000, critical=True)
-                    reference.append(run_stream(xs, cfg.with_threshold(gamma)).alarm_index)
+                    reference.append(run_stream(xs, cfg, gamma).alarm_index)
                 assert est.mean_delay == pytest.approx(np.mean(reference), abs=1e-12)
 
     def test_censoring_counts_at_horizon(self):
@@ -129,6 +129,8 @@ class TestEstimateDelay:
             estimate_delay(S1.controlled(), MAST, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             estimate_delay(S1.changed(1), MAST, -1.0, 10, seed=0)
+        with pytest.raises(ValueError, match="gamma"):
+            estimate_delay(S1.changed(1), MAST, float("nan"), 10, seed=0)
         with pytest.raises(ValueError):
             estimate_delay(S1.changed(1), MAST, 1.0, 0, seed=0)
 
@@ -166,7 +168,7 @@ class TestEstimatePf:
         crossings = 0
         for chain in range(n_chains):
             xs = trial_samples(S2, 55, chain, per_chain, critical=False, chunk=_PF_CHUNK)
-            report = run_stream(xs, MAST.with_threshold(gamma), monitor=True)
+            report = run_stream(xs, MAST, gamma, monitor=True)
             crossings += len(report.crossings)
         assert est.n_trials == crossings
         assert est.pf == pytest.approx(crossings / (n_chains * per_chain))
@@ -176,6 +178,11 @@ class TestEstimatePf:
             estimate_pf(
                 S1.controlled(), MAST, 50.0, seed=1, n_chains=8, max_steps=20_000
             )
+
+    @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            estimate_pf(S1.controlled(), MAST, gamma, seed=0)
 
     def test_requires_controlled_spec(self):
         with pytest.raises(ValueError):
@@ -205,6 +212,27 @@ class TestFitLinear:
             fit_linear([(1.0, 2.0), (2.0, 3.0)])
         with pytest.raises(ValueError):
             fit_linear([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+
+    def test_matches_scipy_linregress_bit_for_bit(self):
+        rng = np.random.default_rng(5001)
+        gammas = np.linspace(1.0, 4.0, 7)
+        point_sets = [
+            [(g, 2.0 * g + 1.0) for g in (0.0, 1.0, 2.0, 3.0)],
+            [(g, -0.37 * g - 1.9) for g in gammas],
+            [(g, 3.1 * g + rng.normal(0.0, 0.4)) for g in gammas],
+            [(g, -1.3 * g - 2.0 + rng.normal(0.0, 0.05)) for g in gammas],
+            [(float(g), 2.0 * g + 1.0 + (19.0 if g == 4 else 0.0)) for g in range(10)],
+            [(g, 1e6 + 1e-3 * g) for g in rng.uniform(0.0, 30.0, 25)],
+            [(g, 5.0) for g in gammas],  # constant y: r is undefined (NaN)
+        ]
+        for points in point_sets:
+            fit = fit_linear(points)
+            oracle = linregress([p[0] for p in points], [p[1] for p in points])
+            # exact equality, NaN matching NaN
+            np.testing.assert_array_equal(
+                [fit.slope, fit.intercept, fit.r_squared],
+                [oracle.slope, oracle.intercept, oracle.rvalue**2],
+            )
 
     def test_predict(self):
         fit = LinearFit(2.0, 1.0, 1.0)
