@@ -36,7 +36,6 @@ from .simulation import (
     estimate_delay,
     estimate_pf,
     fit_linear,
-    generate_path,
     operational_curve,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "estimate_pf",
     "estimate_sigma",
     "fit_linear",
-    "generate_path",
     "mast_increment",
     "operational_curve",
     "page_increment",

@@ -302,6 +302,9 @@ def cmd_curve(args) -> int:
     kinds = [DetectorKind(k.strip()) for k in args.detectors.split(",") if k.strip()]
     if not kinds:
         raise ValueError("--detectors must name at least one detector")
+    given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid)
+    if given_grid == []:
+        raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
     table: list[list] = []
     for kind in kinds:
@@ -313,7 +316,7 @@ def cmd_curve(args) -> int:
         )
         config = _detector_config(detector_args, sigma, alpha_default=alpha)
         preset = grid_for(defaults, args.scenario, kind.value)
-        gamma_grid = _parse_grid(args.gamma_grid) if args.gamma_grid else (preset or (None,))[0]
+        gamma_grid = given_grid or (preset or (None,))[0]
         if not gamma_grid:
             raise ValueError(
                 f"no default gamma grid for detector {kind.value!r} in scenario "

@@ -135,6 +135,13 @@ class AlarmReport:
         return self.alarm_index is not None
 
 
+def _finite_samples(samples) -> np.ndarray:
+    x = np.asarray(samples, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite numbers (no NaN or +/-inf)")
+    return x
+
+
 def run_stream(
     samples: Sequence[float],
     config: DetectorConfig,
@@ -153,10 +160,13 @@ def run_stream(
 
     The whole stream is scored by one vectorised ``config.increment`` call,
     the same array arithmetic the Monte Carlo engine uses, so both score a
-    sample identically.
+    sample identically.  A NaN or +/-inf sample raises ``ValueError``
+    instead of silently resetting the statistic.  ``detect`` does not
+    produce one, because ``parse_counts`` already bounds counts to finite
+    floats; the engine's ``_clamped_path`` sees only drawn, finite samples.
     """
     gamma = check_gamma(gamma)
-    increments = config.increment(np.asarray(samples, dtype=float)).tolist()
+    increments = config.increment(_finite_samples(samples)).tolist()
     path: list[float] = []
     crossings: list[int] = []
     alarm_index: int | None = None
@@ -179,8 +189,9 @@ def brute_force_statistic(samples: Sequence[float], barriers: Barriers, sigma: f
 
     Evaluates ``max(0, max_j sum_{k=j..n} increment(x_k))`` directly; the
     empty change index (change after the last sample) contributes 0.
+    NaN and +/-inf samples raise ``ValueError``, as in ``run_stream``.
     """
-    x = np.asarray(list(samples), dtype=float)
+    x = _finite_samples(list(samples))
     if x.size == 0:
         return 0.0
     scores = mast_increment(x, barriers, sigma)

@@ -24,7 +24,7 @@ far beyond Monte Carlo reach.
 Every trial (and every monitoring chain) owns an independent substream
 derived from ``(seed, trial_index)``, so results are a deterministic
 function of the seed and the trial count, no matter how the work is
-chunked or parallelised.
+chunked or parallelised.  A seed is an int or a sequence of ints.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "estimate_delay",
     "estimate_pf",
     "fit_linear",
-    "generate_path",
     "operational_curve",
 ]
 
@@ -103,45 +102,11 @@ class ScenarioSpec:
         return replace(self, change_time=nu)
 
 
-def _draw_means(spec: ScenarioSpec, critical: bool, rng: np.random.Generator, n: int) -> np.ndarray:
-    if spec.scenario == 1:
-        return np.full(n, 1.0 + spec.alpha if critical else 1.0 - spec.alpha)
-    if critical:
-        return rng.uniform(1.0, 1.0 + 10.0 * spec.alpha, n)
-    return rng.uniform(1.0 - spec.alpha, 1.0, n)
-
-
-def _seed_sequence(seed, spawn_key: tuple[int, ...] = ()) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    entropy = int(seed) if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-
-
-def _child_seed(seed, *key: int) -> list[int]:
-    base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    return base + [int(k) for k in key]
-
-
-def generate_path(spec: ScenarioSpec, length: int, seed) -> np.ndarray:
-    """Draw one ratio path of ``length`` samples, deterministic in ``seed``.
-
-    Samples before ``change_time`` come from the controlled regime, those
-    from ``change_time`` on from the critical one.  Draw order: all means
-    first (controlled block, then critical block), then all noise.
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(_seed_sequence(seed))
-    nu = spec.change_time
-    n_pre = length if nu is None else min(length, nu - 1)
-    means = np.concatenate(
-        [
-            _draw_means(spec, False, rng, n_pre),
-            _draw_means(spec, True, rng, length - n_pre),
-        ]
-    )
-    return means + spec.sigma * rng.standard_normal(length)
+def _seed_entropy(seed, *tags: int) -> list[int]:
+    """``SeedSequence`` entropy: ``seed`` (an int or a sequence of ints),
+    then ``tags``.  Any other seed, a ``SeedSequence`` too, raises TypeError."""
+    head = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    return [int(s) for s in head + list(tags)]
 
 
 class _TrialStream:
@@ -151,12 +116,20 @@ class _TrialStream:
 
     def __init__(self, spec: ScenarioSpec, seed, index: int, chunk: int):
         self._spec = spec
-        self._rng = np.random.default_rng(_seed_sequence(seed, spawn_key=(index,)))
+        entropy = _seed_entropy(seed)
+        self._rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(index,)))
         self._chunk = chunk
 
     def next_chunk(self, critical: bool) -> np.ndarray:
-        means = _draw_means(self._spec, critical, self._rng, self._chunk)
-        return means + self._spec.sigma * self._rng.standard_normal(self._chunk)
+        """Next ``chunk`` samples of one regime: the means, then the noise."""
+        spec, rng, n = self._spec, self._rng, self._chunk
+        if spec.scenario == 1:
+            means = np.full(n, 1.0 + spec.alpha if critical else 1.0 - spec.alpha)
+        elif critical:
+            means = rng.uniform(1.0, 1.0 + 10.0 * spec.alpha, n)
+        else:
+            means = rng.uniform(1.0 - spec.alpha, 1.0, n)
+        return means + spec.sigma * rng.standard_normal(n)
 
 
 def trial_samples(
@@ -167,6 +140,8 @@ def trial_samples(
     Mirrors the engine's chunked draw layout; intended for tests that
     replay a trial through the reference single-stream detector.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     stream = _TrialStream(spec, seed, index, chunk)
     blocks = [stream.next_chunk(critical) for _ in range(-(-n // chunk))]
     return np.concatenate(blocks)[:n]
@@ -219,6 +194,53 @@ def _map_groups(fn, groups, workers: int):
         return list(pool.map(fn, groups))
 
 
+class _Chains:
+    """Trials ``start..stop-1`` advancing in lockstep on one sample clock.
+
+    Each trial draws its own ``_TrialStream`` in whole ``chunk``-sample
+    blocks.  ``running`` holds the indices of the trials not yet retired
+    and ``carry`` their statistics between steps; keeping score is left
+    to the estimators.
+    """
+
+    def __init__(self, spec, config, gamma, seed, start, stop, chunk):
+        self.config = config
+        self.gamma = gamma
+        self.streams = {i: _TrialStream(spec, seed, i, chunk) for i in range(start, stop)}
+        self.running = np.arange(start, stop)
+        self.carry = np.zeros(stop - start)
+
+    def _increments(self, critical: bool, cols: int) -> np.ndarray:
+        streams = [self.streams[i] for i in self.running.tolist()]
+        return self.config.increment(np.stack([s.next_chunk(critical) for s in streams])[:, :cols])
+
+    def monitor(self, cols: int) -> list[tuple[int, list[int]]]:
+        """Advance running trials ``cols`` controlled samples, resetting the
+        statistic at each crossing; return ``(trial, crossing offsets)``
+        (1-based within the step) for each trial that crossed."""
+        inc = self._increments(False, cols)
+        carry_in = self.carry
+        paths = _clamped_path(inc, carry_in)
+        self.carry = paths[:, -1].copy()
+        crossed = []
+        for r in np.flatnonzero((paths > self.gamma).any(axis=1)):
+            times, self.carry[r] = _scan_crossings(inc[r], float(carry_in[r]), self.gamma)
+            crossed.append((int(self.running[r]), times))
+        return crossed
+
+    def stop_at_first(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance running trials ``cols`` critical samples and retire those
+        that cross; return their indices and first-crossing offsets (1-based
+        within the step)."""
+        paths = _clamped_path(self._increments(True, cols), self.carry)
+        crossed = paths > self.gamma
+        hit = crossed.any(axis=1)
+        finished = self.running[hit]
+        self.running = self.running[~hit]
+        self.carry = paths[~hit, -1]
+        return finished, np.argmax(crossed[hit], axis=1) + 1
+
+
 @dataclass(frozen=True)
 class PerformanceEstimate:
     """Monte Carlo estimate of delay and/or false-alarm rate at one gamma.
@@ -240,55 +262,6 @@ class PerformanceEstimate:
     pf: float | None = None
     pf_se: float | None = None
     observed_steps: int | None = None
-
-
-class _DelayGroup:
-    """Lockstep-advancing block of delay trials sharing one sample clock."""
-
-    def __init__(self, spec, config, gamma, seed, start, stop):
-        self.config = config
-        self.gamma = gamma
-        self.streams = [_TrialStream(spec, seed, i, _DELAY_CHUNK) for i in range(start, stop)]
-        self.active = np.arange(stop - start)
-        self.carry = np.zeros(stop - start)
-        self.delays = np.zeros(stop - start, dtype=np.int64)
-
-    def run_in(self, steps: int) -> None:
-        """Evolve all trials through controlled samples in monitor mode."""
-        done = 0
-        while done < steps:
-            cols = min(_DELAY_CHUNK, steps - done)
-            x = np.stack([s.next_chunk(False) for s in self.streams])[:, :cols]
-            inc = self.config.increment(x)
-            carry_in = self.carry
-            paths = _clamped_path(inc, carry_in)
-            carry_out = paths[:, -1].copy()
-            for r in np.flatnonzero((paths > self.gamma).any(axis=1)):
-                _, carry_out[r] = _scan_crossings(inc[r], float(carry_in[r]), self.gamma)
-            self.carry = carry_out
-            done += cols
-
-    def advance(self, cols: int, steps_done: int) -> np.ndarray:
-        """Advance active trials ``cols`` samples; return delays finished now."""
-        if self.active.size == 0 or cols <= 0:
-            return np.empty(0, dtype=np.int64)
-        x = np.stack([self.streams[i].next_chunk(True) for i in self.active])[:, :cols]
-        paths = _clamped_path(self.config.increment(x), self.carry)
-        crossed = paths > self.gamma
-        hit = crossed.any(axis=1)
-        finished = self.active[hit]
-        if finished.size:
-            first = np.argmax(crossed[hit], axis=1)
-            self.delays[finished] = steps_done + first + 1
-        self.active = self.active[~hit]
-        self.carry = paths[~hit, -1]
-        return self.delays[finished]
-
-    def censor(self, horizon: int) -> int:
-        n = self.active.size
-        self.delays[self.active] = horizon
-        self.active = np.empty(0, dtype=np.int64)
-        return n
 
 
 def estimate_delay(
@@ -327,82 +300,50 @@ def estimate_delay(
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    groups = [
-        _DelayGroup(spec, config, float(gamma), seed, a, b)
+    blocks = [
+        _Chains(spec, config, gamma, seed, a, b, _DELAY_CHUNK)
         for a, b in _split_counts(n_trials, workers)
     ]
-    if run_in and spec.change_time > 1:
-        _map_groups(lambda g: g.run_in(spec.change_time - 1), groups, workers)
+    if run_in:
+        pre_change = spec.change_time - 1
+        for done in range(0, pre_change, _DELAY_CHUNK):
+            cols = min(_DELAY_CHUNK, pre_change - done)
+            _map_groups(lambda c: c.monitor(cols), blocks, workers)
 
-    # integer running sums keep the adaptive cap independent of grouping
-    completed_sum = 0
-    completed_n = 0
+    # 0 marks a trial still running; integer sums keep the adaptive cap
+    # independent of grouping
+    delays = np.zeros(n_trials, dtype=np.int64)
     steps_done = 0
     cap = horizon if horizon is not None else max_steps
-    while steps_done < cap and any(g.active.size for g in groups):
+    running = blocks
+    while steps_done < cap and running:
         cols = min(_DELAY_CHUNK, cap - steps_done)
-        for done in _map_groups(lambda g: g.advance(cols, steps_done), groups, workers):
-            completed_sum += int(done.sum())
-            completed_n += done.size
+        for trials, offsets in _map_groups(lambda c: c.stop_at_first(cols), running, workers):
+            delays[trials] = steps_done + offsets
         steps_done += cols
-        if horizon is None and completed_n:
-            adaptive = max(1000, -(-100 * completed_sum // completed_n))
+        running = [c for c in running if c.running.size]
+        completed = np.count_nonzero(delays)
+        if horizon is None and completed:
+            adaptive = max(1000, -(-100 * int(delays.sum()) // completed))
             cap = min(max_steps, adaptive)
 
-    n_censored = sum(g.censor(steps_done) for g in groups)
+    n_censored = n_trials - int(np.count_nonzero(delays))
     if n_censored:
+        delays[delays == 0] = steps_done
         warnings.warn(
             f"{n_censored} of {n_trials} trials never alarmed within {steps_done} samples; "
             "their delay is counted at the horizon (lower bound)",
             stacklevel=2,
         )
-    delays = np.concatenate([g.delays for g in groups]).astype(float)
+    delays = delays.astype(float)
     se = float(delays.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("nan")
     return PerformanceEstimate(
-        gamma=float(gamma),
+        gamma=gamma,
         n_trials=n_trials,
         mean_delay=float(delays.mean()),
         delay_se=se,
         n_censored=n_censored,
     )
-
-
-class _MonitorGroup:
-    """Block of controlled-regime chains monitored with reset-on-crossing."""
-
-    def __init__(self, spec, config, gamma, seed, start, stop):
-        self.config = config
-        self.gamma = gamma
-        self.streams = [_TrialStream(spec, seed, i, _PF_CHUNK) for i in range(start, stop)]
-        self.carry = np.zeros(stop - start)
-        self.last_cross = np.zeros(stop - start, dtype=np.int64)
-        self._chain_ids: list[np.ndarray] = []
-        self._intervals: list[np.ndarray] = []
-        self.crossings = 0
-
-    def advance(self, cols: int, steps_done: int) -> None:
-        x = np.stack([s.next_chunk(False) for s in self.streams])[:, :cols]
-        inc = self.config.increment(x)
-        carry_in = self.carry
-        paths = _clamped_path(inc, carry_in)
-        carry_out = paths[:, -1].copy()
-        for r in np.flatnonzero((paths > self.gamma).any(axis=1)):
-            times, carry_out[r] = _scan_crossings(inc[r], float(carry_in[r]), self.gamma)
-            cross_at = steps_done + np.asarray(times, dtype=np.int64)
-            intervals = np.diff(cross_at, prepend=self.last_cross[r])
-            self._chain_ids.append(np.full(cross_at.size, r))
-            self._intervals.append(intervals)
-            self.last_cross[r] = cross_at[-1]
-            self.crossings += cross_at.size
-        self.carry = carry_out
-
-    def canonical_intervals(self) -> np.ndarray:
-        """Completed intervals ordered by chain, then by time."""
-        if not self._intervals:
-            return np.empty(0)
-        ids = np.concatenate(self._chain_ids)
-        intervals = np.concatenate(self._intervals)
-        return intervals[np.argsort(ids, kind="stable")].astype(float)
 
 
 def estimate_pf(
@@ -440,39 +381,49 @@ def estimate_pf(
         raise ValueError("false-alarm estimation needs a pure controlled spec")
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if target_crossings < 1:
+        raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
-    groups = [
-        _MonitorGroup(spec, config, float(gamma), seed, a, b)
+    blocks = [
+        _Chains(spec, config, gamma, seed, a, b, _PF_CHUNK)
         for a, b in _split_counts(n_chains, workers)
     ]
+    crossed_at: list[list[np.ndarray]] = [[] for _ in range(n_chains)]
+    crossings = 0
     per_chain_cap = -(-(horizon if horizon is not None else max_steps) // n_chains)
     steps = 0
     while steps < per_chain_cap:
-        if horizon is None and sum(g.crossings for g in groups) >= target_crossings:
+        if horizon is None and crossings >= target_crossings:
             break
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        _map_groups(lambda g: g.advance(cols, steps), groups, workers)
+        for crossed in _map_groups(lambda c: c.monitor(cols), blocks, workers):
+            for chain, times in crossed:
+                crossed_at[chain].append(steps + np.asarray(times, dtype=np.int64))
+                crossings += len(times)
         steps += cols
 
-    crossings = sum(g.crossings for g in groups)
     observed = steps * n_chains
     if crossings < min_crossings:
         raise InsufficientEventsError(
             f"only {crossings} crossings in {observed} controlled samples at gamma={gamma} "
             f"(need >= {min_crossings}); lower gamma or rely on curve extrapolation"
         )
-    intervals = np.concatenate([g.canonical_intervals() for g in groups])
     pf = crossings / observed
     if crossings > 1:
+        # completed intervals, ordered by chain then time so that pf_se
+        # does not depend on the grouping
+        intervals = np.concatenate(
+            [np.diff(np.concatenate(at), prepend=0) for at in crossed_at if at]
+        ).astype(float)
         cv = float(intervals.std(ddof=1) / intervals.mean())
         pf_se = pf * cv / math.sqrt(crossings)
     else:
         pf_se = float("nan")
     return PerformanceEstimate(
-        gamma=float(gamma),
+        gamma=gamma,
         n_trials=crossings,
         pf=pf,
         pf_se=pf_se,
@@ -596,7 +547,7 @@ def operational_curve(
             config,
             gamma,
             n_trials,
-            seed=_child_seed(seed, DELAY_SEED_TAG, i),
+            seed=_seed_entropy(seed, DELAY_SEED_TAG, i),
             run_in=run_in,
             workers=workers,
         )
@@ -604,7 +555,7 @@ def operational_curve(
             controlled,
             config,
             gamma,
-            seed=_child_seed(seed, PF_SEED_TAG, i),
+            seed=_seed_entropy(seed, PF_SEED_TAG, i),
             n_chains=n_chains,
             target_crossings=n_trials,
             min_crossings=min_crossings,

@@ -133,6 +133,13 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "extrapolation" in capsys.readouterr().err
 
+    def test_zero_trials_rejected(self, capsys):
+        code = main(["simulate", "--scenario", "1", "--gamma", "2", "--mode", "pf", "--trials", "0"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "target_crossings must be >= 1" in err
+        assert "extrapolation" not in err
+
     @pytest.mark.parametrize("extra", [["--mode", "delay", "--horizon", "200"], ["--mode", "pf"]])
     def test_nan_gamma_rejected(self, capsys, extra):
         code = main(["simulate", "--scenario", "1", "--gamma", "nan", "--trials", "10"] + extra)
@@ -195,6 +202,14 @@ class TestCurve:
         )
         assert code == EXIT_ERROR
         assert "--gamma-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:4:0", ","])
+    def test_empty_given_grid_named(self, capsys, grid):
+        code = main(["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", grid])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"--gamma-grid {grid!r} is empty" in err
+        assert "no default gamma grid" not in err
 
     def test_stdout_output(self, capsys):
         code = main(

@@ -215,6 +215,18 @@ class TestBruteForce:
             assert report.final_state.statistic == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_samples_rejected(bad):
+    # one defined behaviour in both paths: no silent reset, no NaN comparison
+    message = "samples must be finite"
+    with pytest.raises(ValueError, match=message):
+        run_stream([0.5, bad, 2.0], DetectorConfig.mast(0.1), 1e9)
+    with pytest.raises(ValueError, match=message):
+        run_stream([0.5, bad], DetectorConfig.page(0.05, 0.1), 1.0, monitor=True)
+    with pytest.raises(ValueError, match=message):
+        brute_force_statistic([1.2, bad], Barriers.single(1.0), 0.1)
+
+
 def test_mast_is_page_with_estimated_alpha():
     # single-barrier score == quarter of the Page increment at alpha=|x-1|
     rng = np.random.default_rng(3008)

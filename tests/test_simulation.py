@@ -9,15 +9,15 @@ from mast import (
     ExtrapolationError,
     InsufficientEventsError,
     LinearFit,
+    PerformanceEstimate,
     ScenarioSpec,
     estimate_delay,
     estimate_pf,
     fit_linear,
-    generate_path,
     operational_curve,
     run_stream,
 )
-from mast.simulation import _PF_CHUNK, trial_samples
+from mast.simulation import _DELAY_CHUNK, _PF_CHUNK, _TrialStream, trial_samples
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
@@ -42,33 +42,65 @@ class TestScenarioSpec:
         assert spec.controlled().change_time is None
 
 
-class TestGeneratePath:
+class TestTrialSamples:
     def test_zero_noise_limit_exposes_means(self):
-        spec = ScenarioSpec(1, 0.05, 1e-12, change_time=10)
-        path = generate_path(spec, 12, seed=1)
-        assert np.allclose(path[:9], 0.95, atol=1e-9)
-        assert np.allclose(path[9:], 1.05, atol=1e-9)
+        spec = ScenarioSpec(1, 0.05, 1e-12)
+        assert np.allclose(trial_samples(spec, 1, 0, 12, critical=False), 0.95, atol=1e-9)
+        assert np.allclose(trial_samples(spec, 1, 0, 12, critical=True), 1.05, atol=1e-9)
 
     def test_deterministic_in_seed(self):
-        spec = S2.changed(20)
-        np.testing.assert_array_equal(generate_path(spec, 100, 5), generate_path(spec, 100, 5))
-        assert not np.array_equal(generate_path(spec, 100, 5), generate_path(spec, 100, 6))
+        a = trial_samples(S2, 5, 0, 100)
+        np.testing.assert_array_equal(a, trial_samples(S2, 5, 0, 100))
+        np.testing.assert_array_equal(a, trial_samples(S2, [5], 0, 100))
+        assert not np.array_equal(a, trial_samples(S2, 6, 0, 100))
+
+    def test_trial_indices_give_different_streams(self):
+        assert not np.array_equal(trial_samples(S2, 5, 0, 100), trial_samples(S2, 5, 1, 100))
 
     def test_scenario2_controlled_mean(self):
         # controlled means are uniform on (1 - alpha, 1): expectation 0.975
-        path = generate_path(S2.controlled(), 1_000_000, seed=77)
+        xs = trial_samples(S2, 77, 0, 1_000_000, critical=False, chunk=_PF_CHUNK)
         se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1000.0
-        assert abs(path.mean() - 0.975) < 3 * se
+        assert abs(xs.mean() - 0.975) < 3 * se
 
     def test_scenario2_critical_mean(self):
         # critical means are uniform on (1, 1 + 10 alpha): expectation 1.25
-        path = generate_path(S2.changed(1), 1_000_000, seed=78)
+        xs = trial_samples(S2, 78, 0, 1_000_000, critical=True, chunk=_PF_CHUNK)
         se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1000.0
-        assert abs(path.mean() - 1.25) < 3 * se
+        assert abs(xs.mean() - 1.25) < 3 * se
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            generate_path(S1, 0, seed=1)
+            trial_samples(S1, 1, 0, 0)
+
+
+class TestSeeds:
+    # a SeedSequence carries no per-trial spawn key, so it would give every
+    # trial the same stream; seeds are ints or sequences of ints only
+    def test_seed_sequence_rejected(self):
+        seed = np.random.SeedSequence(5)
+        with pytest.raises(TypeError):
+            estimate_delay(S1.changed(1), MAST, 4.0, 200, seed=seed)
+        with pytest.raises(TypeError):
+            estimate_pf(S1.controlled(), MAST, 1.0, seed=seed)
+        with pytest.raises(TypeError):
+            trial_samples(S1, seed, 0, 10)
+
+    def test_pinned_estimates(self):
+        # exact outputs of the draw layout at fixed seeds: a change to the
+        # layout must update them on purpose
+        delay = estimate_delay(S2.changed(70), MAST, 1.5, 200, seed=17, run_in=True)
+        assert delay == PerformanceEstimate(
+            gamma=1.5, n_trials=200, mean_delay=1.24, delay_se=0.034901152592161
+        )
+        pf = estimate_pf(S1.controlled(), PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
+        assert pf == PerformanceEstimate(
+            gamma=2.0, n_trials=465, pf=0.02838134765625, pf_se=0.0013703871656860517,
+            observed_steps=16384,
+        )
+        # plain Python numbers, so that callers can serialise an estimate
+        for est in (delay, pf):
+            assert all(type(v) in (int, float, type(None)) for v in vars(est).values())
 
 
 class TestEstimateDelay:
@@ -105,6 +137,34 @@ class TestEstimateDelay:
                 for trial in range(25):
                     xs = trial_samples(spec, 123, trial, 3000, critical=True)
                     reference.append(run_stream(xs, cfg, gamma).alarm_index)
+                assert est.mean_delay == pytest.approx(np.mean(reference), abs=1e-12)
+
+    def test_run_in_matches_reference_replay(self):
+        # change_time 100: the run-in covers one whole 64-sample chunk and
+        # 35 samples of a second one, whose other 29 samples go unused.  The
+        # barrier at the controlled mean keeps the run-in statistic near the
+        # threshold, so the resets decide where the post-change part starts.
+        nu, n_trials = 100, 30
+        at_mean = DetectorConfig.mast_delta(0.95, 0.05)
+        for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
+            for gamma in (0.5, 2.0, 8.0):
+                est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
+                reference = []
+                for trial in range(n_trials):
+                    stream = _TrialStream(spec, 61, trial, _DELAY_CHUNK)
+                    pre = np.concatenate([stream.next_chunk(False) for _ in range(2)])[: nu - 1]
+                    post = np.concatenate([stream.next_chunk(True) for _ in range(50)])
+                    t = 0.0
+                    for d in cfg.increment(pre).tolist():
+                        t = max(0.0, t + d)
+                        if t > gamma:
+                            t = 0.0
+                    for n, d in enumerate(cfg.increment(post).tolist(), 1):
+                        t = max(0.0, t + d)
+                        if t > gamma:
+                            reference.append(n)
+                            break
+                assert len(reference) == n_trials
                 assert est.mean_delay == pytest.approx(np.mean(reference), abs=1e-12)
 
     def test_censoring_counts_at_horizon(self):
@@ -172,6 +232,10 @@ class TestEstimatePf:
             crossings += len(report.crossings)
         assert est.n_trials == crossings
         assert est.pf == pytest.approx(crossings / (n_chains * per_chain))
+
+    def test_rejects_nonpositive_target(self):
+        with pytest.raises(ValueError, match="target_crossings"):
+            estimate_pf(S1.controlled(), MAST, 2.0, seed=0, target_crossings=0)
 
     def test_insufficient_events(self):
         with pytest.raises(InsufficientEventsError):
