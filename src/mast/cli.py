@@ -119,11 +119,19 @@ def _detector_params(config: DetectorConfig) -> dict:
 
 def _experiment_settings(args, *names: str) -> tuple[dict, list]:
     """Experiment defaults (packaged, overlaid by ``--config``) and each named
-    flag's value, taken from the defaults where the flag was not given."""
+    flag's value, taken from the defaults where the flag was not given.
+
+    The run sizes ``--trials``, ``--seed`` and ``--workers`` are checked
+    here, wherever they came from, so that an error names the flag."""
     defaults = load_defaults(args.config)
-    return defaults, [
+    values = [
         defaults[name] if getattr(args, name) is None else getattr(args, name) for name in names
     ]
+    given = dict(zip(names, values), workers=args.workers)
+    for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
+        if type(given[name]) is not int or given[name] < low:
+            raise ValueError(f"--{name} must be an integer >= {low}, got {given[name]!r}")
+    return defaults, values
 
 
 def _write_manifest(output: str, subcommand: str, parameters: dict) -> None:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _DELAY_CHUNK = 64
+# cap of the adaptive delay horizon, in samples per trial
+_DELAY_MAX_STEPS = 1_000_000
 _PF_CHUNK = 512
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
@@ -153,31 +155,12 @@ def _clamped_path(increments: np.ndarray, carry: np.ndarray) -> np.ndarray:
     Uses the identity T_n = S_n - min(0, min_m S_m) with S the plain
     cumulative sum of increments started at the carried statistic value.
     """
-    s = carry[:, None] + np.cumsum(increments, axis=1)
-    return s - np.minimum.accumulate(np.minimum(s, 0.0), axis=1)
-
-
-def _scan_crossings(increments: np.ndarray, carry: float, gamma: float):
-    """Crossing offsets (1-based within the chunk) and final statistic.
-
-    Monitor semantics: the statistic resets to zero after each crossing
-    and the scan continues with the remaining increments.
-    """
-    times: list[int] = []
-    t0, value = 0, carry
-    n = increments.size
-    while t0 < n:
-        s = value + np.cumsum(increments[t0:])
-        path = s - np.minimum.accumulate(np.minimum(s, 0.0))
-        hits = path > gamma
-        k = int(np.argmax(hits))
-        if not hits[k]:
-            value = float(path[-1])
-            break
-        times.append(t0 + k + 1)
-        value = 0.0
-        t0 += k + 1
-    return times, value
+    s = np.cumsum(increments, axis=1)
+    s += carry[:, None]
+    low = np.minimum(s, 0.0)
+    np.minimum.accumulate(low, axis=1, out=low)
+    s -= low
+    return s
 
 
 def _split_counts(total: int, workers: int) -> list[tuple[int, int]]:
@@ -214,19 +197,34 @@ class _Chains:
         streams = [self.streams[i] for i in self.running.tolist()]
         return self.config.increment(np.stack([s.next_chunk(critical) for s in streams])[:, :cols])
 
-    def monitor(self, cols: int) -> list[tuple[int, list[int]]]:
+    def monitor(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` controlled samples, resetting the
-        statistic at each crossing; return ``(trial, crossing offsets)``
-        (1-based within the step) for each trial that crossed."""
+        statistic at each crossing; return the trial and the crossing offset
+        (1-based within the step) of every crossing.
+
+        Rescans in rounds, one per crossing of the row that crosses most:
+        each round takes every crossed row's first crossing and scans its
+        increments again with those up to the crossing set to 0.0.  The
+        cumsum stays 0.0 over them and 0.0 + x == x, so the rest of the row
+        is exactly a fresh scan from zero after the crossing.
+        """
         inc = self._increments(False, cols)
-        carry_in = self.carry
-        paths = _clamped_path(inc, carry_in)
-        self.carry = paths[:, -1].copy()
-        crossed = []
-        for r in np.flatnonzero((paths > self.gamma).any(axis=1)):
-            times, self.carry[r] = _scan_crossings(inc[r], float(carry_in[r]), self.gamma)
-            crossed.append((int(self.running[r]), times))
-        return crossed
+        paths = _clamped_path(inc, self.carry)
+        rows = np.arange(self.running.size)
+        trials, offsets = [rows[:0]], [rows[:0]]
+        while True:
+            self.carry[rows] = paths[:, -1]
+            hits = paths > self.gamma
+            crossed = hits.any(axis=1)
+            if not crossed.any():
+                return np.concatenate(trials), np.concatenate(offsets)
+            first = np.argmax(hits[crossed], axis=1)
+            del paths, hits  # hold no more chunk-sized arrays than the first scan
+            rows, inc = rows[crossed], inc[crossed]
+            trials.append(self.running[rows])
+            offsets.append(first + 1)
+            inc[np.arange(cols) <= first[:, None]] = 0.0
+            paths = _clamped_path(inc, np.zeros(rows.size))
 
     def stop_at_first(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` critical samples and retire those
@@ -273,7 +271,6 @@ def estimate_delay(
     *,
     run_in: bool = False,
     horizon: int | None = None,
-    max_steps: int = 1_000_000,
     workers: int = 1,
 ) -> PerformanceEstimate:
     """Mean detection delay at threshold ``gamma`` over ``n_trials`` trials.
@@ -290,7 +287,7 @@ def estimate_delay(
     Trials still running at the horizon are counted at the horizon value
     and reported in ``n_censored`` with a warning.  ``horizon=None`` grows
     the horizon adaptively to 100x the running mean of completed trials
-    (at least 1000 samples, capped by ``max_steps``).
+    (at least 1000 samples, capped at one million).
     """
     gamma = check_gamma(gamma)
     if n_trials < 1:
@@ -314,7 +311,7 @@ def estimate_delay(
     # independent of grouping
     delays = np.zeros(n_trials, dtype=np.int64)
     steps_done = 0
-    cap = horizon if horizon is not None else max_steps
+    cap = horizon if horizon is not None else _DELAY_MAX_STEPS
     running = blocks
     while steps_done < cap and running:
         cols = min(_DELAY_CHUNK, cap - steps_done)
@@ -325,7 +322,7 @@ def estimate_delay(
         completed = np.count_nonzero(delays)
         if horizon is None and completed:
             adaptive = max(1000, -(-100 * int(delays.sum()) // completed))
-            cap = min(max_steps, adaptive)
+            cap = min(_DELAY_MAX_STEPS, adaptive)
 
     n_censored = n_trials - int(np.count_nonzero(delays))
     if n_censored:
@@ -391,7 +388,7 @@ def estimate_pf(
         _Chains(spec, config, gamma, seed, a, b, _PF_CHUNK)
         for a, b in _split_counts(n_chains, workers)
     ]
-    crossed_at: list[list[np.ndarray]] = [[] for _ in range(n_chains)]
+    chains, times = [], []
     crossings = 0
     per_chain_cap = -(-(horizon if horizon is not None else max_steps) // n_chains)
     steps = 0
@@ -399,10 +396,10 @@ def estimate_pf(
         if horizon is None and crossings >= target_crossings:
             break
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        for crossed in _map_groups(lambda c: c.monitor(cols), blocks, workers):
-            for chain, times in crossed:
-                crossed_at[chain].append(steps + np.asarray(times, dtype=np.int64))
-                crossings += len(times)
+        for trials, offsets in _map_groups(lambda c: c.monitor(cols), blocks, workers):
+            chains.append(trials)
+            times.append(steps + offsets)
+            crossings += trials.size
         steps += cols
 
     observed = steps * n_chains
@@ -415,9 +412,13 @@ def estimate_pf(
     if crossings > 1:
         # completed intervals, ordered by chain then time so that pf_se
         # does not depend on the grouping
-        intervals = np.concatenate(
-            [np.diff(np.concatenate(at), prepend=0) for at in crossed_at if at]
-        ).astype(float)
+        chains, times = np.concatenate(chains), np.concatenate(times)
+        order = np.lexsort((times, chains))
+        chains, times = chains[order], times[order]
+        intervals = np.diff(times, prepend=0)
+        first_of_chain = np.diff(chains, prepend=-1) != 0
+        intervals[first_of_chain] = times[first_of_chain]
+        intervals = intervals.astype(float)
         cv = float(intervals.std(ddof=1) / intervals.mean())
         pf_se = pf * cv / math.sqrt(crossings)
     else:
@@ -519,9 +520,6 @@ def operational_curve(
     *,
     run_in: bool = False,
     r2_floor: float = 0.95,
-    n_chains: int = 2048,
-    min_crossings: int = 100,
-    pf_max_steps: int = 200_000_000,
     workers: int = 1,
 ) -> OperationalCurve:
     """Measure (delay, pf) on ``gamma_grid`` and extend by linear fits.
@@ -530,7 +528,7 @@ def operational_curve(
     ``changed`` spec, false alarms on the ``controlled`` one); straight
     lines are fitted to ``gamma -> delay`` and ``gamma -> log10(pf)`` and
     evaluated on ``extrapolation_grid``.  Extrapolation is refused unless
-    both fits reach ``r2_floor``.
+    both fits reach ``r2_floor``, a number in [0, 1].
     """
     if controlled.change_time is not None:
         raise ValueError("controlled spec must have no change time")
@@ -539,6 +537,9 @@ def operational_curve(
     gammas = [float(g) for g in gamma_grid]
     if not gammas:
         raise ValueError("gamma_grid must not be empty")
+    extra_gammas = [check_gamma(g) for g in extrapolation_grid]
+    if not 0.0 <= r2_floor <= 1.0:
+        raise ValueError(f"r2_floor must lie in [0, 1], got {r2_floor}")
 
     measured: list[CurvePoint] = []
     for i, gamma in enumerate(gammas):
@@ -556,10 +557,7 @@ def operational_curve(
             config,
             gamma,
             seed=_seed_entropy(seed, PF_SEED_TAG, i),
-            n_chains=n_chains,
             target_crossings=n_trials,
-            min_crossings=min_crossings,
-            max_steps=pf_max_steps,
             workers=workers,
         )
         measured.append(
@@ -579,7 +577,7 @@ def operational_curve(
         logpf_fit = fit_linear([(p.gamma, p.log10_pf) for p in measured])
 
     extrapolated: list[CurvePoint] = []
-    if len(extrapolation_grid):
+    if extra_gammas:
         if delay_fit is None or logpf_fit is None:
             raise ExtrapolationError("extrapolation needs >= 3 distinct measured gammas")
         if delay_fit.r_squared < r2_floor or logpf_fit.r_squared < r2_floor:
@@ -588,8 +586,7 @@ def operational_curve(
                 f"(delay {delay_fit.r_squared:.4f}, log10 pf {logpf_fit.r_squared:.4f}) "
                 f"below floor {r2_floor}"
             )
-        for gamma in extrapolation_grid:
-            gamma = float(gamma)
+        for gamma in extra_gammas:
             extrapolated.append(
                 CurvePoint(
                     gamma=gamma,

@@ -137,8 +137,33 @@ class TestSimulate:
         code = main(["simulate", "--scenario", "1", "--gamma", "2", "--mode", "pf", "--trials", "0"])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert "target_crossings must be >= 1" in err
+        assert "--trials must be an integer >= 1, got 0" in err
         assert "extrapolation" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--trials", "0", "--trials must be an integer >= 1, got 0"),
+         ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+         ("--workers", "0", "--workers must be an integer >= 1, got 0"),
+         ("--workers", "-5", "--workers must be an integer >= 1, got -5")],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "curve"])
+    def test_run_size_flags_named(self, capsys, tmp_path, command, flag, value, message):
+        args = {"simulate": ["simulate", "--scenario", "1", "--gamma", "2", "--mode", "delay"],
+                "curve": ["curve", "--scenario", "1", "--detectors", "page"]}[command]
+        out = tmp_path / "out.csv"
+        code = main(args + [flag, value, "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("trials", 0), ("seed", -3), ("trials", 2.5)])
+    def test_run_sizes_from_config_checked(self, capsys, tmp_path, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(["simulate", "--scenario", "1", "--gamma", "2", "--config", str(config)])
+        assert code == EXIT_ERROR
+        assert f"--{key} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--mode", "delay", "--horizon", "200"], ["--mode", "pf"]])
     def test_nan_gamma_rejected(self, capsys, extra):
@@ -194,6 +219,19 @@ class TestCurve:
         code = main(["curve", "--scenario", "1", "--gamma-grid", "nan,1,2", "--trials", "200"])
         assert code == EXIT_ERROR
         assert "gamma must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--extrapolate-grid", "nan,-5,inf"], "gamma must be >= 0, got nan"),
+         (["--extrapolate-grid", "6,-5"], "gamma must be >= 0, got -5.0"),
+         (["--r2-floor", "nan"], "r2_floor must lie in [0, 1], got nan"),
+         (["--r2-floor", "1.5"], "r2_floor must lie in [0, 1], got 1.5")],
+    )
+    def test_bad_extrapolation_settings_rejected(self, capsys, flags, message):
+        code = main(["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "2,3,4",
+                     "--trials", "200", "--seed", "1"] + flags)
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
 
     def test_detector_without_default_grid_needs_explicit(self, capsys):
         code = main(

@@ -1,7 +1,11 @@
 """Tests for the scenario generators and the Monte Carlo harness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress, norm
 
 from mast import (
@@ -17,12 +21,25 @@ from mast import (
     operational_curve,
     run_stream,
 )
-from mast.simulation import _DELAY_CHUNK, _PF_CHUNK, _TrialStream, trial_samples
+from mast.simulation import _DELAY_CHUNK, _PF_CHUNK, _Chains, _TrialStream, trial_samples
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
 MAST = DetectorConfig.mast(0.05)
 PAGE = DetectorConfig.page(0.05, 0.05)
+
+
+def monitor_crossings(chains, steps):
+    """Chain and 1-based time of every crossing over monitor steps of
+    ``steps`` columns each."""
+    trials, times, done = [], [], 0
+    for cols in steps:
+        chain_of, offsets = chains.monitor(cols)
+        assert ((offsets >= 1) & (offsets <= cols)).all()
+        trials.append(chain_of)
+        times.append(done + offsets)
+        done += cols
+    return np.concatenate(trials), np.concatenate(times)
 
 
 class TestScenarioSpec:
@@ -219,19 +236,30 @@ class TestEstimatePf:
         assert est.pf == pytest.approx(est.n_trials / est.observed_steps)
 
     def test_matches_reference_monitor(self):
-        # same streams through the single-sample detector in monitor mode
+        # same streams through the single-sample detector in monitor mode:
+        # every chain's crossing indices and final statistic, and the
+        # estimate built from the crossings
         n_chains, per_chain, gamma = 6, 2000, 1.0
         est = estimate_pf(
             S2.controlled(), MAST, gamma, horizon=n_chains * per_chain, seed=55,
             n_chains=n_chains, min_crossings=1,
         )
-        crossings = 0
+        chains = _Chains(S2.controlled(), MAST, gamma, 55, 0, n_chains, _PF_CHUNK)
+        steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
+        trials, times = monitor_crossings(chains, steps)
+        intervals = []
         for chain in range(n_chains):
             xs = trial_samples(S2, 55, chain, per_chain, critical=False, chunk=_PF_CHUNK)
             report = run_stream(xs, MAST, gamma, monitor=True)
-            crossings += len(report.crossings)
+            assert sorted(times[trials == chain].tolist()) == report.crossings
+            assert chains.carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
+            intervals.extend(np.diff(report.crossings, prepend=0).tolist())
+        crossings = len(intervals)
         assert est.n_trials == crossings
-        assert est.pf == pytest.approx(crossings / (n_chains * per_chain))
+        assert est.pf == crossings / (n_chains * per_chain)
+        intervals = np.array(intervals, dtype=float)
+        cv = float(intervals.std(ddof=1) / intervals.mean())
+        assert est.pf_se == est.pf * cv / math.sqrt(crossings)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_crossings"):
@@ -257,6 +285,55 @@ class TestEstimatePf:
             S1.controlled(), MAST, 0.5, horizon=4096, seed=2, n_chains=4, min_crossings=1
         )
         assert est.observed_steps == 4096
+
+
+class _Replay:
+    """Stand-in for a ``_TrialStream`` serving fixed samples chunk by chunk."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+
+    def next_chunk(self, critical):
+        return next(self._blocks)
+
+
+@st.composite
+def monitor_runs(draw):
+    """Rows of samples ``1 + k/8`` in whole chunks, the columns each monitor
+    step uses, and a threshold that is a multiple of 1/8."""
+    chunk = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.integers(1, chunk), min_size=1, max_size=4))
+    n_rows = draw(st.integers(1, 4))
+    ks = draw(
+        st.lists(
+            st.lists(st.integers(-24, 24), min_size=chunk * len(steps), max_size=chunk * len(steps)),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    return 1.0 + np.array(ks) / 8.0, chunk, steps, draw(st.integers(0, 24)) / 8.0
+
+
+class TestMonitorKernel:
+    # Page(0.5, 1) scores a sample 1 + k/8 as exactly k/8, so every partial
+    # sum is exact and the engine must agree with the reference exactly
+    PAGE_EXACT = DetectorConfig.page(0.5, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=monitor_runs())
+    @example(run=(1.0 + np.array([[1, 1, 1, 0, 0, 9]]) / 8.0, 3, [3, 3], 0.25))  # last column
+    @example(run=(1.0 + np.array([[1, -1, 2, 0], [0, 3, -2, 1]]) / 8.0, 2, [2, 1], 0.0))  # gamma 0
+    def test_matches_run_stream(self, run):
+        samples, chunk, steps, gamma = run
+        n_rows = len(samples)
+        chains = _Chains(S1.controlled(), self.PAGE_EXACT, gamma, 0, 0, n_rows, chunk)
+        chains.streams = {i: _Replay(row.reshape(-1, chunk)) for i, row in enumerate(samples)}
+        trials, times = monitor_crossings(chains, steps)
+        for i, row in enumerate(samples):
+            used = np.concatenate([block[:cols] for block, cols in zip(row.reshape(-1, chunk), steps)])
+            report = run_stream(used, self.PAGE_EXACT, gamma, monitor=True)
+            assert sorted(times[trials == i].tolist()) == report.crossings
+            assert chains.carry[i] == report.final_state.statistic
 
 
 class TestFitLinear:
@@ -368,3 +445,25 @@ class TestOperationalCurve:
             operational_curve(S1.controlled(), S1.controlled(), PAGE, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             operational_curve(S1.controlled(), S1.changed(1), PAGE, [])
+
+    @pytest.mark.parametrize("point", [float("nan"), -5.0])
+    def test_rejects_bad_extrapolation_point(self, point):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            operational_curve(
+                S1.controlled(), S1.changed(1), PAGE, [2.0, 3.0, 4.0], [6.0, point], n_trials=200
+            )
+
+    @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
+    def test_rejects_bad_r2_floor(self, floor):
+        with pytest.raises(ValueError, match="r2_floor"):
+            operational_curve(
+                S1.controlled(), S1.changed(1), PAGE, [2.0, 3.0, 4.0], [6.0], n_trials=200,
+                r2_floor=floor,
+            )
+
+    def test_infinite_extrapolation_point_allowed(self):
+        curve = operational_curve(
+            S1.controlled(), S1.changed(1), PAGE, [1.0, 2.0, 3.0], [float("inf")], n_trials=200,
+            seed=34, r2_floor=0.0,
+        )
+        assert curve.extrapolated[0].gamma == float("inf")
