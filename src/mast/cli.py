@@ -121,8 +121,9 @@ def _experiment_settings(args, *names: str) -> tuple[dict, list]:
     """Experiment defaults (packaged, overlaid by ``--config``) and each named
     flag's value, taken from the defaults where the flag was not given.
 
-    The run sizes ``--trials``, ``--seed`` and ``--workers`` are checked
-    here, wherever they came from, so that an error names the flag."""
+    The run sizes ``--trials``, ``--seed`` and ``--workers`` and the types
+    of ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here,
+    wherever they came from, so that an error names the flag."""
     defaults = load_defaults(args.config)
     values = [
         defaults[name] if getattr(args, name) is None else getattr(args, name) for name in names
@@ -131,6 +132,10 @@ def _experiment_settings(args, *names: str) -> tuple[dict, list]:
     for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
         if type(given[name]) is not int or given[name] < low:
             raise ValueError(f"--{name} must be an integer >= {low}, got {given[name]!r}")
+    for name in ("alpha", "sigma", "r2_floor"):
+        if name in given and type(given[name]) not in (int, float):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be a real number, got {given[name]!r}")
     return defaults, values
 
 

@@ -21,10 +21,12 @@ linear, so operational curves are produced by fitting straight lines to
 directly measured points and extrapolating them into false-alarm regimes
 far beyond Monte Carlo reach.
 
-Every trial (and every monitoring chain) owns an independent substream
-derived from ``(seed, trial_index)``, so results are a deterministic
-function of the seed and the trial count, no matter how the work is
-chunked or parallelised.  A seed is an int or a sequence of ints.
+Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
+consecutive indices.  Each lane owns one generator derived from
+``(seed, lane)`` and draws a ``(_LANE, chunk)`` block per step, row ``r``
+belonging to trial ``lane * _LANE + r``.  Results are therefore a
+deterministic function of the seed and the trial count, no matter how the
+lanes are spread over threads.  A seed is an int or a sequence of ints.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ __all__ = [
     "operational_curve",
 ]
 
+# trials per generator: one random substream per lane of consecutive trials
+_LANE = 256
 _DELAY_CHUNK = 64
 # cap of the adaptive delay horizon, in samples per trial
 _DELAY_MAX_STEPS = 1_000_000
@@ -111,27 +115,21 @@ def _seed_entropy(seed, *tags: int) -> list[int]:
     return [int(s) for s in head + list(tags)]
 
 
-class _TrialStream:
-    """Chunked ratio source for one trial, seeded from (seed, index)."""
+def _lane_rng(seed, lane: int) -> np.random.Generator:
+    """The one generator of lane ``lane`` (trials ``lane * _LANE`` onward)."""
+    return np.random.default_rng(np.random.SeedSequence(_seed_entropy(seed), spawn_key=(lane,)))
 
-    __slots__ = ("_spec", "_rng", "_chunk")
 
-    def __init__(self, spec: ScenarioSpec, seed, index: int, chunk: int):
-        self._spec = spec
-        entropy = _seed_entropy(seed)
-        self._rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(index,)))
-        self._chunk = chunk
-
-    def next_chunk(self, critical: bool) -> np.ndarray:
-        """Next ``chunk`` samples of one regime: the means, then the noise."""
-        spec, rng, n = self._spec, self._rng, self._chunk
-        if spec.scenario == 1:
-            means = np.full(n, 1.0 + spec.alpha if critical else 1.0 - spec.alpha)
-        elif critical:
-            means = rng.uniform(1.0, 1.0 + 10.0 * spec.alpha, n)
-        else:
-            means = rng.uniform(1.0 - spec.alpha, 1.0, n)
-        return means + spec.sigma * rng.standard_normal(n)
+def _draw(spec: ScenarioSpec, rng: np.random.Generator, critical: bool, chunk: int) -> np.ndarray:
+    """Next ``(_LANE, chunk)`` samples of one regime: the means, then the noise."""
+    shape = (_LANE, chunk)
+    if spec.scenario == 1:
+        means = 1.0 + spec.alpha if critical else 1.0 - spec.alpha
+    elif critical:
+        means = rng.uniform(1.0, 1.0 + 10.0 * spec.alpha, shape)
+    else:
+        means = rng.uniform(1.0 - spec.alpha, 1.0, shape)
+    return means + spec.sigma * rng.standard_normal(shape)
 
 
 def trial_samples(
@@ -139,13 +137,14 @@ def trial_samples(
 ) -> np.ndarray:
     """First ``n`` samples of the exact stream trial ``index`` consumes.
 
-    Mirrors the engine's chunked draw layout; intended for tests that
-    replay a trial through the reference single-stream detector.
+    Replays the lane's draws and keeps the trial's row of each block;
+    intended for tests that replay a trial through the reference
+    single-stream detector.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    stream = _TrialStream(spec, seed, index, chunk)
-    blocks = [stream.next_chunk(critical) for _ in range(-(-n // chunk))]
+    rng = _lane_rng(seed, index // _LANE)
+    blocks = [_draw(spec, rng, critical, chunk)[index % _LANE] for _ in range(-(-n // chunk))]
     return np.concatenate(blocks)[:n]
 
 
@@ -163,14 +162,8 @@ def _clamped_path(increments: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return s
 
 
-def _split_counts(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) index ranges covering ``total`` items."""
-    workers = max(1, min(workers, total))
-    bounds = np.linspace(0, total, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 def _map_groups(fn, groups, workers: int):
+    """``[fn(g) for g in groups]``, spread over up to ``workers`` threads."""
     if workers <= 1 or len(groups) <= 1:
         return [fn(g) for g in groups]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -178,24 +171,28 @@ def _map_groups(fn, groups, workers: int):
 
 
 class _Chains:
-    """Trials ``start..stop-1`` advancing in lockstep on one sample clock.
+    """One lane: trials ``lane * _LANE`` up to ``n_trials`` (at most
+    ``_LANE`` of them) advancing in lockstep on one sample clock.
 
-    Each trial draws its own ``_TrialStream`` in whole ``chunk``-sample
-    blocks.  ``running`` holds the indices of the trials not yet retired
-    and ``carry`` their statistics between steps; keeping score is left
-    to the estimators.
+    Every step draws the lane's whole ``(_LANE, chunk)`` block from its one
+    generator and scores only the rows of running trials, so a trial's
+    samples do not depend on when the others retire.  ``running`` holds the
+    indices of the trials not yet retired and ``carry`` their statistics
+    between steps; keeping score is left to the estimators.
     """
 
-    def __init__(self, spec, config, gamma, seed, start, stop, chunk):
+    def __init__(self, spec, config, gamma, seed, lane, n_trials, chunk):
+        self.spec = spec
         self.config = config
         self.gamma = gamma
-        self.streams = {i: _TrialStream(spec, seed, i, chunk) for i in range(start, stop)}
-        self.running = np.arange(start, stop)
-        self.carry = np.zeros(stop - start)
+        self.chunk = chunk
+        self.rng = _lane_rng(seed, lane)
+        self.running = np.arange(lane * _LANE, min((lane + 1) * _LANE, n_trials))
+        self.carry = np.zeros(self.running.size)
 
     def _increments(self, critical: bool, cols: int) -> np.ndarray:
-        streams = [self.streams[i] for i in self.running.tolist()]
-        return self.config.increment(np.stack([s.next_chunk(critical) for s in streams])[:, :cols])
+        block = _draw(self.spec, self.rng, critical, self.chunk)
+        return self.config.increment(block[self.running % _LANE, :cols])
 
     def monitor(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` controlled samples, resetting the
@@ -298,8 +295,8 @@ def estimate_delay(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     blocks = [
-        _Chains(spec, config, gamma, seed, a, b, _DELAY_CHUNK)
-        for a, b in _split_counts(n_trials, workers)
+        _Chains(spec, config, gamma, seed, lane, n_trials, _DELAY_CHUNK)
+        for lane in range(-(-n_trials // _LANE))
     ]
     if run_in:
         pre_change = spec.change_time - 1
@@ -347,7 +344,6 @@ def estimate_pf(
     spec: ScenarioSpec,
     config: DetectorConfig,
     gamma: float,
-    horizon: int | None = None,
     seed=0,
     *,
     n_chains: int = 2048,
@@ -365,19 +361,16 @@ def estimate_pf(
     denominator.  The standard error comes from the completed-interval
     coefficient of variation.
 
-    ``horizon`` fixes the total observed samples across all chains
-    (rounded up to a whole per-chain count); when ``None``, chains run
-    until ``target_crossings`` crossings have been seen (never beyond
-    ``max_steps`` total samples).  Fewer than
-    ``min_crossings`` crossings raises ``InsufficientEventsError`` --
-    direct estimation is then out of reach and the threshold belongs on an
-    extrapolated operational curve instead.
+    Chains run until ``target_crossings`` crossings have been seen, but
+    never beyond ``max_steps`` total samples (rounded up to a whole
+    per-chain count).  Fewer than ``min_crossings`` crossings raises
+    ``InsufficientEventsError`` -- direct estimation is then out of reach
+    and the threshold belongs on an extrapolated operational curve
+    instead.
     """
     gamma = check_gamma(gamma)
     if spec.change_time is not None:
         raise ValueError("false-alarm estimation needs a pure controlled spec")
-    if horizon is not None and horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
@@ -385,16 +378,14 @@ def estimate_pf(
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
     blocks = [
-        _Chains(spec, config, gamma, seed, a, b, _PF_CHUNK)
-        for a, b in _split_counts(n_chains, workers)
+        _Chains(spec, config, gamma, seed, lane, n_chains, _PF_CHUNK)
+        for lane in range(-(-n_chains // _LANE))
     ]
     chains, times = [], []
     crossings = 0
-    per_chain_cap = -(-(horizon if horizon is not None else max_steps) // n_chains)
+    per_chain_cap = -(-max_steps // n_chains)
     steps = 0
-    while steps < per_chain_cap:
-        if horizon is None and crossings >= target_crossings:
-            break
+    while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
         for trials, offsets in _map_groups(lambda c: c.monitor(cols), blocks, workers):
             chains.append(trials)

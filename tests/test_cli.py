@@ -165,6 +165,21 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert f"--{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("simulate", "alpha", "0.05"), ("curve", "r2_floor", "high"), ("simulate", "sigma", None),
+         ("curve", "sigma", True)],
+    )
+    def test_real_numbers_from_config_checked(self, capsys, tmp_path, command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args = {"simulate": ["simulate", "--scenario", "1", "--gamma", "2"],
+                "curve": ["curve", "--scenario", "1", "--detectors", "page"]}[command]
+        code = main(args + ["--config", str(config)])
+        assert code == EXIT_ERROR
+        flag = "--" + key.replace("_", "-")
+        assert f"error: {flag} must be a real number, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--mode", "delay", "--horizon", "200"], ["--mode", "pf"]])
     def test_nan_gamma_rejected(self, capsys, extra):
         code = main(["simulate", "--scenario", "1", "--gamma", "nan", "--trials", "10"] + extra)
@@ -257,6 +272,20 @@ class TestCurve:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("detector,scenario,gamma")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simulate", "--scenario", "2", "--gamma", "1.5", "--mode", "both", "--trials", "600",
+      "--seed", "3"],
+     ["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
+      "--gamma-grid", "1,2,3"]],
+)
+def test_worker_count_leaves_bytes_alone(tmp_path, args):
+    a, b = tmp_path / "one.csv", tmp_path / "three.csv"
+    assert main(args + ["--workers", "1", "--output", str(a)]) == EXIT_OK
+    assert main(args + ["--workers", "3", "--output", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_version_flag(capsys):

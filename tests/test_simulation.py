@@ -1,6 +1,7 @@
 """Tests for the scenario generators and the Monte Carlo harness."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from mast import (
     operational_curve,
     run_stream,
 )
-from mast.simulation import _DELAY_CHUNK, _PF_CHUNK, _Chains, _TrialStream, trial_samples
+from mast import simulation
+from mast.simulation import _DELAY_CHUNK, _LANE, _PF_CHUNK, _Chains, _draw, trial_samples
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
@@ -74,16 +76,18 @@ class TestTrialSamples:
     def test_trial_indices_give_different_streams(self):
         assert not np.array_equal(trial_samples(S2, 5, 0, 100), trial_samples(S2, 5, 1, 100))
 
+    # the scenario-2 means are checked on one whole lane block of 256 x 4096
+    # samples: trial_samples would draw 256 rows for every row it returns
     def test_scenario2_controlled_mean(self):
         # controlled means are uniform on (1 - alpha, 1): expectation 0.975
-        xs = trial_samples(S2, 77, 0, 1_000_000, critical=False, chunk=_PF_CHUNK)
-        se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1000.0
+        xs = _draw(S2, np.random.default_rng(77), False, 4096)
+        se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 0.975) < 3 * se
 
     def test_scenario2_critical_mean(self):
         # critical means are uniform on (1, 1 + 10 alpha): expectation 1.25
-        xs = trial_samples(S2, 78, 0, 1_000_000, critical=True, chunk=_PF_CHUNK)
-        se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1000.0
+        xs = _draw(S2, np.random.default_rng(78), True, 4096)
+        se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 1.25) < 3 * se
 
     def test_length_validation(self):
@@ -92,8 +96,8 @@ class TestTrialSamples:
 
 
 class TestSeeds:
-    # a SeedSequence carries no per-trial spawn key, so it would give every
-    # trial the same stream; seeds are ints or sequences of ints only
+    # a SeedSequence carries no per-lane spawn key, so it would give every
+    # lane the same stream; seeds are ints or sequences of ints only
     def test_seed_sequence_rejected(self):
         seed = np.random.SeedSequence(5)
         with pytest.raises(TypeError):
@@ -108,11 +112,11 @@ class TestSeeds:
         # layout must update them on purpose
         delay = estimate_delay(S2.changed(70), MAST, 1.5, 200, seed=17, run_in=True)
         assert delay == PerformanceEstimate(
-            gamma=1.5, n_trials=200, mean_delay=1.24, delay_se=0.034901152592161
+            gamma=1.5, n_trials=200, mean_delay=1.21, delay_se=0.03515221745437689
         )
         pf = estimate_pf(S1.controlled(), PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
         assert pf == PerformanceEstimate(
-            gamma=2.0, n_trials=465, pf=0.02838134765625, pf_se=0.0013703871656860517,
+            gamma=2.0, n_trials=455, pf=0.02777099609375, pf_se=0.001248042663326847,
             observed_steps=16384,
         )
         # plain Python numbers, so that callers can serialise an estimate
@@ -146,15 +150,33 @@ class TestEstimateDelay:
 
     def test_matches_reference_detector(self):
         # engine delays averaged over trials == replaying each trial's own
-        # stream through the single-sample detector
+        # stream through the single-sample detector (every trial alarms
+        # within the 640 replayed samples, or the mean of None fails)
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S2, PAGE)]:
             for gamma in (0.0, 1.5, 4.0):
                 est = estimate_delay(spec.changed(1), cfg, gamma, 25, seed=123)
                 reference = []
                 for trial in range(25):
-                    xs = trial_samples(spec, 123, trial, 3000, critical=True)
+                    xs = trial_samples(spec, 123, trial, 640, critical=True)
                     reference.append(run_stream(xs, cfg, gamma).alarm_index)
                 assert est.mean_delay == pytest.approx(np.mean(reference), abs=1e-12)
+        # 300 trials fill one lane and part of a second: the lanes' own
+        # delays make up the estimate, and the trials at the lane edges
+        # alarm where their replayed rows do
+        spec, n_trials, gamma = S2.changed(1), 300, 4.0
+        est = estimate_delay(spec, MAST, gamma, n_trials, seed=123)
+        delays = np.zeros(n_trials, dtype=int)
+        for lane in range(2):
+            chains = _Chains(spec, MAST, gamma, 123, lane, n_trials, _DELAY_CHUNK)
+            done = 0
+            while chains.running.size:
+                trials, offsets = chains.stop_at_first(_DELAY_CHUNK)
+                delays[trials] = done + offsets
+                done += _DELAY_CHUNK
+        assert est.mean_delay == pytest.approx(delays.mean(), abs=1e-12)
+        for trial in (0, _LANE - 1, _LANE, n_trials - 1):
+            xs = trial_samples(S2, 123, trial, 640, critical=True)
+            assert delays[trial] == run_stream(xs, MAST, gamma).alarm_index
 
     def test_run_in_matches_reference_replay(self):
         # change_time 100: the run-in covers one whole 64-sample chunk and
@@ -166,17 +188,18 @@ class TestEstimateDelay:
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
                 est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
+                # the lane's generator, keyed here independently of the engine
+                rng = np.random.default_rng(np.random.SeedSequence([61], spawn_key=(0,)))
+                pre = np.hstack([_draw(spec, rng, False, _DELAY_CHUNK) for _ in range(2)])
+                post = np.hstack([_draw(spec, rng, True, _DELAY_CHUNK) for _ in range(50)])
                 reference = []
                 for trial in range(n_trials):
-                    stream = _TrialStream(spec, 61, trial, _DELAY_CHUNK)
-                    pre = np.concatenate([stream.next_chunk(False) for _ in range(2)])[: nu - 1]
-                    post = np.concatenate([stream.next_chunk(True) for _ in range(50)])
                     t = 0.0
-                    for d in cfg.increment(pre).tolist():
+                    for d in cfg.increment(pre[trial, : nu - 1]).tolist():
                         t = max(0.0, t + d)
                         if t > gamma:
                             t = 0.0
-                    for n, d in enumerate(cfg.increment(post).tolist(), 1):
+                    for n, d in enumerate(cfg.increment(post[trial]).tolist(), 1):
                         t = max(0.0, t + d)
                         if t > gamma:
                             reference.append(n)
@@ -238,11 +261,12 @@ class TestEstimatePf:
     def test_matches_reference_monitor(self):
         # same streams through the single-sample detector in monitor mode:
         # every chain's crossing indices and final statistic, and the
-        # estimate built from the crossings
+        # estimate built from the crossings.  An unreachable target makes
+        # max_steps fix the run length.
         n_chains, per_chain, gamma = 6, 2000, 1.0
         est = estimate_pf(
-            S2.controlled(), MAST, gamma, horizon=n_chains * per_chain, seed=55,
-            n_chains=n_chains, min_crossings=1,
+            S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
+            min_crossings=1, max_steps=n_chains * per_chain,
         )
         chains = _Chains(S2.controlled(), MAST, gamma, 55, 0, n_chains, _PF_CHUNK)
         steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
@@ -260,6 +284,26 @@ class TestEstimatePf:
         intervals = np.array(intervals, dtype=float)
         cv = float(intervals.std(ddof=1) / intervals.mean())
         assert est.pf_se == est.pf * cv / math.sqrt(crossings)
+        # 300 chains fill one lane and part of a second: the chains at the
+        # lane edges cross where their replayed rows do
+        n_chains, per_chain = 300, 1000
+        est = estimate_pf(
+            S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
+            min_crossings=1, max_steps=n_chains * per_chain,
+        )
+        steps = [_PF_CHUNK, per_chain - _PF_CHUNK]
+        lanes = [
+            _Chains(S2.controlled(), MAST, gamma, 55, lane, n_chains, _PF_CHUNK) for lane in (0, 1)
+        ]
+        (trials, times), (trials1, times1) = [monitor_crossings(c, steps) for c in lanes]
+        trials, times = np.concatenate([trials, trials1]), np.concatenate([times, times1])
+        assert est.n_trials == trials.size
+        carry = np.concatenate([c.carry for c in lanes])
+        for chain in (0, _LANE - 1, _LANE, n_chains - 1):
+            xs = trial_samples(S2, 55, chain, per_chain, critical=False, chunk=_PF_CHUNK)
+            report = run_stream(xs, MAST, gamma, monitor=True)
+            assert sorted(times[trials == chain].tolist()) == report.crossings
+            assert carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_crossings"):
@@ -282,19 +326,10 @@ class TestEstimatePf:
 
     def test_explicit_horizon_observed_steps(self):
         est = estimate_pf(
-            S1.controlled(), MAST, 0.5, horizon=4096, seed=2, n_chains=4, min_crossings=1
+            S1.controlled(), MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
+            min_crossings=1, max_steps=4096,
         )
         assert est.observed_steps == 4096
-
-
-class _Replay:
-    """Stand-in for a ``_TrialStream`` serving fixed samples chunk by chunk."""
-
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-
-    def next_chunk(self, critical):
-        return next(self._blocks)
 
 
 @st.composite
@@ -326,9 +361,12 @@ class TestMonitorKernel:
     def test_matches_run_stream(self, run):
         samples, chunk, steps, gamma = run
         n_rows = len(samples)
+        # the lane draws the rows' chunks one by one, padded to a whole lane
+        blocks = np.ones((len(steps), _LANE, chunk))
+        blocks[:, :n_rows] = samples.reshape(n_rows, -1, chunk).swapaxes(0, 1)
         chains = _Chains(S1.controlled(), self.PAGE_EXACT, gamma, 0, 0, n_rows, chunk)
-        chains.streams = {i: _Replay(row.reshape(-1, chunk)) for i, row in enumerate(samples)}
-        trials, times = monitor_crossings(chains, steps)
+        with mock.patch.object(simulation, "_draw", side_effect=list(blocks)):
+            trials, times = monitor_crossings(chains, steps)
         for i, row in enumerate(samples):
             used = np.concatenate([block[:cols] for block, cols in zip(row.reshape(-1, chunk), steps)])
             report = run_stream(used, self.PAGE_EXACT, gamma, monitor=True)
