@@ -20,12 +20,14 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import IO
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
+from .core import Barriers
 from .detectors import DetectorConfig, DetectorKind, run_stream
 from .ingestion import (
     DegenerateSigmaError,
@@ -87,24 +89,43 @@ def _parse_grid(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _detector_config(args, sigma: float, alpha_default: float | None = None) -> DetectorConfig:
-    kind = DetectorKind(args.detector)
+def _detector_kinds(args, alpha_read: bool) -> list[DetectorKind]:
+    """The selected detectors; a detector flag that none of them reads is an
+    error.  ``alpha_read`` is set where ``--alpha`` is also the scenario's
+    mean offset, so that every run reads it."""
+    kinds = [DetectorKind(k.strip()) for k in args.detector.split(",") if k.strip()]
+    if not kinds:
+        raise ValueError("--detectors must name at least one detector")
+    read = {"alpha"} if alpha_read or DetectorKind.PAGE in kinds else set()
+    if {DetectorKind.MAST_DELTA, DetectorKind.MAST_GENERAL} & set(kinds):
+        read |= {"delta_lower", "delta_upper"}
+    for name in ("delta_lower", "delta_upper", "alpha"):
+        if getattr(args, name) is not None and name not in read:
+            labels = ",".join(kind.value for kind in kinds)
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} is not read by the chosen detector(s): {labels}")
+    return kinds
+
+
+def _detector_config(
+    kind: DetectorKind, args, sigma: float, alpha_default: float | None = None
+) -> DetectorConfig:
+    """The one place a ``DetectorConfig`` is built from the detector flags."""
     if kind is DetectorKind.PAGE:
         alpha = args.alpha if args.alpha is not None else alpha_default
         if alpha is None:
             raise ValueError("page detector needs --alpha")
-        return DetectorConfig.page(alpha, sigma)
+        return DetectorConfig(kind, sigma, alpha=alpha)
+    lower, upper = args.delta_lower, args.delta_upper
     if kind is DetectorKind.MAST:
-        return DetectorConfig.mast(sigma)
-    if kind is DetectorKind.MAST_DELTA:
-        if args.delta_lower is None:
+        lower = upper = 1.0
+    elif kind is DetectorKind.MAST_DELTA:
+        if lower is None:
             raise ValueError("mast-delta needs --delta-lower (the single barrier)")
-        if args.delta_upper is not None and args.delta_upper != args.delta_lower:
-            raise ValueError("mast-delta uses one barrier; --delta-upper must match or be omitted")
-        return DetectorConfig.mast_delta(args.delta_lower, sigma)
-    if args.delta_lower is None or args.delta_upper is None:
+        upper = lower if upper is None else upper
+    elif lower is None or upper is None:
         raise ValueError("mast-general needs --delta-lower and --delta-upper")
-    return DetectorConfig.mast_general(args.delta_lower, args.delta_upper, sigma)
+    return DetectorConfig(kind, sigma, barriers=Barriers(lower, upper))
 
 
 def _detector_params(config: DetectorConfig) -> dict:
@@ -117,53 +138,89 @@ def _detector_params(config: DetectorConfig) -> dict:
     return params
 
 
-def _experiment_settings(args, *names: str) -> tuple[dict, list]:
-    """Experiment defaults (packaged, overlaid by ``--config``) and each named
-    flag's value, taken from the defaults where the flag was not given.
+def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
+    """Experiment defaults (packaged, overlaid by ``--config``) and the
+    resolved settings a manifest records: each named flag's value, taken
+    from the defaults where the flag was not given, and the scenario,
+    change time, run-in and workers flags.
 
     The run sizes ``--trials``, ``--seed`` and ``--workers`` and the types
     of ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here,
     wherever they came from, so that an error names the flag."""
     defaults = load_defaults(args.config)
-    values = [
-        defaults[name] if getattr(args, name) is None else getattr(args, name) for name in names
-    ]
-    given = dict(zip(names, values), workers=args.workers)
-    for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
-        if type(given[name]) is not int or given[name] < low:
-            raise ValueError(f"--{name} must be an integer >= {low}, got {given[name]!r}")
-    for name in ("alpha", "sigma", "r2_floor"):
-        if name in given and type(given[name]) not in (int, float):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be a real number, got {given[name]!r}")
-    return defaults, values
-
-
-def _write_manifest(output: str, subcommand: str, parameters: dict) -> None:
-    payload = {
-        "tool": "mast",
-        "version": __version__,
-        "subcommand": subcommand,
-        "output": str(output),
-        "parameters": parameters,
+    settings = {
+        name: defaults[name] if getattr(args, name) is None else getattr(args, name)
+        for name in names
     }
-    path = Path(str(output) + ".manifest.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    settings.update(
+        scenario=args.scenario, change_time=args.change_time, run_in=args.run_in,
+        workers=args.workers,
+    )
+    for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
+        if type(settings[name]) is not int or settings[name] < low:
+            raise ValueError(f"--{name} must be an integer >= {low}, got {settings[name]!r}")
+    for name in ("alpha", "sigma", "r2_floor"):
+        if name in settings and type(settings[name]) not in (int, float):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be a real number, got {settings[name]!r}")
+    return defaults, settings
 
 
-def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
+def _write_output(
+    output: str | None, header: list[str], rows: Iterable[list], subcommand: str, parameters: dict
+) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``output`` with its manifest,
+    or to stdout, without a manifest, when ``output`` is None."""
+    with open(output, "w", newline="") if output is not None else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    if output is not None:
+        manifest = {"tool": "mast", "version": __version__, "subcommand": subcommand,
+                    "output": str(output), "parameters": parameters}
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        Path(str(output) + ".manifest.json").write_text(text)
+
+
+def _add_detector_flags(parser: argparse.ArgumentParser, *, several: bool = False) -> None:
+    """``--detector``, or the comma list ``--detectors`` stored under the same
+    name when ``several``, and the flags the detectors read."""
     parser.add_argument(
-        "--detector",
-        choices=[k.value for k in DetectorKind],
-        default=DetectorKind.MAST.value,
-        help="detector variant (default: mast, the single barrier at 1)",
+        "--detectors" if several else "--detector",
+        dest="detector",
+        choices=None if several else [k.value for k in DetectorKind],
+        default="mast,page" if several else DetectorKind.MAST.value,
+        help="comma list of detectors to compare (default: mast,page)" if several
+        else "detector variant (default: mast, the single barrier at 1)",
     )
     parser.add_argument("--delta-lower", type=float, help="lower mean barrier (mast variants)")
     parser.add_argument("--delta-upper", type=float, help="upper mean barrier (mast-general)")
     parser.add_argument("--alpha", type=float, help="nominal mean offset (page; scenario mean offset)")
 
 
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``simulate`` and ``curve`` share."""
+    parser.add_argument("--scenario", type=int, choices=(1, 2), required=True)
+    parser.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
+    parser.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
+    parser.add_argument("--seed", type=int, help="master seed (default from config)")
+    parser.add_argument("--change-time", type=int, default=1, help="regime change sample (default 1)")
+    parser.add_argument(
+        "--run-in",
+        action="store_true",
+        help="evolve the statistic through the pre-change samples instead of starting at zero",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="has no effect; checked and recorded in the manifest, to be removed",
+    )
+    parser.add_argument("--config", help="JSON file overriding packaged experiment defaults")
+
+
 def cmd_detect(args) -> int:
+    (kind,) = _detector_kinds(args, alpha_read=False)
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -174,7 +231,7 @@ def cmd_detect(args) -> int:
         count_column=args.count_column,
         date_format=args.date_format,
     )
-    if args.smooth_window:
+    if args.smooth_window is not None:
         series = smooth_counts(series, args.smooth_window)
     ratios = to_ratios(series)
 
@@ -188,33 +245,25 @@ def cmd_detect(args) -> int:
             raise ValueError(f"sigma estimation failed: {exc}; supply --sigma instead")
         sigma_source = f"estimated from trailing window of {window}"
 
-    config = _detector_config(args, sigma)
+    config = _detector_config(kind, args, sigma)
     dates = [day for day, x in ratios.entries if x is not None]
     values = ratios.values
     report = run_stream(values, config, args.gamma)
 
     if args.output is not None:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "date", "x", "statistic", "alarmed"])
-            for n, statistic in enumerate(report.path, 1):
-                writer.writerow(
-                    [n, dates[n - 1].isoformat(), _fmt(values[n - 1]), _fmt(statistic),
-                     int(n == report.alarm_index)]
-                )
-        parameters = _detector_params(config)
-        parameters.update(
-            {
-                "gamma": args.gamma,
-                "sigma_source": sigma_source,
-                "input": str(args.input),
-                "smooth_window": args.smooth_window,
-                "date_column": args.date_column,
-                "count_column": args.count_column,
-                "date_format": args.date_format,
-            }
+        parameters = {**_detector_params(config), "gamma": args.gamma,
+                      "sigma_source": sigma_source, "input": str(args.input),
+                      "smooth_window": args.smooth_window, "date_column": args.date_column,
+                      "count_column": args.count_column, "date_format": args.date_format}
+        # a generator, so that a long trace is never held as rows
+        trace = (
+            [n, dates[n - 1].isoformat(), _fmt(values[n - 1]), _fmt(statistic),
+             int(n == report.alarm_index)]
+            for n, statistic in enumerate(report.path, 1)
         )
-        _write_manifest(args.output, "detect", parameters)
+        _write_output(
+            args.output, ["n", "date", "x", "statistic", "alarmed"], trace, "detect", parameters
+        )
 
     gaps = ratios.n_gaps
     gap_note = f", {gaps} gap(s) skipped" if gaps else ""
@@ -234,11 +283,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _, (alpha, sigma, trials, seed) = _experiment_settings(
-        args, "alpha", "sigma", "trials", "seed"
-    )
+    (kind,) = _detector_kinds(args, alpha_read=True)
+    names = ("alpha", "sigma", "trials", "seed")
+    _, settings = _experiment_settings(args, *names)
+    alpha, sigma, trials, seed = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
-    config = _detector_config(args, sigma, alpha_default=alpha)
+    config = _detector_config(kind, args, sigma, alpha_default=alpha)
 
     rows = []
     if args.mode in ("delay", "both"):
@@ -250,7 +300,6 @@ def cmd_simulate(args) -> int:
             seed=[seed, DELAY_SEED_TAG, 0],
             run_in=args.run_in,
             horizon=args.horizon,
-            workers=args.workers,
         )
         censored = f", {est.n_censored} censored" if est.n_censored else ""
         print(
@@ -268,7 +317,6 @@ def cmd_simulate(args) -> int:
             args.gamma,
             seed=[seed, PF_SEED_TAG, 0],
             target_crossings=trials,
-            workers=args.workers,
         )
         print(
             f"pf: {est.pf:.6g} +/- {est.pf_se:.3g} "
@@ -280,54 +328,28 @@ def cmd_simulate(args) -> int:
         )
 
     if args.output is not None:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["metric", "detector", "scenario", "gamma", "value", "std_error",
-                 "n", "n_censored", "observed_steps"]
-            )
-            writer.writerows(rows)
-        parameters = _detector_params(config)
-        parameters.update(
-            {
-                "scenario": args.scenario,
-                "alpha": alpha,
-                "gamma": args.gamma,
-                "trials": trials,
-                "seed": seed,
-                "mode": args.mode,
-                "change_time": args.change_time,
-                "run_in": args.run_in,
-                "horizon": args.horizon,
-                "workers": args.workers,
-            }
-        )
-        _write_manifest(args.output, "simulate", parameters)
+        parameters = {**settings, **_detector_params(config), "gamma": args.gamma,
+                      "mode": args.mode, "horizon": args.horizon}
+        header = ["metric", "detector", "scenario", "gamma", "value", "std_error", "n",
+                  "n_censored", "observed_steps"]
+        _write_output(args.output, header, rows, "simulate", parameters)
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    defaults, (alpha, sigma, trials, seed, r2_floor) = _experiment_settings(
-        args, "alpha", "sigma", "trials", "seed", "r2_floor"
-    )
+    kinds = _detector_kinds(args, alpha_read=True)
+    names = ("alpha", "sigma", "trials", "seed", "r2_floor")
+    defaults, settings = _experiment_settings(args, *names)
+    alpha, sigma, trials, seed, r2_floor = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
 
-    kinds = [DetectorKind(k.strip()) for k in args.detectors.split(",") if k.strip()]
-    if not kinds:
-        raise ValueError("--detectors must name at least one detector")
     given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid)
     if given_grid == []:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
     table: list[list] = []
     for kind in kinds:
-        detector_args = argparse.Namespace(
-            detector=kind.value,
-            alpha=args.alpha,
-            delta_lower=args.delta_lower,
-            delta_upper=args.delta_upper,
-        )
-        config = _detector_config(detector_args, sigma, alpha_default=alpha)
+        config = _detector_config(kind, args, sigma, alpha_default=alpha)
         preset = grid_for(defaults, args.scenario, kind.value)
         gamma_grid = given_grid or (preset or (None,))[0]
         if not gamma_grid:
@@ -349,7 +371,6 @@ def cmd_curve(args) -> int:
             seed=[seed, _KIND_SEED_TAG[kind]],
             run_in=args.run_in,
             r2_floor=r2_floor,
-            workers=args.workers,
         )
         if curve.delay_fit is not None:
             print(
@@ -365,36 +386,12 @@ def cmd_curve(args) -> int:
                  "measured" if pt.measured else "extrapolated"]
             )
 
-    def write_table(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["detector", "scenario", "gamma", "delay", "delay_se", "log10_pf", "pf_se",
-             "measured_or_extrapolated"]
-        )
-        writer.writerows(table)
-
-    if args.output is not None:
-        with open(args.output, "w", newline="") as fh:
-            write_table(fh)
-        parameters = {
-            "detectors": [k.value for k in kinds],
-            "scenario": args.scenario,
-            "alpha": alpha,
-            "sigma": sigma,
-            "trials": trials,
-            "seed": seed,
-            "r2_floor": r2_floor,
-            "gamma_grid": args.gamma_grid,
-            "extrapolate_grid": args.extrapolate_grid,
-            "change_time": args.change_time,
-            "run_in": args.run_in,
-            "delta_lower": args.delta_lower,
-            "delta_upper": args.delta_upper,
-            "workers": args.workers,
-        }
-        _write_manifest(args.output, "curve", parameters)
-    else:
-        write_table(sys.stdout)
+    parameters = {**settings, "detectors": [k.value for k in kinds], "gamma_grid": args.gamma_grid,
+                  "extrapolate_grid": args.extrapolate_grid, "delta_lower": args.delta_lower,
+                  "delta_upper": args.delta_upper}
+    header = ["detector", "scenario", "gamma", "delay", "delay_se", "log10_pf", "pf_se",
+              "measured_or_extrapolated"]
+    _write_output(args.output, header, table, "curve", parameters)
     return EXIT_OK
 
 
@@ -430,48 +427,23 @@ def build_parser() -> _Parser:
     detect.set_defaults(func=cmd_detect)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo estimates at one threshold")
-    simulate.add_argument("--scenario", type=int, choices=(1, 2), required=True)
+    _add_experiment_flags(simulate)
     _add_detector_flags(simulate)
     simulate.add_argument("--gamma", type=float, required=True)
     simulate.add_argument("--mode", choices=("delay", "pf", "both"), default="both")
-    simulate.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
-    simulate.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
-    simulate.add_argument("--seed", type=int, help="master seed (default from config)")
-    simulate.add_argument("--change-time", type=int, default=1, help="regime change sample (default 1)")
-    simulate.add_argument(
-        "--run-in",
-        action="store_true",
-        help="evolve the statistic through the pre-change samples instead of starting at zero",
-    )
     simulate.add_argument("--horizon", type=int, help="delay-trial horizon (default adaptive)")
-    simulate.add_argument("--workers", type=int, default=1)
-    simulate.add_argument("--config", help="JSON file overriding packaged experiment defaults")
     simulate.add_argument("--output", help="write estimates as CSV here")
     simulate.set_defaults(func=cmd_simulate)
 
     curve = sub.add_parser("curve", help="operational curves as plot-ready CSV")
-    curve.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    curve.add_argument(
-        "--detectors",
-        default="mast,page",
-        help="comma list of detectors to compare (default: mast,page)",
-    )
-    curve.add_argument("--delta-lower", type=float, help="lower mean barrier (mast variants)")
-    curve.add_argument("--delta-upper", type=float, help="upper mean barrier (mast-general)")
-    curve.add_argument("--alpha", type=float, help="scenario mean offset / page alpha")
-    curve.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
+    _add_experiment_flags(curve)
+    _add_detector_flags(curve, several=True)
     curve.add_argument("--gamma-grid", help="measured grid: comma list or lo:hi:n (default from config)")
     curve.add_argument(
         "--extrapolate-grid",
         help="extrapolated grid: comma list, lo:hi:n, or none (default from config)",
     )
-    curve.add_argument("--trials", type=int, help="trials / target crossings per point")
-    curve.add_argument("--seed", type=int, help="master seed (default from config)")
-    curve.add_argument("--change-time", type=int, default=1)
-    curve.add_argument("--run-in", action="store_true")
     curve.add_argument("--r2-floor", type=float, help="minimum fit r^2 for extrapolation")
-    curve.add_argument("--workers", type=int, default=1)
-    curve.add_argument("--config", help="JSON file overriding packaged experiment defaults")
     curve.add_argument("--output", help="write the curve CSV here (default: stdout)")
     curve.set_defaults(func=cmd_curve)
 

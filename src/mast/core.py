@@ -57,13 +57,6 @@ class Barriers:
         """Degenerate pair ``lower == upper == delta``."""
         return cls(delta, delta)
 
-    @classmethod
-    def around_unity(cls, alpha: float) -> "Barriers":
-        """Symmetric pair ``(1 - alpha, 1 + alpha)`` for ``0 < alpha < 1``."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        return cls(1.0 - alpha, 1.0 + alpha)
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)

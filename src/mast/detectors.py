@@ -5,12 +5,12 @@ Every detector keeps a single nonnegative statistic updated as
     T_n = max(0, T_{n-1} + increment(x_n)),    T_0 = 0,
 
 and raises an alarm at the first ``n`` with ``T_n > gamma`` (strict).  The
-variants differ only in the increment:
+detectors differ only in the increment, which comes in two families:
 
-* ``mast-general`` -- barrier pair ``(lower, upper)``, mean-agnostic score.
-* ``mast-delta``   -- single barrier ``lower == upper == delta``.
-* ``mast``         -- single barrier at 1 (ratios shrink vs. grow).
-* ``page``         -- classical Page CUSUM with nominal means ``1 +/- alpha``.
+* the MAST barrier pair ``(lower, upper)``, a mean-agnostic score, under
+  three labels: ``mast-general`` (any pair), ``mast-delta`` (one barrier
+  ``lower == upper == delta``) and ``mast`` (one barrier at 1);
+* ``page`` -- classical Page CUSUM with nominal means ``1 +/- alpha``.
 
 ``run_stream`` is the one implementation of that recursion.
 ``brute_force_statistic`` recomputes the same quantity for the MAST family
@@ -80,14 +80,6 @@ class DetectorConfig:
     @classmethod
     def mast(cls, sigma: float) -> "DetectorConfig":
         return cls(DetectorKind.MAST, sigma, barriers=Barriers.single(1.0))
-
-    @classmethod
-    def mast_delta(cls, delta: float, sigma: float) -> "DetectorConfig":
-        return cls(DetectorKind.MAST_DELTA, sigma, barriers=Barriers.single(delta))
-
-    @classmethod
-    def mast_general(cls, lower: float, upper: float, sigma: float) -> "DetectorConfig":
-        return cls(DetectorKind.MAST_GENERAL, sigma, barriers=Barriers(lower, upper))
 
     @classmethod
     def page(cls, alpha: float, sigma: float) -> "DetectorConfig":

@@ -25,15 +25,14 @@ Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
 consecutive indices.  Each lane owns one generator derived from
 ``(seed, lane)`` and draws a ``(_LANE, chunk)`` block per step, row ``r``
 belonging to trial ``lane * _LANE + r``.  Results are therefore a
-deterministic function of the seed and the trial count, no matter how the
-lanes are spread over threads.  A seed is an int or a sequence of ints.
+deterministic function of the seed and the trial count.  A seed is an int
+or a sequence of ints.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -162,14 +161,6 @@ def _clamped_path(increments: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return s
 
 
-def _map_groups(fn, groups, workers: int):
-    """``[fn(g) for g in groups]``, spread over up to ``workers`` threads."""
-    if workers <= 1 or len(groups) <= 1:
-        return [fn(g) for g in groups]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, groups))
-
-
 class _Chains:
     """One lane: trials ``lane * _LANE`` up to ``n_trials`` (at most
     ``_LANE`` of them) advancing in lockstep on one sample clock.
@@ -268,7 +259,6 @@ def estimate_delay(
     *,
     run_in: bool = False,
     horizon: int | None = None,
-    workers: int = 1,
 ) -> PerformanceEstimate:
     """Mean detection delay at threshold ``gamma`` over ``n_trials`` trials.
 
@@ -302,7 +292,8 @@ def estimate_delay(
         pre_change = spec.change_time - 1
         for done in range(0, pre_change, _DELAY_CHUNK):
             cols = min(_DELAY_CHUNK, pre_change - done)
-            _map_groups(lambda c: c.monitor(cols), blocks, workers)
+            for block in blocks:
+                block.monitor(cols)
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
@@ -312,7 +303,8 @@ def estimate_delay(
     running = blocks
     while steps_done < cap and running:
         cols = min(_DELAY_CHUNK, cap - steps_done)
-        for trials, offsets in _map_groups(lambda c: c.stop_at_first(cols), running, workers):
+        for block in running:
+            trials, offsets = block.stop_at_first(cols)
             delays[trials] = steps_done + offsets
         steps_done += cols
         running = [c for c in running if c.running.size]
@@ -350,7 +342,6 @@ def estimate_pf(
     target_crossings: int = 10_000,
     min_crossings: int = 100,
     max_steps: int = 200_000_000,
-    workers: int = 1,
 ) -> PerformanceEstimate:
     """False-alarm probability at threshold ``gamma`` in the controlled regime.
 
@@ -387,7 +378,8 @@ def estimate_pf(
     steps = 0
     while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        for trials, offsets in _map_groups(lambda c: c.monitor(cols), blocks, workers):
+        for block in blocks:
+            trials, offsets = block.monitor(cols)
             chains.append(trials)
             times.append(steps + offsets)
             crossings += trials.size
@@ -481,24 +473,6 @@ class OperationalCurve:
     def measured(self) -> tuple[CurvePoint, ...]:
         return tuple(p for p in self.points if p.measured)
 
-    @property
-    def extrapolated(self) -> tuple[CurvePoint, ...]:
-        return tuple(p for p in self.points if not p.measured)
-
-    def gamma_at_pf(self, pf: float) -> float:
-        """Threshold whose fitted false-alarm probability equals ``pf``."""
-        if self.logpf_fit is None:
-            raise ValueError("curve carries no log10(pf) fit")
-        if self.logpf_fit.slope >= 0.0:
-            raise ValueError("log10(pf) fit slope is not negative; cannot invert")
-        return (math.log10(pf) - self.logpf_fit.intercept) / self.logpf_fit.slope
-
-    def delay_at_pf(self, pf: float) -> float:
-        """Fitted mean delay at the threshold matching false-alarm rate ``pf``."""
-        if self.delay_fit is None:
-            raise ValueError("curve carries no delay fit")
-        return self.delay_fit.predict(self.gamma_at_pf(pf))
-
 
 def operational_curve(
     controlled: ScenarioSpec,
@@ -511,7 +485,6 @@ def operational_curve(
     *,
     run_in: bool = False,
     r2_floor: float = 0.95,
-    workers: int = 1,
 ) -> OperationalCurve:
     """Measure (delay, pf) on ``gamma_grid`` and extend by linear fits.
 
@@ -541,7 +514,6 @@ def operational_curve(
             n_trials,
             seed=_seed_entropy(seed, DELAY_SEED_TAG, i),
             run_in=run_in,
-            workers=workers,
         )
         pf = estimate_pf(
             controlled,
@@ -549,7 +521,6 @@ def operational_curve(
             gamma,
             seed=_seed_entropy(seed, PF_SEED_TAG, i),
             target_crossings=n_trials,
-            workers=workers,
         )
         measured.append(
             CurvePoint(

@@ -104,6 +104,71 @@ class TestDetect:
              "--smooth-window", "3"]
         )
         assert code == EXIT_OK
+        # a window of 0 is an error, not "no smoothing"
+        code = main(
+            ["detect", "--input", str(path), "--gamma", "5", "--sigma", "0.1",
+             "--smooth-window", "0"]
+        )
+        assert code == EXIT_ERROR
+        assert "window must be odd and >= 1, got 0" in capsys.readouterr().err
+
+
+SIMULATE = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "50", "--seed", "1"]
+CURVE = ["curve", "--scenario", "1", "--gamma-grid", "1,2,3", "--extrapolate-grid", "none",
+         "--trials", "50", "--seed", "1"]
+
+
+class TestDetectorFlags:
+    @pytest.mark.parametrize(
+        "command, flags, unread",
+        [("detect", ["--detector", "mast", "--delta-lower", "0.5"], "--delta-lower"),
+         ("detect", ["--detector", "mast", "--delta-upper", "1.5"], "--delta-upper"),
+         ("detect", ["--detector", "page", "--alpha", "0.1", "--delta-lower", "0.5"],
+          "--delta-lower"),
+         ("detect", ["--detector", "mast", "--alpha", "0.5"], "--alpha"),
+         ("detect", ["--detector", "mast-general", "--delta-lower", "0.9", "--delta-upper", "1.1",
+                     "--alpha", "0.5"], "--alpha"),
+         ("simulate", ["--detector", "mast", "--delta-lower", "0.5"], "--delta-lower"),
+         ("simulate", ["--detector", "page", "--delta-upper", "1.1"], "--delta-upper"),
+         ("curve", ["--detectors", "mast,page", "--delta-lower", "0.99"], "--delta-lower")],
+    )
+    def test_unread_flag_rejected(self, constant_series, capsys, command, flags, unread):
+        base = {"detect": ["detect", "--input", str(constant_series), "--gamma", "1",
+                           "--sigma", "0.05"],
+                "simulate": SIMULATE, "curve": CURVE}[command]
+        assert main(base + flags) == EXIT_ERROR
+        assert f"error: {unread} is not read by the chosen detector(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [SIMULATE + ["--detector", "mast", "--alpha", "0.1", "--mode", "delay"],
+         SIMULATE + ["--detector", "mast-delta", "--delta-lower", "1", "--delta-upper", "1",
+                     "--mode", "delay"],
+         CURVE + ["--detectors", "mast,mast-delta", "--delta-lower", "0.99"],
+         CURVE + ["--detectors", "mast", "--alpha", "0.04"]],
+    )
+    def test_read_flags_accepted(self, args):
+        # in simulate and curve --alpha is the scenario offset, read by every
+        # detector; in curve a flag read by any listed detector is valid
+        assert main(args) == EXIT_OK
+
+
+def test_mast_labels_are_one_family(tmp_path):
+    # one barrier at 1 under each of the three labels: the same numbers
+    outputs = []
+    for label, flags in [("mast", []),
+                         ("mast-delta", ["--delta-lower", "1"]),
+                         ("mast-general", ["--delta-lower", "1", "--delta-upper", "1"])]:
+        out = tmp_path / f"{label}.csv"
+        args = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "300", "--seed", "5",
+                "--detector", label, "--output", str(out)] + flags
+        assert main(args) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert all(row[1] == label for row in rows[1:])
+        parameters = json.loads((tmp_path / f"{label}.csv.manifest.json").read_text())["parameters"]
+        assert parameters.pop("detector") == label
+        outputs.append(([row[:1] + row[2:] for row in rows], parameters))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSimulate:

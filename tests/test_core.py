@@ -16,7 +16,6 @@ class TestBarriers:
         Barriers(0.9, 1.1)
         Barriers(1.0, 1.0)
         assert Barriers.single(0.7) == Barriers(0.7, 0.7)
-        assert Barriers.around_unity(0.05) == Barriers(0.95, 1.05)
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.5, 1.0), (1.2, 1.1), (1.0, float("inf"))])
     def test_invalid_pairs(self, lo, hi):
@@ -24,10 +23,10 @@ class TestBarriers:
             Barriers(lo, hi)
 
     def test_bad_alpha(self):
+        # the symmetric pair (1 - alpha, 1 + alpha) needs alpha < 1; alpha = 0
+        # is the legal single barrier here, and Page rejects it
         with pytest.raises(ValueError):
-            Barriers.around_unity(1.0)
-        with pytest.raises(ValueError):
-            Barriers.around_unity(0.0)
+            Barriers(1.0 - 1.0, 1.0 + 1.0)
 
 
 class TestMastIncrement:
@@ -88,7 +87,7 @@ class TestMastIncrement:
         for _ in range(100):
             alpha = rng.uniform(0.01, 0.5)
             sigma = rng.uniform(0.01, 1.0)
-            b = Barriers.around_unity(alpha)
+            b = Barriers(1.0 - alpha, 1.0 + alpha)
             x = rng.uniform(1.0 - alpha, 1.0 + alpha, 1000)
             g = mast_increment(x, b, sigma)
             q = page_increment(x, alpha, sigma)

@@ -32,13 +32,17 @@ def naive_statistic(samples, barriers, sigma):
 class TestConfig:
     def test_factories(self):
         assert DetectorConfig.mast(0.1).barriers == Barriers(1.0, 1.0)
-        assert DetectorConfig.mast_delta(0.9, 0.1).barriers == Barriers(0.9, 0.9)
-        assert DetectorConfig.mast_general(0.9, 1.1, 0.1).barriers == Barriers(0.9, 1.1)
+        delta = DetectorConfig(DetectorKind.MAST_DELTA, 0.1, barriers=Barriers.single(0.9))
+        general = DetectorConfig(DetectorKind.MAST_GENERAL, 0.1, barriers=Barriers(0.9, 1.1))
+        assert delta.barriers == Barriers(0.9, 0.9)
+        assert general.barriers == Barriers(0.9, 1.1)
         assert DetectorConfig.page(0.05, 0.1).alpha == 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DetectorConfig.page(1.5, 0.1)
+        with pytest.raises(ValueError):
+            DetectorConfig.page(0.0, 0.1)
         with pytest.raises(ValueError):
             DetectorConfig.mast(0.0)
         with pytest.raises(ValueError):
@@ -52,7 +56,7 @@ class TestConfig:
         x = np.array([0.9, 1.0, 1.1])
         page = DetectorConfig.page(0.05, 0.1)
         np.testing.assert_array_equal(page.increment(x), page_increment(x, 0.05, 0.1))
-        mast = DetectorConfig.mast_general(0.9, 1.1, 0.1)
+        mast = DetectorConfig(DetectorKind.MAST_GENERAL, 0.1, barriers=Barriers(0.9, 1.1))
         np.testing.assert_array_equal(mast.increment(x), mast_increment(x, mast.barriers, 0.1))
 
     def test_state_invariants(self):
@@ -89,12 +93,14 @@ class TestUpdates:
         # mast and mast-delta with the same barrier value step identically
         xs = np.random.default_rng(3001).normal(1.0, 0.1, 50)
         a = run_stream(xs, DetectorConfig.mast(0.1), 1e9)
-        b = run_stream(xs, DetectorConfig.mast_delta(1.0, 0.1), 1e9)
+        delta = DetectorConfig(DetectorKind.MAST_DELTA, 0.1, barriers=Barriers.single(1.0))
+        b = run_stream(xs, delta, 1e9)
         assert a.path == b.path
 
     def test_statistic_never_negative(self):
         rng = np.random.default_rng(3002)
-        for cfg in (DetectorConfig.mast_general(0.9, 1.1, 0.2), DetectorConfig.page(0.1, 0.2)):
+        for cfg in (DetectorConfig(DetectorKind.MAST_GENERAL, 0.2, barriers=Barriers(0.9, 1.1)),
+                    DetectorConfig.page(0.1, 0.2)):
             path = run_stream(rng.normal(0.9, 0.3, 500), cfg, NEVER).path
             assert len(path) == 500
             assert min(path) >= 0.0
@@ -177,7 +183,7 @@ class TestRunStream:
         # recursion over exactly the scores the Monte Carlo engine sees
         rng = np.random.default_rng(3009)
         xs = rng.normal(1.0, 0.1, 200)
-        cfg = DetectorConfig.mast_general(0.95, 1.05, 0.1)
+        cfg = DetectorConfig(DetectorKind.MAST_GENERAL, 0.1, barriers=Barriers(0.95, 1.05))
         t, expect = 0.0, []
         for d in cfg.increment(xs):
             t = max(0.0, t + float(d))
@@ -209,7 +215,7 @@ class TestBruteForce:
             b = Barriers(lo, lo + rng.uniform(0.0, 0.5))
             sigma = rng.uniform(0.01, 1.0)
             xs = rng.normal(1.0, 2 * sigma, int(rng.integers(1, 65)))
-            cfg = DetectorConfig.mast_general(b.lower, b.upper, sigma)
+            cfg = DetectorConfig(DetectorKind.MAST_GENERAL, sigma, barriers=b)
             report = run_stream(xs, cfg, NEVER)
             oracle = brute_force_statistic(xs, b, sigma)
             assert report.final_state.statistic == pytest.approx(oracle, rel=1e-9, abs=1e-12)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.stats import linregress, norm
 
 from mast import (
+    Barriers,
     DetectorConfig,
+    DetectorKind,
     ExtrapolationError,
     InsufficientEventsError,
     LinearFit,
@@ -145,8 +147,7 @@ class TestEstimateDelay:
     def test_deterministic_and_parallel_identical(self):
         one = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
         two = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
-        four = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9, workers=4)
-        assert one == two == four
+        assert one == two
 
     def test_matches_reference_detector(self):
         # engine delays averaged over trials == replaying each trial's own
@@ -184,7 +185,7 @@ class TestEstimateDelay:
         # barrier at the controlled mean keeps the run-in statistic near the
         # threshold, so the resets decide where the post-change part starts.
         nu, n_trials = 100, 30
-        at_mean = DetectorConfig.mast_delta(0.95, 0.05)
+        at_mean = DetectorConfig(DetectorKind.MAST_DELTA, 0.05, barriers=Barriers.single(0.95))
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
                 est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
@@ -251,8 +252,7 @@ class TestEstimatePf:
     def test_deterministic_and_parallel_identical(self):
         one = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000)
         two = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000)
-        four = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000, workers=4)
-        assert one == two == four
+        assert one == two
 
     def test_pf_is_reciprocal_mean_crossing_time(self):
         est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
@@ -435,20 +435,14 @@ def small_curve():
 class TestOperationalCurve:
     def test_point_layout(self, small_curve):
         assert len(small_curve.measured) == 4
-        assert len(small_curve.extrapolated) == 2
+        extrapolated = [p for p in small_curve.points if not p.measured]
+        assert len(extrapolated) == 2
         assert all(p.measured for p in small_curve.measured)
-        assert all(p.pf_se is None for p in small_curve.extrapolated)
+        assert all(p.pf_se is None for p in extrapolated)
 
     def test_fit_slopes_have_expected_signs(self, small_curve):
         assert small_curve.delay_fit.slope > 0
         assert small_curve.logpf_fit.slope < 0
-
-    def test_matched_pf_lookup_is_consistent(self, small_curve):
-        gamma = small_curve.gamma_at_pf(1e-6)
-        assert small_curve.logpf_fit.predict(gamma) == pytest.approx(-6.0)
-        assert small_curve.delay_at_pf(1e-6) == pytest.approx(
-            small_curve.delay_fit.predict(gamma)
-        )
 
     def test_empty_extrapolation_grid(self):
         curve = operational_curve(
@@ -504,4 +498,4 @@ class TestOperationalCurve:
             S1.controlled(), S1.changed(1), PAGE, [1.0, 2.0, 3.0], [float("inf")], n_trials=200,
             seed=34, r2_floor=0.0,
         )
-        assert curve.extrapolated[0].gamma == float("inf")
+        assert [p.gamma for p in curve.points if not p.measured] == [float("inf")]
