@@ -17,7 +17,6 @@ identical manifests reproduce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import nullcontext
@@ -96,6 +95,9 @@ def _detector_kinds(args, alpha_read: bool) -> list[DetectorKind]:
     kinds = [DetectorKind(k.strip()) for k in args.detector.split(",") if k.strip()]
     if not kinds:
         raise ValueError("--detectors must name at least one detector")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"--detectors names {kind.value!r} more than once")
     read = {"alpha"} if alpha_read or DetectorKind.PAGE in kinds else set()
     if {DetectorKind.MAST_DELTA, DetectorKind.MAST_GENERAL} & set(kinds):
         read |= {"delta_lower", "delta_upper"}
@@ -144,9 +146,10 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     from the defaults where the flag was not given, and the scenario,
     change time, run-in and workers flags.
 
-    The run sizes ``--trials``, ``--seed`` and ``--workers`` and the types
-    of ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here,
-    wherever they came from, so that an error names the flag."""
+    The run sizes ``--trials``, ``--seed`` and ``--workers``, the
+    ``--change-time`` of every mode and the types of ``--alpha``,
+    ``--sigma`` and ``--r2-floor`` are checked here, wherever they came
+    from, so that an error names the flag."""
     defaults = load_defaults(args.config)
     settings = {
         name: defaults[name] if getattr(args, name) is None else getattr(args, name)
@@ -156,9 +159,10 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
         scenario=args.scenario, change_time=args.change_time, run_in=args.run_in,
         workers=args.workers,
     )
-    for name, low in (("trials", 1), ("seed", 0), ("workers", 1)):
+    for name, low in (("trials", 1), ("seed", 0), ("workers", 1), ("change_time", 1)):
         if type(settings[name]) is not int or settings[name] < low:
-            raise ValueError(f"--{name} must be an integer >= {low}, got {settings[name]!r}")
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be an integer >= {low}, got {settings[name]!r}")
     for name in ("alpha", "sigma", "r2_floor"):
         if name in settings and type(settings[name]) not in (int, float):
             flag = "--" + name.replace("_", "-")
@@ -166,15 +170,21 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     return defaults, settings
 
 
+def _csv_line(cells: Iterable) -> str:
+    """One CSV line.  No cell this program writes needs quoting: each is a
+    number, a date, a label or empty."""
+    return ",".join(map(str, cells)) + "\n"
+
+
 def _write_output(
-    output: str | None, header: list[str], rows: Iterable[list], subcommand: str, parameters: dict
+    output: str | None, header: list[str], lines: Iterable[str], subcommand: str, parameters: dict
 ) -> None:
-    """Write ``header`` and ``rows`` as CSV to ``output`` with its manifest,
-    or to stdout, without a manifest, when ``output`` is None."""
+    """Write the CSV ``header`` and ``lines`` (each ending in a newline) to
+    ``output`` with its manifest, or to stdout, without a manifest, when
+    ``output`` is None."""
     with open(output, "w", newline="") if output is not None else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
     if output is not None:
         manifest = {"tool": "mast", "version": __version__, "subcommand": subcommand,
                     "output": str(output), "parameters": parameters}
@@ -255,11 +265,12 @@ def cmd_detect(args) -> int:
                       "sigma_source": sigma_source, "input": str(args.input),
                       "smooth_window": args.smooth_window, "date_column": args.date_column,
                       "count_column": args.count_column, "date_format": args.date_format}
-        # a generator, so that a long trace is never held as rows
+        # a generator, so that a long trace is never held in memory; the
+        # ratios and the statistic are floats, so !r matches _fmt
+        alarm = report.alarm_index
         trace = (
-            [n, dates[n - 1].isoformat(), _fmt(values[n - 1]), _fmt(statistic),
-             int(n == report.alarm_index)]
-            for n, statistic in enumerate(report.path, 1)
+            f"{n},{day.isoformat()},{x!r},{statistic!r},{int(n == alarm)}\n"
+            for n, (day, x, statistic) in enumerate(zip(dates, values, report.path), 1)
         )
         _write_output(
             args.output, ["n", "date", "x", "statistic", "alarmed"], trace, "detect", parameters
@@ -332,7 +343,7 @@ def cmd_simulate(args) -> int:
                       "mode": args.mode, "horizon": args.horizon}
         header = ["metric", "detector", "scenario", "gamma", "value", "std_error", "n",
                   "n_censored", "observed_steps"]
-        _write_output(args.output, header, rows, "simulate", parameters)
+        _write_output(args.output, header, map(_csv_line, rows), "simulate", parameters)
     return EXIT_OK
 
 
@@ -391,7 +402,7 @@ def cmd_curve(args) -> int:
                   "delta_upper": args.delta_upper}
     header = ["detector", "scenario", "gamma", "delay", "delay_se", "log10_pf", "pf_se",
               "measured_or_extrapolated"]
-    _write_output(args.output, header, table, "curve", parameters)
+    _write_output(args.output, header, map(_csv_line, table), "curve", parameters)
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import IO
 
@@ -31,6 +32,10 @@ __all__ = [
     "smooth_counts",
     "to_ratios",
 ]
+
+
+_ISO_FORMAT = "%Y-%m-%d"
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class ParseError(ValueError):
@@ -118,13 +123,17 @@ def _parse_count(text: str, line: int) -> int:
     return value
 
 
+def _blank(row: list[str]) -> bool:
+    return not row or all(not c.strip() for c in row)
+
+
 def parse_counts(
     source: str | IO[str],
     *,
     date_column: str = "date",
     count_column: str = "count",
     delimiter: str | None = None,
-    date_format: str = "%Y-%m-%d",
+    date_format: str = _ISO_FORMAT,
 ) -> CountSeries:
     """Parse delimited text with a date and a count column.
 
@@ -134,16 +143,16 @@ def parse_counts(
     (date, count).  Any malformed row, duplicate date, out-of-order date,
     negative count or count too large for a float raises ``ParseError``
     naming the offending line.
+
+    With the default ``date_format``, input whose dates are all written
+    ``YYYY-MM-DD`` is parsed column by column; anything else goes through
+    a per-row loop with ``strptime``.  Both accept the same inputs and give
+    the same series: the loop is also what names the first bad line.
     """
     text = source if isinstance(source, str) else source.read()
     rows = list(csv.reader(io.StringIO(text), delimiter=delimiter or _sniff_delimiter(text)))
-
-    def blank(row: list[str]) -> bool:
-        return not row or all(not c.strip() for c in row)
-
-    entries: list[tuple[dt.date, float]] = []
     date_idx, count_idx = 0, 1
-    first_idx = next((i for i, r in enumerate(rows) if not blank(r)), None)
+    first_idx = next((i for i, r in enumerate(rows) if not _blank(r)), None)
     if first_idx is None:
         raise ParseError(1, "no data rows")
     first = rows[first_idx]
@@ -159,24 +168,52 @@ def parse_counts(
         count_idx = header.index(count_column)
         data_idx = first_idx + 1
 
-    seen: dict[dt.date, int] = {}
-    for offset, row in enumerate(rows[data_idx:]):
-        line = data_idx + 1 + offset
-        if blank(row):
+    if date_format == _ISO_FORMAT:
+        series = _parse_iso_rows(rows[data_idx:], date_idx, count_idx)
+        if series is not None:
+            return series
+
+    entries: list[tuple[dt.date, float]] = []
+    lines: list[int] = []
+    for line, row in enumerate(rows[data_idx:], data_idx + 1):
+        if _blank(row):
             continue
         if len(row) <= max(date_idx, count_idx):
             raise ParseError(line, f"expected at least {max(date_idx, count_idx) + 1} columns")
         day = _parse_date(row[date_idx], date_format, line)
         value = _parse_count(row[count_idx], line)
-        if day in seen:
-            raise ParseError(line, f"duplicate date {day} (first seen on line {seen[day]})")
-        if entries and day < entries[-1][0]:
+        if entries and day <= entries[-1][0]:
+            # entries strictly increase: only the first one not before day can equal it
+            k = next(k for k, (earlier, _) in enumerate(entries) if earlier >= day)
+            if entries[k][0] == day:
+                raise ParseError(line, f"duplicate date {day} (first seen on line {lines[k]})")
             raise ParseError(line, f"date {day} out of order (previous {entries[-1][0]})")
-        seen[day] = line
         entries.append((day, value))
+        lines.append(line)
     if not entries:
         raise ParseError(data_idx + 1, "no data rows")
     return CountSeries(tuple(entries))
+
+
+def _parse_iso_rows(rows: list[list[str]], date_idx: int, count_idx: int) -> CountSeries | None:
+    """The data ``rows`` as a series when the per-row loop would accept them
+    and every date is written ``YYYY-MM-DD``; else None.
+
+    A date of that shape means the same day to ``fromisoformat`` and to
+    ``strptime`` with the default format, and ``CountSeries`` itself
+    rejects negative counts and dates that do not strictly increase.
+    """
+    # testing the first cell before the whole row skips most _blank() calls
+    rows = [row for row in rows if row and row[0].strip() or not _blank(row)]
+    try:
+        dates = [row[date_idx].strip() for row in rows]
+        counts = [int(row[count_idx].strip()) for row in rows]
+        float(max(counts))  # OverflowError: a count too large for a float
+        if all(map(_ISO_DATE.fullmatch, dates)):
+            return CountSeries(tuple(zip(map(dt.date.fromisoformat, dates), counts)))
+    except (IndexError, ValueError, OverflowError):
+        pass
+    return None
 
 
 def _sniff_delimiter(text: str) -> str:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import datetime as dt
 import json
 import os
 import subprocess
@@ -89,6 +90,27 @@ class TestDetect:
         manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "detect"
         assert manifest["parameters"]["gamma"] == 5.0
+
+    def test_other_date_format_gives_the_same_trace(self, doubling_series, tmp_path, capsys):
+        # the same data with dates written 01/10/2020: parsed by strptime, row by row
+        rows = [line.split(",") for line in doubling_series.read_text().splitlines()]
+        other = tmp_path / "other.csv"
+        other.write_text("".join(f"{dt.date.fromisoformat(d):%d/%m/%Y},{c}\n" for d, c in rows))
+        runs = []
+        for path, flags in ((doubling_series, []), (other, ["--date-format", "%d/%m/%Y"])):
+            trace = tmp_path / f"{path.stem}.trace.csv"
+            args = ["detect", "--input", str(path), "--gamma", "5", "--sigma", "0.1",
+                    "--output", str(trace)]
+            assert main(args + flags) == EXIT_ALARM
+            runs.append((trace.read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "gappy.csv"
+        path.write_text("date,count\n\n2020-10-01,5\n\n  \n2020-10-02,5\n2020-10-03,oops\n")
+        code = main(["detect", "--input", str(path), "--gamma", "1", "--sigma", "0.1"])
+        assert code == EXIT_ERROR
+        assert "error: line 7: unparseable count 'oops'" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -222,6 +244,15 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["delay", "pf", "both"])
+    def test_change_time_checked_in_every_mode(self, capsys, tmp_path, mode):
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--scenario", "1", "--gamma", "1", "--trials", "100",
+                     "--seed", "1", "--mode", mode, "--change-time", "0", "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: --change-time must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("trials", 0), ("seed", -3), ("trials", 2.5)])
     def test_run_sizes_from_config_checked(self, capsys, tmp_path, key, value):
         config = tmp_path / "config.json"
@@ -294,6 +325,14 @@ class TestCurve:
     def test_unknown_detector(self, capsys):
         code = main(["curve", "--scenario", "1", "--detectors", "sprt", "--gamma-grid", "1,2,3"])
         assert code == EXIT_ERROR
+
+    def test_repeated_detector_rejected(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = main(["curve", "--scenario", "1", "--detectors", "page,mast,page", "--trials",
+                     "100", "--gamma-grid", "1,2,3", "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: --detectors names 'page' more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_gamma_in_grid_rejected(self, capsys):
         code = main(["curve", "--scenario", "1", "--gamma-grid", "nan,1,2", "--trials", "200"])

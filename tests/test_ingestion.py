@@ -1,10 +1,13 @@
 """Tests for count parsing, ratio conversion and sigma estimation."""
 
+import csv
 import datetime as dt
 import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mast import (
     CountSeries,
@@ -86,6 +89,131 @@ class TestParseCounts:
     def test_file_object(self):
         parsed = parse_counts(io.StringIO("2020-10-01,1\n2020-10-02,2"))
         assert len(parsed) == 2
+
+
+def reference_parse_counts(text, date_column="date", count_column="count", date_format="%Y-%m-%d"):
+    """``parse_counts`` as one per-row ``strptime`` loop: the reference the
+    column-by-column parse of ``YYYY-MM-DD`` dates must match."""
+    first_line = next((ln for ln in text.splitlines() if ln.strip()), "")
+    delimiter = "\t" if "\t" in first_line and "," not in first_line else ","
+    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
+
+    def blank(row):
+        return not row or all(not c.strip() for c in row)
+
+    def parse_date(cell, line):
+        try:
+            return dt.datetime.strptime(cell.strip(), date_format).date()
+        except ValueError:
+            raise ParseError(line, f"unparseable date {cell!r} (expected format {date_format})")
+
+    def parse_count(cell, line):
+        try:
+            value = int(cell.strip())
+        except ValueError:
+            raise ParseError(line, f"unparseable count {cell!r}")
+        if value < 0:
+            raise ParseError(line, f"negative count {value}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ParseError(line, f"count {cell.strip()!r} is too large for a float")
+        return value
+
+    first_idx = next((i for i, r in enumerate(rows) if not blank(r)), None)
+    if first_idx is None:
+        raise ParseError(1, "no data rows")
+    date_idx, count_idx, data_idx = 0, 1, first_idx
+    try:
+        parse_date(rows[first_idx][0], 0)
+    except ParseError:
+        header = [c.strip() for c in rows[first_idx]]
+        if date_column not in header or count_column not in header:
+            raise ParseError(
+                first_idx + 1,
+                f"header must contain {date_column!r} and {count_column!r}, got {header}",
+            )
+        date_idx, count_idx = header.index(date_column), header.index(count_column)
+        data_idx = first_idx + 1
+    entries, seen = [], {}
+    for line, row in enumerate(rows[data_idx:], data_idx + 1):
+        if blank(row):
+            continue
+        if len(row) <= max(date_idx, count_idx):
+            raise ParseError(line, f"expected at least {max(date_idx, count_idx) + 1} columns")
+        day = parse_date(row[date_idx], line)
+        value = parse_count(row[count_idx], line)
+        if day in seen:
+            raise ParseError(line, f"duplicate date {day} (first seen on line {seen[day]})")
+        if entries and day < entries[-1][0]:
+            raise ParseError(line, f"date {day} out of order (previous {entries[-1][0]})")
+        seen[day] = line
+        entries.append((day, value))
+    if not entries:
+        raise ParseError(data_idx + 1, "no data rows")
+    return CountSeries(tuple(entries))
+
+
+ODD_DATES = ["2020-W01-1", "0000-01-01", "2020-02-30", "today", "NaT", "20200105", ""]
+ODD_COUNTS = ["+5", "1_000", "\u0663", "-0", str(2**53 + 1), "9" * 400, "-3", "x", " 7 ", ""]
+BLANK_ROWS = ["", "  ", "\t", " , ", ","]
+
+
+@st.composite
+def count_files(draw):
+    """Count files mixing valid rows, odd dates and counts, blank rows and
+    dates that repeat or go backwards, with or without a header.  Each file
+    draws how often a row is odd, so that some files are wholly valid."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    header = draw(st.sampled_from([None, ["date", "count"], ["count", "region", "date"]]))
+    odd_in_16 = draw(st.sampled_from([0, 0, 1, 4]))
+
+    def odd():
+        return draw(st.integers(0, 15)) < odd_in_16
+
+    lines = [] if header is None else [delimiter.join(header)]
+    day = dt.date(2020, 1, 1)
+    for blank in draw(st.lists(st.sampled_from([False] * 5 + [True]), max_size=12)):
+        if blank:
+            lines.append(draw(st.sampled_from(BLANK_ROWS)))
+            continue
+        day += dt.timedelta(days=draw(st.sampled_from([0, -1, -3, 2])) if odd() else 1)
+        iso = day.isoformat()
+        odd_dates = [f" {iso} ", f"{day.year}-{day.month}-{day.day}", *ODD_DATES]
+        date = draw(st.sampled_from(odd_dates)) if odd() else iso
+        count = draw(st.sampled_from(ODD_COUNTS)) if odd() else str(draw(st.integers(0, 10**6)))
+        cells = {"date": date, "count": count, "region": "north"}
+        lines.append(delimiter.join(cells[c] for c in (header or ["date", "count"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def outcome(parse, text):
+    """A parse's series, or the line and message of its ParseError."""
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+class TestParseEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(text=count_files())
+    @example(text="2020-01-05,1\n2020-1-6,2\n")  # valid, not written YYYY-MM-DD
+    # counts that int() reads
+    @example(text="2020-01-05,+5\n2020-01-06,1_000\n2020-01-07,\u0663\n2020-01-08,-0\n")
+    @example(text="2020-01-05,1\n2020-01-06," + "9" * 400)
+    @example(text="2020-01-05,1\n2020-01-06," + str(2**53 + 1))
+    # a duplicate of the date on line 4, after a blank line
+    @example(text="date,count\n2020-01-01,1\n\n2020-01-02,2\n2020-01-03,3\n2020-01-02,4\n")
+    @example(text="2020-01-05,1\n2020-W02-1,2\n")  # fromisoformat reads this, strptime does not
+    @example(text="2020-01-05,1\n20200106,2\n")
+    @example(text="2020-01-05,1\n0000-01-01,2\n")
+    @example(text="\t\n 2020-01-05 \t3\n2020-01-06\t4")
+    # a row whose first cell is empty but which is not blank
+    @example(text="count,region,date\n5,,2020-01-01\n , ,\n,north,2020-01-02\n")
+    @example(text="date,count\n\n")
+    def test_matches_reference_loop(self, text):
+        assert outcome(parse_counts, text) == outcome(reference_parse_counts, text)
 
 
 class TestToRatios:
