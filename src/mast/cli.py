@@ -51,12 +51,7 @@ EXIT_ERROR = 1
 EXIT_ALARM = 2
 
 # fixed per-kind seed tags so detector order on the command line is irrelevant
-_KIND_SEED_TAG = {
-    DetectorKind.MAST: 10,
-    DetectorKind.MAST_DELTA: 11,
-    DetectorKind.MAST_GENERAL: 12,
-    DetectorKind.PAGE: 13,
-}
+_KIND_SEED_TAG = {DetectorKind.MAST: 10, DetectorKind.PAGE: 13}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,20 +87,23 @@ def _detector_kinds(args, alpha_read: bool) -> list[DetectorKind]:
     """The selected detectors; a detector flag that none of them reads is an
     error.  ``alpha_read`` is set where ``--alpha`` is also the scenario's
     mean offset, so that every run reads it."""
-    kinds = [DetectorKind(k.strip()) for k in args.detector.split(",") if k.strip()]
-    if not kinds:
+    labels = [k.strip() for k in args.detector.split(",") if k.strip()]
+    if not labels:
         raise ValueError("--detectors must name at least one detector")
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            raise ValueError(f"--detectors names {kind.value!r} more than once")
+    choices = [kind.value for kind in DetectorKind]
+    for i, label in enumerate(labels):
+        if label not in choices:
+            raise ValueError(f"unknown detector {label!r} (choose from {', '.join(choices)})")
+        if label in labels[:i]:
+            raise ValueError(f"--detectors names {label!r} more than once")
+    kinds = [DetectorKind(label) for label in labels]
     read = {"alpha"} if alpha_read or DetectorKind.PAGE in kinds else set()
-    if {DetectorKind.MAST_DELTA, DetectorKind.MAST_GENERAL} & set(kinds):
+    if DetectorKind.MAST in kinds:
         read |= {"delta_lower", "delta_upper"}
     for name in ("delta_lower", "delta_upper", "alpha"):
         if getattr(args, name) is not None and name not in read:
-            labels = ",".join(kind.value for kind in kinds)
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} is not read by the chosen detector(s): {labels}")
+            raise ValueError(f"{flag} is not read by the chosen detector(s): {','.join(labels)}")
     return kinds
 
 
@@ -118,15 +116,8 @@ def _detector_config(
         if alpha is None:
             raise ValueError("page detector needs --alpha")
         return DetectorConfig(kind, sigma, alpha=alpha)
-    lower, upper = args.delta_lower, args.delta_upper
-    if kind is DetectorKind.MAST:
-        lower = upper = 1.0
-    elif kind is DetectorKind.MAST_DELTA:
-        if lower is None:
-            raise ValueError("mast-delta needs --delta-lower (the single barrier)")
-        upper = lower if upper is None else upper
-    elif lower is None or upper is None:
-        raise ValueError("mast-general needs --delta-lower and --delta-upper")
+    lower = 1.0 if args.delta_lower is None else args.delta_lower
+    upper = lower if args.delta_upper is None else args.delta_upper
     return DetectorConfig(kind, sigma, barriers=Barriers(lower, upper))
 
 
@@ -201,10 +192,10 @@ def _add_detector_flags(parser: argparse.ArgumentParser, *, several: bool = Fals
         choices=None if several else [k.value for k in DetectorKind],
         default="mast,page" if several else DetectorKind.MAST.value,
         help="comma list of detectors to compare (default: mast,page)" if several
-        else "detector variant (default: mast, the single barrier at 1)",
+        else "mast (the barrier pair test) or page (default: mast)",
     )
-    parser.add_argument("--delta-lower", type=float, help="lower mean barrier (mast variants)")
-    parser.add_argument("--delta-upper", type=float, help="upper mean barrier (mast-general)")
+    parser.add_argument("--delta-lower", type=float, help="lower mean barrier of mast (default 1)")
+    parser.add_argument("--delta-upper", type=float, help="upper mean barrier of mast (default: lower)")
     parser.add_argument("--alpha", type=float, help="nominal mean offset (page; scenario mean offset)")
 
 
@@ -361,11 +352,15 @@ def cmd_curve(args) -> int:
     table: list[list] = []
     for kind in kinds:
         config = _detector_config(kind, args, sigma, alpha_default=alpha)
-        preset = grid_for(defaults, args.scenario, kind.value)
+        # the packaged mast grids were chosen for the barrier pair (1, 1)
+        unit_pair = config.barriers in (None, Barriers(1.0, 1.0))
+        preset = grid_for(defaults, args.scenario, kind.value) if unit_pair else None
         gamma_grid = given_grid or (preset or (None,))[0]
         if not gamma_grid:
+            b = config.barriers
+            pair = "" if unit_pair else f" with barriers ({b.lower:g}, {b.upper:g})"
             raise ValueError(
-                f"no default gamma grid for detector {kind.value!r} in scenario "
+                f"no default gamma grid for detector {kind.value!r}{pair} in scenario "
                 f"{args.scenario}; pass --gamma-grid"
             )
         if args.extrapolate_grid is not None:

@@ -52,11 +52,6 @@ class Barriers:
                 f"barriers must satisfy 0 < lower <= upper, got ({self.lower}, {self.upper})"
             )
 
-    @classmethod
-    def single(cls, delta: float) -> "Barriers":
-        """Degenerate pair ``lower == upper == delta``."""
-        return cls(delta, delta)
-
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)

@@ -7,9 +7,8 @@ Every detector keeps a single nonnegative statistic updated as
 and raises an alarm at the first ``n`` with ``T_n > gamma`` (strict).  The
 detectors differ only in the increment, which comes in two families:
 
-* the MAST barrier pair ``(lower, upper)``, a mean-agnostic score, under
-  three labels: ``mast-general`` (any pair), ``mast-delta`` (one barrier
-  ``lower == upper == delta``) and ``mast`` (one barrier at 1);
+* ``mast`` -- the mean-agnostic score for a barrier pair ``(lower, upper)``;
+  the pair (1, 1) is the paper's single barrier at 1;
 * ``page`` -- classical Page CUSUM with nominal means ``1 +/- alpha``.
 
 ``run_stream`` is the one implementation of that recursion.
@@ -42,8 +41,6 @@ class DetectorKind(str, Enum):
     """Closed set of detector variants, values match the CLI flags."""
 
     MAST = "mast"
-    MAST_DELTA = "mast-delta"
-    MAST_GENERAL = "mast-general"
     PAGE = "page"
 
 
@@ -51,7 +48,7 @@ class DetectorKind(str, Enum):
 class DetectorConfig:
     """Detector variant plus the parameters its increment needs.
 
-    MAST variants carry a ``Barriers`` pair, Page carries the nominal
+    MAST carries a ``Barriers`` pair, Page carries the nominal
     offset ``alpha``.  The alarm threshold is not part of the
     configuration; every run takes it as its own argument.
     """
@@ -67,23 +64,8 @@ class DetectorConfig:
         if self.kind is DetectorKind.PAGE:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError("page detector needs alpha in (0, 1)")
-        else:
-            if self.barriers is None:
-                raise ValueError(f"{self.kind.value} detector needs barriers")
-            if self.kind is not DetectorKind.MAST_GENERAL and (
-                self.barriers.lower != self.barriers.upper
-            ):
-                raise ValueError(f"{self.kind.value} detector needs lower == upper")
-            if self.kind is DetectorKind.MAST and self.barriers.lower != 1.0:
-                raise ValueError("plain mast fixes the barrier at 1")
-
-    @classmethod
-    def mast(cls, sigma: float) -> "DetectorConfig":
-        return cls(DetectorKind.MAST, sigma, barriers=Barriers.single(1.0))
-
-    @classmethod
-    def page(cls, alpha: float, sigma: float) -> "DetectorConfig":
-        return cls(DetectorKind.PAGE, sigma, alpha=alpha)
+        elif self.barriers is None:
+            raise ValueError("mast detector needs barriers")
 
     def increment(self, x):
         """Per-sample score under this configuration (scalar or array)."""

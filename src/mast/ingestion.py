@@ -217,7 +217,11 @@ def _parse_iso_rows(rows: list[list[str]], date_idx: int, count_idx: int) -> Cou
 
 
 def _sniff_delimiter(text: str) -> str:
-    first_line = next((ln for ln in text.splitlines() if ln.strip()), "")
+    """Tab if the first non-blank line of ``text.splitlines()`` has a tab and
+    no comma, else comma.  Lines are cut one ``\\n``-ended chunk at a time,
+    so nothing past that line is read."""
+    lines = (ln for chunk in re.finditer(r".*\n?", text) for ln in chunk[0].splitlines())
+    first_line = next((ln for ln in lines if ln.strip()), "")
     return "\t" if "\t" in first_line and "," not in first_line else ","
 
 

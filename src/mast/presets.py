@@ -18,8 +18,10 @@ schema (any subset of keys) can be overlaid on top:
       }
     }
 
-Grids are provided for the plain ``mast`` and ``page`` detectors; other
-detector kinds need an explicit grid on the command line.
+Grids are provided for ``mast`` and ``page``.  The ``mast`` grids were chosen
+for the barrier pair (1, 1), the paper's single barrier at 1; ``curve`` uses
+them only for that pair, and any other pair needs an explicit grid on the
+command line.
 """
 
 from __future__ import annotations

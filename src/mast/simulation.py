@@ -469,10 +469,6 @@ class OperationalCurve:
     delay_fit: LinearFit | None
     logpf_fit: LinearFit | None
 
-    @property
-    def measured(self) -> tuple[CurvePoint, ...]:
-        return tuple(p for p in self.points if p.measured)
-
 
 def operational_curve(
     controlled: ScenarioSpec,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import datetime as dt
+import hashlib
 import json
 import os
 import subprocess
@@ -143,16 +144,16 @@ CURVE = ["curve", "--scenario", "1", "--gamma-grid", "1,2,3", "--extrapolate-gri
 class TestDetectorFlags:
     @pytest.mark.parametrize(
         "command, flags, unread",
-        [("detect", ["--detector", "mast", "--delta-lower", "0.5"], "--delta-lower"),
-         ("detect", ["--detector", "mast", "--delta-upper", "1.5"], "--delta-upper"),
+        [("detect", ["--detector", "page", "--delta-lower", "0.5"], "--delta-lower"),
+         ("detect", ["--detector", "page", "--delta-upper", "1.5"], "--delta-upper"),
          ("detect", ["--detector", "page", "--alpha", "0.1", "--delta-lower", "0.5"],
           "--delta-lower"),
          ("detect", ["--detector", "mast", "--alpha", "0.5"], "--alpha"),
-         ("detect", ["--detector", "mast-general", "--delta-lower", "0.9", "--delta-upper", "1.1",
+         ("detect", ["--detector", "mast", "--delta-lower", "0.9", "--delta-upper", "1.1",
                      "--alpha", "0.5"], "--alpha"),
-         ("simulate", ["--detector", "mast", "--delta-lower", "0.5"], "--delta-lower"),
+         ("simulate", ["--detector", "page", "--delta-lower", "0.5"], "--delta-lower"),
          ("simulate", ["--detector", "page", "--delta-upper", "1.1"], "--delta-upper"),
-         ("curve", ["--detectors", "mast,page", "--delta-lower", "0.99"], "--delta-lower")],
+         ("curve", ["--detectors", "page", "--delta-lower", "0.99"], "--delta-lower")],
     )
     def test_unread_flag_rejected(self, constant_series, capsys, command, flags, unread):
         base = {"detect": ["detect", "--input", str(constant_series), "--gamma", "1",
@@ -164,9 +165,9 @@ class TestDetectorFlags:
     @pytest.mark.parametrize(
         "args",
         [SIMULATE + ["--detector", "mast", "--alpha", "0.1", "--mode", "delay"],
-         SIMULATE + ["--detector", "mast-delta", "--delta-lower", "1", "--delta-upper", "1",
+         SIMULATE + ["--detector", "mast", "--delta-lower", "1", "--delta-upper", "1",
                      "--mode", "delay"],
-         CURVE + ["--detectors", "mast,mast-delta", "--delta-lower", "0.99"],
+         CURVE + ["--detectors", "mast,page", "--delta-lower", "0.99"],
          CURVE + ["--detectors", "mast", "--alpha", "0.04"]],
     )
     def test_read_flags_accepted(self, args):
@@ -175,22 +176,58 @@ class TestDetectorFlags:
         assert main(args) == EXIT_OK
 
 
-def test_mast_labels_are_one_family(tmp_path):
-    # one barrier at 1 under each of the three labels: the same numbers
-    outputs = []
-    for label, flags in [("mast", []),
-                         ("mast-delta", ["--delta-lower", "1"]),
-                         ("mast-general", ["--delta-lower", "1", "--delta-upper", "1"])]:
-        out = tmp_path / f"{label}.csv"
+class TestBarrierPair:
+    def run(self, tmp_path, name, flags):
+        out = tmp_path / f"{name}.csv"
         args = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "300", "--seed", "5",
-                "--detector", label, "--output", str(out)] + flags
+                "--detector", "mast", "--output", str(out)] + flags
         assert main(args) == EXIT_OK
-        rows = [line.split(",") for line in out.read_text().splitlines()]
-        assert all(row[1] == label for row in rows[1:])
-        parameters = json.loads((tmp_path / f"{label}.csv.manifest.json").read_text())["parameters"]
-        assert parameters.pop("detector") == label
-        outputs.append(([row[:1] + row[2:] for row in rows], parameters))
-    assert outputs[0] == outputs[1] == outputs[2]
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest.pop("output") == str(out)
+        return out.read_bytes(), manifest
+
+    def test_mast_default_is_the_unit_pair(self, tmp_path, capsys):
+        default = self.run(tmp_path, "default", [])
+        default_out = capsys.readouterr()
+        explicit = self.run(tmp_path, "explicit", ["--delta-lower", "1", "--delta-upper", "1"])
+        assert explicit == default
+        assert capsys.readouterr() == default_out
+        parameters = default[1]["parameters"]
+        assert (parameters["delta_lower"], parameters["delta_upper"]) == (1.0, 1.0)
+
+    def test_upper_alone_keeps_the_lower_at_one(self, tmp_path):
+        parameters = self.run(tmp_path, "upper", ["--delta-upper", "1.1"])[1]["parameters"]
+        assert (parameters["delta_lower"], parameters["delta_upper"]) == (1.0, 1.1)
+
+    def test_upper_alone_below_one_rejected(self, capsys):
+        code = main(SIMULATE + ["--detector", "mast", "--delta-upper", "0.9"])
+        assert code == EXIT_ERROR
+        assert "barriers must satisfy 0 < lower <= upper, got (1.0, 0.9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["mast-delta", "mast-general"])
+    def test_removed_labels_rejected(self, capsys, label):
+        with pytest.raises(SystemExit) as err:
+            main(SIMULATE + ["--detector", label, "--delta-lower", "1"])
+        assert err.value.code == EXIT_ERROR
+        assert f"invalid choice: {label!r}" in capsys.readouterr().err
+
+
+# sha256 of the CSV each command writes; a change means the seeds, the
+# random-stream layout or the CSV formatting moved
+PINNED_CSV = [
+    (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
+      "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
+     "e603322447b8b6614806c1a49036a62c8335b525467f59c076cd1ebd2a129cf9"),
+    (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
+     "f5cbfc62ae996050dafe5246ec7172f82a33d3e416ff8bff507110c69a348933"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_CSV, ids=["curve", "simulate"])
+def test_pinned_csv_bytes(tmp_path, args, digest):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSimulate:
@@ -323,8 +360,13 @@ class TestCurve:
         assert sum(line.endswith(",extrapolated") for line in lines) == 2
 
     def test_unknown_detector(self, capsys):
-        code = main(["curve", "--scenario", "1", "--detectors", "sprt", "--gamma-grid", "1,2,3"])
-        assert code == EXIT_ERROR
+        for label in ("sprt", "mast-delta"):
+            code = main(["curve", "--scenario", "1", "--detectors", f"page,{label}",
+                         "--gamma-grid", "1,2,3"])
+            assert code == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert f"error: unknown detector {label!r} (choose from mast, page)" in err
+            assert "DetectorKind" not in err
 
     def test_repeated_detector_rejected(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
@@ -354,11 +396,23 @@ class TestCurve:
 
     def test_detector_without_default_grid_needs_explicit(self, capsys):
         code = main(
-            ["curve", "--scenario", "1", "--detectors", "mast-delta", "--delta-lower", "1.0",
+            ["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
              "--trials", "200", "--seed", "2"]
         )
         assert code == EXIT_ERROR
-        assert "--gamma-grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no default gamma grid for detector 'mast' with barriers (0.99, 0.99)" in err
+        assert "pass --gamma-grid" in err
+
+    def test_config_grid_only_for_the_unit_pair(self, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text('{"grids": {"scenario1": {"mast": {"measure": [1, 2, 3]}}}}')
+        base = ["curve", "--scenario", "1", "--detectors", "mast", "--trials", "200",
+                "--config", str(config)]
+        assert main(base + ["--delta-lower", "1", "--delta-upper", "1"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main(base + ["--delta-upper", "1.01"]) == EXIT_ERROR
+        assert "with barriers (1, 1.01)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["1:4:0", ","])
     def test_empty_given_grid_named(self, capsys, grid):

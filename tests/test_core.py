@@ -15,7 +15,7 @@ class TestBarriers:
     def test_valid_pairs(self):
         Barriers(0.9, 1.1)
         Barriers(1.0, 1.0)
-        assert Barriers.single(0.7) == Barriers(0.7, 0.7)
+        Barriers(0.7, 0.7)
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.5, 1.0), (1.2, 1.1), (1.0, float("inf"))])
     def test_invalid_pairs(self, lo, hi):
@@ -31,7 +31,7 @@ class TestBarriers:
 
 class TestMastIncrement:
     def test_single_barrier_values(self):
-        b = Barriers.single(1.0)
+        b = Barriers(1.0, 1.0)
         assert mast_increment(1.0, b, 0.1) == 0.0
         assert mast_increment(1.2, b, 0.1) == pytest.approx(2.0)
         assert mast_increment(0.8, b, 0.1) == pytest.approx(-2.0)
@@ -99,7 +99,7 @@ class TestMastIncrement:
             delta = rng.uniform(0.5, 1.5)
             sigma = rng.uniform(0.01, 1.0)
             x = rng.uniform(delta - 1.0, delta + 1.0, 500)
-            g = mast_increment(x, Barriers.single(delta), sigma)
+            g = mast_increment(x, Barriers(delta, delta), sigma)
             expect = np.sign(x - delta) * (x - delta) ** 2 / (2 * sigma * sigma)
             np.testing.assert_allclose(g, expect, rtol=1e-13, atol=0.0)
 

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mast import (
+    Barriers,
     CountSeries,
     DegenerateSigmaError,
     DetectorConfig,
+    DetectorKind,
     InsufficientDataError,
     ParseError,
     RatioSeries,
@@ -22,6 +24,7 @@ from mast import (
     smooth_counts,
     to_ratios,
 )
+from mast.ingestion import _sniff_delimiter
 
 
 def day(offset: int) -> dt.date:
@@ -53,6 +56,24 @@ class TestParseCounts:
     def test_tab_delimited(self):
         parsed = parse_counts("2020-10-01\t5\n2020-10-02\t6\n")
         assert list(parsed.values) == [5.0, 6.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_tab_delimited_after_blank_lines(self, newline):
+        lines = ["", "   ", "\t", " \t ", "date\tcount", "2020-10-01\t5", "2020-10-02\t6"]
+        parsed = parse_counts(newline.join(lines) + newline)
+        assert parsed.dates == (dt.date(2020, 10, 1), dt.date(2020, 10, 2))
+        assert list(parsed.values) == [5.0, 6.0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(alphabet=["\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", " ", "\t",
+                                  ",", "7"], max_size=12))
+    # lines that str.splitlines cuts at a form feed or a file separator
+    @example(text="\t\f7")
+    @example(text=" \n7\x1c\t")
+    def test_delimiter_from_first_nonblank_line(self, text):
+        first_line = next((ln for ln in text.splitlines() if ln.strip()), "")
+        expect = "\t" if "\t" in first_line and "," not in first_line else ","
+        assert _sniff_delimiter(text) == expect
 
     def test_out_of_order_dates_name_the_line(self):
         with pytest.raises(ParseError, match="line 3") as err:
@@ -250,7 +271,7 @@ class TestRoundTrip:
         with_gap = ratios.values
         direct = [1.2, 0.0, 1.2, 115.0 / 96.0]
         assert with_gap == pytest.approx(direct)
-        cfg = DetectorConfig.mast(0.1)
+        cfg = DetectorConfig(DetectorKind.MAST, 0.1, barriers=Barriers(1.0, 1.0))
         a = run_stream(with_gap, cfg, 1e9)
         b = run_stream(direct, cfg, 1e9)
         assert a.final_state == b.final_state

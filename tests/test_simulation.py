@@ -29,8 +29,8 @@ from mast.simulation import _DELAY_CHUNK, _LANE, _PF_CHUNK, _Chains, _draw, tria
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
-MAST = DetectorConfig.mast(0.05)
-PAGE = DetectorConfig.page(0.05, 0.05)
+MAST = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.0, 1.0))
+PAGE = DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)
 
 
 def monitor_crossings(chains, steps):
@@ -185,7 +185,7 @@ class TestEstimateDelay:
         # barrier at the controlled mean keeps the run-in statistic near the
         # threshold, so the resets decide where the post-change part starts.
         nu, n_trials = 100, 30
-        at_mean = DetectorConfig(DetectorKind.MAST_DELTA, 0.05, barriers=Barriers.single(0.95))
+        at_mean = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.95, 0.95))
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
                 est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
@@ -352,7 +352,7 @@ def monitor_runs(draw):
 class TestMonitorKernel:
     # Page(0.5, 1) scores a sample 1 + k/8 as exactly k/8, so every partial
     # sum is exact and the engine must agree with the reference exactly
-    PAGE_EXACT = DetectorConfig.page(0.5, 1.0)
+    PAGE_EXACT = DetectorConfig(DetectorKind.PAGE, 1.0, alpha=0.5)
 
     @settings(max_examples=300, deadline=None)
     @given(run=monitor_runs())
@@ -434,10 +434,10 @@ def small_curve():
 
 class TestOperationalCurve:
     def test_point_layout(self, small_curve):
-        assert len(small_curve.measured) == 4
+        measured = [p for p in small_curve.points if p.measured]
         extrapolated = [p for p in small_curve.points if not p.measured]
-        assert len(extrapolated) == 2
-        assert all(p.measured for p in small_curve.measured)
+        assert [p.gamma for p in measured] == [1.0, 2.0, 3.0, 4.0]
+        assert [p.gamma for p in extrapolated] == [6.0, 8.0]
         assert all(p.pf_se is None for p in extrapolated)
 
     def test_fit_slopes_have_expected_signs(self, small_curve):
