@@ -350,8 +350,11 @@ def cmd_curve(args) -> int:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
     table: list[list] = []
+    pair: dict = {"delta_lower": None, "delta_upper": None}
     for kind in kinds:
         config = _detector_config(kind, args, sigma, alpha_default=alpha)
+        if config.barriers is not None:
+            pair = {"delta_lower": config.barriers.lower, "delta_upper": config.barriers.upper}
         # the packaged mast grids were chosen for the barrier pair (1, 1)
         unit_pair = config.barriers in (None, Barriers(1.0, 1.0))
         preset = grid_for(defaults, args.scenario, kind.value) if unit_pair else None
@@ -393,8 +396,7 @@ def cmd_curve(args) -> int:
             )
 
     parameters = {**settings, "detectors": [k.value for k in kinds], "gamma_grid": args.gamma_grid,
-                  "extrapolate_grid": args.extrapolate_grid, "delta_lower": args.delta_lower,
-                  "delta_upper": args.delta_upper}
+                  "extrapolate_grid": args.extrapolate_grid, **pair}
     header = ["detector", "scenario", "gamma", "delay", "delay_se", "log10_pf", "pf_se",
               "measured_or_extrapolated"]
     _write_output(args.output, header, map(_csv_line, table), "curve", parameters)

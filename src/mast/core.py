@@ -14,7 +14,8 @@ This module holds the pure per-sample arithmetic shared by every detector:
 * ``page_increment`` -- the classical Page CUSUM increment for nominal
   means ``1 - alpha`` / ``1 + alpha``.
 
-All functions accept scalars or numpy arrays and share no state.
+All functions accept scalars or numpy arrays and share no state; the two
+increments also write into a numpy-style ``out`` array, ``x`` itself too.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def check_gamma(gamma: float) -> float:
     return gamma
 
 
-def mast_increment(x, barriers: Barriers, sigma: float):
+def mast_increment(x, barriers: Barriers, sigma: float, out=None):
     """Per-sample score of the mean-agnostic detector.
 
     Piecewise in the sample value:
@@ -89,25 +90,45 @@ def mast_increment(x, barriers: Barriers, sigma: float):
     ``lower == upper == delta`` the middle branch is empty and the score
     reduces to ``sign(x - delta) (x - delta)^2 / (2 sigma^2)``.
 
-    Accepts a scalar or array ``x``; returns the same shape.
+    Accepts a scalar or array ``x``; returns the same shape.  ``out``, as in
+    a numpy ufunc, is an array of that shape to write the scores into; it
+    may be ``x`` itself.
+
+    Every sample is first scored as ``+/-(x - upper)^2 / (2 sigma^2)``, the
+    sign set by the side of ``lower`` it lies on: the first branch, and with
+    one barrier the third.  Samples above ``lower`` of a pair with a middle
+    branch are then scored again from a copy taken before ``out`` was
+    written.  Each branch is the same float arithmetic as its formula above.
     """
     x = np.asarray(x, dtype=float)
+    res = np.empty_like(x) if out is None else out
     lo, hi = barriers.lower, barriers.upper
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    below = -((x - hi) ** 2) * inv2s2
-    between = (hi - lo) * 2.0 * inv2s2 * (x - barriers.midpoint)
-    above = (x - lo) ** 2 * inv2s2
-    out = np.where(x <= lo, below, np.where(x <= hi, between, above))
-    return float(out) if out.ndim == 0 else out
+    # read x before res, which may be x, is written: the samples above the
+    # lower barrier, then -1 at or below it and +1 above it
+    sign = np.greater(x, lo, out=np.empty(x.shape, np.int8))
+    upper = x[sign.view(bool)] if hi > lo else None
+    sign *= 2
+    sign -= 1
+    np.subtract(x, hi, out=res)
+    np.square(res, out=res)
+    np.multiply(res, sign, out=res)
+    np.multiply(res, inv2s2, out=res)
+    if upper is not None:
+        between = (hi - lo) * 2.0 * inv2s2 * (upper - barriers.midpoint)
+        res[sign > 0] = np.where(upper <= hi, between, (upper - lo) ** 2 * inv2s2)
+    return float(res) if out is None and res.ndim == 0 else res
 
 
-def page_increment(x, alpha: float, sigma: float):
+def page_increment(x, alpha: float, sigma: float, out=None):
     """Page CUSUM increment ``2 alpha (x - 1) / sigma^2``.
 
     ``alpha`` is the assumed symmetric offset of the pre-/post-change means
-    from one.  Accepts a scalar or array ``x``.
+    from one.  Accepts a scalar or array ``x``; ``out``, as in a numpy
+    ufunc, is an array to write the increments into and may be ``x``.
     """
     x = np.asarray(x, dtype=float)
-    out = 2.0 * alpha * (x - 1.0) / (sigma * sigma)
-    return float(out) if out.ndim == 0 else out
-
+    res = np.subtract(x, 1.0, out=out)
+    res *= 2.0 * alpha
+    res /= sigma * sigma
+    return float(res) if out is None and np.ndim(res) == 0 else res

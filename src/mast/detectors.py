@@ -67,11 +67,12 @@ class DetectorConfig:
         elif self.barriers is None:
             raise ValueError("mast detector needs barriers")
 
-    def increment(self, x):
-        """Per-sample score under this configuration (scalar or array)."""
+    def increment(self, x, out=None):
+        """Per-sample score under this configuration (scalar or array),
+        written into ``out`` if given (numpy style; ``out`` may be ``x``)."""
         if self.kind is DetectorKind.PAGE:
-            return page_increment(x, self.alpha, self.sigma)
-        return mast_increment(x, self.barriers, self.sigma)
+            return page_increment(x, self.alpha, self.sigma, out=out)
+        return mast_increment(x, self.barriers, self.sigma, out=out)
 
 
 @dataclass(frozen=True)

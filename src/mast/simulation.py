@@ -27,6 +27,14 @@ consecutive indices.  Each lane owns one generator derived from
 belonging to trial ``lane * _LANE + r``.  Results are therefore a
 deterministic function of the seed and the trial count.  A seed is an int
 or a sequence of ints.
+
+Lanes step one after another, so each estimate builds one workspace of
+three ``(_LANE, chunk)`` float buffers that all its lanes share: a step
+draws the block into it, scores the block in place and scans it into the
+other buffers, allocating no chunk-sized array of its own.  In monitor
+mode a crossing restarts the statistic, and the crossed rows are scanned
+again from the earliest crossing among them on (suffix only), in the same
+buffers; only the crossed rows' increments are copied for that.
 """
 
 from __future__ import annotations
@@ -119,16 +127,44 @@ def _lane_rng(seed, lane: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_seed_entropy(seed), spawn_key=(lane,)))
 
 
-def _draw(spec: ScenarioSpec, rng: np.random.Generator, critical: bool, chunk: int) -> np.ndarray:
-    """Next ``(_LANE, chunk)`` samples of one regime: the means, then the noise."""
-    shape = (_LANE, chunk)
+class _Workspace:
+    """The ``(_LANE, chunk)`` float buffers that one estimate's lanes share:
+    the drawn ``block``, the statistic ``path`` and the scan's running
+    minimum ``low``."""
+
+    def __init__(self, chunk: int):
+        self.chunk = chunk
+        self.block, self.path, self.low = np.empty((3, _LANE, chunk))
+
+
+def _rows(buf: np.ndarray, n: int, cols: int) -> np.ndarray:
+    """A contiguous ``(n, cols)`` view of the start of a workspace buffer."""
+    return buf.reshape(-1)[: n * cols].reshape(n, cols)
+
+
+def _draw(
+    spec: ScenarioSpec, rng: np.random.Generator, critical: bool, out: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
+    """Fill ``out``, a ``(_LANE, chunk)`` block, with the next samples of one
+    regime: the means, then the noise.  Scenario 2 draws its noise into
+    ``noise``, a buffer of the same shape.  Returns ``out``.
+
+    The in-place arithmetic is that of ``means + sigma * z`` with the means
+    from ``rng.uniform(low, high, shape)``, bit for bit.
+    """
     if spec.scenario == 1:
-        means = 1.0 + spec.alpha if critical else 1.0 - spec.alpha
-    elif critical:
-        means = rng.uniform(1.0, 1.0 + 10.0 * spec.alpha, shape)
-    else:
-        means = rng.uniform(1.0 - spec.alpha, 1.0, shape)
-    return means + spec.sigma * rng.standard_normal(shape)
+        rng.standard_normal(out=out)
+        out *= spec.sigma
+        out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
+        return out
+    low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    rng.standard_normal(out=noise)
+    noise *= spec.sigma
+    out += noise
+    return out
 
 
 def trial_samples(
@@ -143,19 +179,25 @@ def trial_samples(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = _lane_rng(seed, index // _LANE)
-    blocks = [_draw(spec, rng, critical, chunk)[index % _LANE] for _ in range(-(-n // chunk))]
-    return np.concatenate(blocks)[:n]
+    block, noise = np.empty((2, _LANE, chunk))
+    samples = np.empty((-(-n // chunk), chunk))
+    for row in samples:
+        row[:] = _draw(spec, rng, critical, block, noise)[index % _LANE]
+    return samples.reshape(-1)[:n]
 
 
-def _clamped_path(increments: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """Statistic trajectory over a chunk, rows advancing in lockstep.
+def _clamped_path(
+    increments: np.ndarray, carry: np.ndarray, out: np.ndarray, low: np.ndarray
+) -> np.ndarray:
+    """Statistic trajectory over a chunk, rows advancing in lockstep,
+    written into ``out``; ``low`` is scratch of the same shape.
 
     Uses the identity T_n = S_n - min(0, min_m S_m) with S the plain
     cumulative sum of increments started at the carried statistic value.
     """
-    s = np.cumsum(increments, axis=1)
+    s = np.cumsum(increments, axis=1, out=out)
     s += carry[:, None]
-    low = np.minimum(s, 0.0)
+    np.minimum(s, 0.0, out=low)
     np.minimum.accumulate(low, axis=1, out=low)
     s -= low
     return s
@@ -170,55 +212,86 @@ class _Chains:
     samples do not depend on when the others retire.  ``running`` holds the
     indices of the trials not yet retired and ``carry`` their statistics
     between steps; keeping score is left to the estimators.
+
+    A step allocates no chunk-sized array of its own.  It draws into the
+    shared workspace's block and scores the rows in place there; once some
+    trials have retired it first gathers the running rows into the path
+    buffer.  It scans them into whichever of the two is left free, with
+    ``low`` as scratch.  A monitor step's rescans copy only the crossed
+    rows' suffixes and scan them in the path and low buffers.
     """
 
-    def __init__(self, spec, config, gamma, seed, lane, n_trials, chunk):
+    def __init__(self, spec, config, gamma, seed, lane, n_trials, workspace: _Workspace):
         self.spec = spec
         self.config = config
         self.gamma = gamma
-        self.chunk = chunk
+        self.ws = workspace
         self.rng = _lane_rng(seed, lane)
         self.running = np.arange(lane * _LANE, min((lane + 1) * _LANE, n_trials))
         self.carry = np.zeros(self.running.size)
 
-    def _increments(self, critical: bool, cols: int) -> np.ndarray:
-        block = _draw(self.spec, self.rng, critical, self.chunk)
-        return self.config.increment(block[self.running % _LANE, :cols])
+    def _scan(self, critical: bool, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the lane's next block and return the running rows' first
+        ``cols`` increments and their statistic paths from ``carry``."""
+        ws, n = self.ws, self.running.size
+        block = _draw(self.spec, self.rng, critical, ws.block, ws.path)
+        if n == _LANE:
+            inc, free = block[:, :cols], ws.path
+        else:
+            # the indices are in range; mode "raise" would gather into a copy first
+            rows = _rows(ws.path, n, ws.chunk)
+            inc = np.take(block, self.running % _LANE, axis=0, out=rows, mode="clip")[:, :cols]
+            free = ws.block
+        self.config.increment(inc, out=inc)
+        return inc, _clamped_path(inc, self.carry, _rows(free, n, cols), _rows(ws.low, n, cols))
 
     def monitor(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` controlled samples, resetting the
         statistic at each crossing; return the trial and the crossing offset
         (1-based within the step) of every crossing.
 
-        Rescans in rounds, one per crossing of the row that crosses most:
-        each round takes every crossed row's first crossing and scans its
+        Rescans in rounds, one per crossing of the row that crosses most.
+        Each round takes every crossed row's first crossing and scans its
         increments again with those up to the crossing set to 0.0.  The
         cumsum stays 0.0 over them and 0.0 + x == x, so the rest of the row
-        is exactly a fresh scan from zero after the crossing.
+        is exactly a fresh scan from zero after the crossing.  Every
+        rescanned row is zero up to the round's earliest crossing, so the
+        round drops those columns and scans only the suffix, in the
+        workspace's path and low buffers; a crossing on the last column
+        leaves nothing to rescan and the statistic at 0.
         """
-        inc = self._increments(False, cols)
-        paths = _clamped_path(inc, self.carry)
+        inc, paths = self._scan(False, cols)
         rows = np.arange(self.running.size)
+        done = 0  # columns dropped by earlier rounds
         trials, offsets = [rows[:0]], [rows[:0]]
         while True:
             self.carry[rows] = paths[:, -1]
             hits = paths > self.gamma
             crossed = hits.any(axis=1)
             if not crossed.any():
-                return np.concatenate(trials), np.concatenate(offsets)
+                break
             first = np.argmax(hits[crossed], axis=1)
-            del paths, hits  # hold no more chunk-sized arrays than the first scan
-            rows, inc = rows[crossed], inc[crossed]
+            del hits  # a bool per scanned sample, not needed by the rescan
+            rows = rows[crossed]
             trials.append(self.running[rows])
-            offsets.append(first + 1)
-            inc[np.arange(cols) <= first[:, None]] = 0.0
-            paths = _clamped_path(inc, np.zeros(rows.size))
+            offsets.append(done + first + 1)
+            drop = int(first.min()) + 1
+            if drop == inc.shape[1]:
+                self.carry[rows] = 0.0
+                break
+            inc = inc[crossed, drop:]
+            k, m = inc.shape
+            inc[np.arange(m) < (first + 1 - drop)[:, None]] = 0.0
+            done += drop
+            path, low = _rows(self.ws.path, k, m), _rows(self.ws.low, k, m)
+            paths = _clamped_path(inc, np.zeros(k), path, low)
+        return np.concatenate(trials), np.concatenate(offsets)
 
     def stop_at_first(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` critical samples and retire those
         that cross; return their indices and first-crossing offsets (1-based
         within the step)."""
-        paths = _clamped_path(self._increments(True, cols), self.carry)
+        _, paths = self._scan(True, cols)
         crossed = paths > self.gamma
         hit = crossed.any(axis=1)
         finished = self.running[hit]
@@ -284,8 +357,9 @@ def estimate_delay(
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
+    workspace = _Workspace(_DELAY_CHUNK)
     blocks = [
-        _Chains(spec, config, gamma, seed, lane, n_trials, _DELAY_CHUNK)
+        _Chains(spec, config, gamma, seed, lane, n_trials, workspace)
         for lane in range(-(-n_trials // _LANE))
     ]
     if run_in:
@@ -368,8 +442,9 @@ def estimate_pf(
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
+    workspace = _Workspace(_PF_CHUNK)
     blocks = [
-        _Chains(spec, config, gamma, seed, lane, n_chains, _PF_CHUNK)
+        _Chains(spec, config, gamma, seed, lane, n_chains, workspace)
         for lane in range(-(-n_chains // _LANE))
     ]
     chains, times = [], []

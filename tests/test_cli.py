@@ -204,6 +204,21 @@ class TestBarrierPair:
         assert code == EXIT_ERROR
         assert "barriers must satisfy 0 < lower <= upper, got (1.0, 0.9)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "detectors, flags, pair",
+        [("page,mast", [], (1.0, 1.0)), ("page,mast", ["--delta-lower", "0.99"], (0.99, 0.99)),
+         ("page,mast", ["--delta-lower", "0.99", "--delta-upper", "1.02"], (0.99, 1.02)),
+         ("page", [], (None, None))],
+    )
+    def test_curve_manifest_records_the_pair_it_ran(self, tmp_path, detectors, flags, pair):
+        out = tmp_path / "curve.csv"
+        args = ["curve", "--scenario", "1", "--detectors", detectors, "--trials", "100",
+                "--seed", "2", "--gamma-grid", "1,2,3", "--extrapolate-grid", "none",
+                "--output", str(out)] + flags
+        assert main(args) == EXIT_OK
+        parameters = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+        assert (parameters["delta_lower"], parameters["delta_upper"]) == pair
+
     @pytest.mark.parametrize("label", ["mast-delta", "mast-general"])
     def test_removed_labels_rejected(self, capsys, label):
         with pytest.raises(SystemExit) as err:
@@ -220,10 +235,21 @@ PINNED_CSV = [
      "e603322447b8b6614806c1a49036a62c8335b525467f59c076cd1ebd2a129cf9"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
      "f5cbfc62ae996050dafe5246ec7172f82a33d3e416ff8bff507110c69a348933"),
+    # scenario 2 pf draws and the run-in monitor (49 samples, part of a chunk)
+    (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
+      "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--run-in", "--change-time", "50"],
+     "47a34ce2236e529fa9055f9a52ff9ca915c7aae892c515dc7d64f4c5df351f11"),
+    # a barrier pair with a middle branch
+    (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
+      "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
+      "--extrapolate-grid", "none"],
+     "fc8a1bb04ea7169009d030c84f991f7ccc1b1652cb7e252ca95893ed50fb4a74"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", PINNED_CSV, ids=["curve", "simulate"])
+@pytest.mark.parametrize(
+    "args, digest", PINNED_CSV, ids=["curve", "simulate", "curve-s2-run-in", "curve-pair"]
+)
 def test_pinned_csv_bytes(tmp_path, args, digest):
     out = tmp_path / "out.csv"
     assert main(args + ["--output", str(out)]) == EXIT_OK

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mast import Barriers, mast_increment, page_increment
 
@@ -133,3 +135,87 @@ class TestPageIncrement:
         down = page_increment(1.0 - x, 0.05, 0.1)
         np.testing.assert_allclose(up, -down, rtol=1e-12)
 
+
+
+def reference_mast_increment(x, barriers, sigma):
+    """The score as three whole-array branches selected by two ``np.where``
+    calls: the arithmetic the in-place kernel must reproduce bit for bit."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = barriers.lower, barriers.upper
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    below = -((x - hi) ** 2) * inv2s2
+    between = (hi - lo) * 2.0 * inv2s2 * (x - barriers.midpoint)
+    above = (x - lo) ** 2 * inv2s2
+    return np.where(x <= lo, below, np.where(x <= hi, between, above))
+
+
+def reference_page_increment(x, alpha, sigma):
+    return 2.0 * alpha * (np.asarray(x, dtype=float) - 1.0) / (sigma * sigma)
+
+
+@st.composite
+def mast_cases(draw):
+    """Samples, a barrier pair (``lower == upper`` often) and sigma; the
+    samples include the barriers and the midpoint exactly."""
+    lower = draw(st.floats(0.01, 5.0))
+    upper = draw(st.one_of(st.just(lower), st.floats(lower, 10.0)))
+    barriers = Barriers(lower, upper)
+    special = st.sampled_from([lower, upper, barriers.midpoint, 1.0, 0.0, -0.0])
+    xs = draw(st.lists(st.one_of(special, st.floats(-1e3, 1e3)), max_size=40))
+    return np.array(xs, dtype=float), barriers, draw(st.floats(1e-3, 10.0))
+
+
+@st.composite
+def page_cases(draw):
+    special = st.sampled_from([1.0, 0.0, -0.0])
+    xs = draw(st.lists(st.one_of(special, st.floats(-1e3, 1e3)), max_size=40))
+    alpha = draw(st.floats(1e-3, 0.999))
+    return np.array(xs, dtype=float), alpha, draw(st.floats(1e-3, 10.0))
+
+
+def assert_in_place_bit_exact(score, x, expect):
+    """``score(x, out)`` equals ``expect`` byte for byte (so -0.0 != 0.0)
+    with a fresh result, with ``out`` a separate array, with ``out`` the
+    input itself, and on a strided view whose neighbours it must not touch."""
+    expect = expect.tobytes()
+    assert score(x, None).tobytes() == expect
+    kept = x.copy()
+    other = np.empty_like(x)
+    assert score(x, other) is other
+    assert other.tobytes() == expect
+    assert x.tobytes() == kept.tobytes()
+    assert score(kept, kept) is kept
+    assert kept.tobytes() == expect
+    grid = np.full((x.size, 3), 7.0)
+    grid[:, 1] = x
+    view = grid[:, 1]
+    score(view, view)
+    assert view.tobytes() == expect
+    assert (grid[:, [0, 2]] == 7.0).all()
+    for value, want in zip(x[:3].tolist(), np.frombuffer(expect)[:3]):
+        assert np.float64(score(value, None)).tobytes() == want.tobytes()
+
+
+class TestIncrementInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mast_cases())
+    @example(case=(np.array([1.0, 0.5, 1.5, -0.0]), Barriers(1.0, 1.0), 0.05))
+    @example(case=(np.array([0.99, 1.005, 1.02, 0.5, 1.5]), Barriers(0.99, 1.02), 0.05))
+    def test_mast_matches_reference_bytes(self, case):
+        x, barriers, sigma = case
+        assert_in_place_bit_exact(
+            lambda v, out: mast_increment(v, barriers, sigma, out=out),
+            x,
+            reference_mast_increment(x, barriers, sigma),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=page_cases())
+    @example(case=(np.array([1.0, 0.95, 1.05, -0.0]), 0.05, 0.05))
+    def test_page_matches_reference_bytes(self, case):
+        x, alpha, sigma = case
+        assert_in_place_bit_exact(
+            lambda v, out: page_increment(v, alpha, sigma, out=out),
+            x,
+            reference_page_increment(x, alpha, sigma),
+        )

@@ -1,6 +1,7 @@
 """Tests for the scenario generators and the Monte Carlo harness."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,15 @@ from mast import (
     run_stream,
 )
 from mast import simulation
-from mast.simulation import _DELAY_CHUNK, _LANE, _PF_CHUNK, _Chains, _draw, trial_samples
+from mast.simulation import (
+    _DELAY_CHUNK,
+    _LANE,
+    _PF_CHUNK,
+    _Chains,
+    _draw,
+    _Workspace,
+    trial_samples,
+)
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
@@ -82,13 +91,13 @@ class TestTrialSamples:
     # samples: trial_samples would draw 256 rows for every row it returns
     def test_scenario2_controlled_mean(self):
         # controlled means are uniform on (1 - alpha, 1): expectation 0.975
-        xs = _draw(S2, np.random.default_rng(77), False, 4096)
+        xs = _draw(S2, np.random.default_rng(77), False, *np.empty((2, _LANE, 4096)))
         se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 0.975) < 3 * se
 
     def test_scenario2_critical_mean(self):
         # critical means are uniform on (1, 1 + 10 alpha): expectation 1.25
-        xs = _draw(S2, np.random.default_rng(78), True, 4096)
+        xs = _draw(S2, np.random.default_rng(78), True, *np.empty((2, _LANE, 4096)))
         se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 1.25) < 3 * se
 
@@ -167,8 +176,9 @@ class TestEstimateDelay:
         spec, n_trials, gamma = S2.changed(1), 300, 4.0
         est = estimate_delay(spec, MAST, gamma, n_trials, seed=123)
         delays = np.zeros(n_trials, dtype=int)
+        workspace = _Workspace(_DELAY_CHUNK)
         for lane in range(2):
-            chains = _Chains(spec, MAST, gamma, 123, lane, n_trials, _DELAY_CHUNK)
+            chains = _Chains(spec, MAST, gamma, 123, lane, n_trials, workspace)
             done = 0
             while chains.running.size:
                 trials, offsets = chains.stop_at_first(_DELAY_CHUNK)
@@ -191,8 +201,9 @@ class TestEstimateDelay:
                 est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
                 # the lane's generator, keyed here independently of the engine
                 rng = np.random.default_rng(np.random.SeedSequence([61], spawn_key=(0,)))
-                pre = np.hstack([_draw(spec, rng, False, _DELAY_CHUNK) for _ in range(2)])
-                post = np.hstack([_draw(spec, rng, True, _DELAY_CHUNK) for _ in range(50)])
+                shape = (2, _LANE, _DELAY_CHUNK)
+                pre = np.hstack([_draw(spec, rng, False, *np.empty(shape)) for _ in range(2)])
+                post = np.hstack([_draw(spec, rng, True, *np.empty(shape)) for _ in range(50)])
                 reference = []
                 for trial in range(n_trials):
                     t = 0.0
@@ -268,7 +279,7 @@ class TestEstimatePf:
             S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        chains = _Chains(S2.controlled(), MAST, gamma, 55, 0, n_chains, _PF_CHUNK)
+        chains = _Chains(S2.controlled(), MAST, gamma, 55, 0, n_chains, _Workspace(_PF_CHUNK))
         steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
         trials, times = monitor_crossings(chains, steps)
         intervals = []
@@ -292,8 +303,9 @@ class TestEstimatePf:
             min_crossings=1, max_steps=n_chains * per_chain,
         )
         steps = [_PF_CHUNK, per_chain - _PF_CHUNK]
+        workspace = _Workspace(_PF_CHUNK)
         lanes = [
-            _Chains(S2.controlled(), MAST, gamma, 55, lane, n_chains, _PF_CHUNK) for lane in (0, 1)
+            _Chains(S2.controlled(), MAST, gamma, 55, lane, n_chains, workspace) for lane in (0, 1)
         ]
         (trials, times), (trials1, times1) = [monitor_crossings(c, steps) for c in lanes]
         trials, times = np.concatenate([trials, trials1]), np.concatenate([times, times1])
@@ -323,6 +335,24 @@ class TestEstimatePf:
     def test_requires_controlled_spec(self):
         with pytest.raises(ValueError):
             estimate_pf(S1.changed(5), MAST, 1.0, seed=0)
+
+    @pytest.mark.parametrize("config, gamma", [(MAST, 4.0), (PAGE, 2.0)], ids=["mast", "page"])
+    def test_memory_within_six_lane_blocks(self, config, gamma):
+        # the lanes share one workspace of three (256, 512) float blocks;
+        # the rest is the rescan copies of crossed rows and the results.
+        # MAST at gamma 4 steps without crossings in most rows, Page at
+        # gamma 2 rescans in many rounds.
+        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            est = estimate_pf(
+                S1.controlled(), config, gamma, seed=1, n_chains=2048, target_crossings=500
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_trials >= 500
+        assert peak <= 6 * lane_block
 
     def test_explicit_horizon_observed_steps(self):
         est = estimate_pf(
@@ -358,20 +388,50 @@ class TestMonitorKernel:
     @given(run=monitor_runs())
     @example(run=(1.0 + np.array([[1, 1, 1, 0, 0, 9]]) / 8.0, 3, [3, 3], 0.25))  # last column
     @example(run=(1.0 + np.array([[1, -1, 2, 0], [0, 3, -2, 1]]) / 8.0, 2, [2, 1], 0.0))  # gamma 0
+    # rows 0 and 1 both cross again on the first step's last column in the
+    # second round: nothing is left to rescan and the next step starts at 0
+    @example(
+        run=(
+            1.0 + np.array([[3, 0, 0, 3, 1, 1, 1, 0], [0, 3, 0, 3, 2, 0, 0, 1],
+                            [0, 0, 0, 3, -1, 2, 1, 0]]) / 8.0,
+            4, [4, 4], 0.25,
+        )
+    )
+    # first crossings at columns 0 and 2 in one round: row 1 is rescanned
+    # with its own zeroed prefix inside the dropped-column suffix
+    @example(run=(1.0 + np.array([[3, 1, 1, 1, 0, 0], [1, 1, 3, -1, 2, 2]]) / 8.0, 6, [6], 0.25))
     def test_matches_run_stream(self, run):
         samples, chunk, steps, gamma = run
         n_rows = len(samples)
         # the lane draws the rows' chunks one by one, padded to a whole lane
+        # with samples that score 0.0
         blocks = np.ones((len(steps), _LANE, chunk))
         blocks[:, :n_rows] = samples.reshape(n_rows, -1, chunk).swapaxes(0, 1)
-        chains = _Chains(S1.controlled(), self.PAGE_EXACT, gamma, 0, 0, n_rows, chunk)
-        with mock.patch.object(simulation, "_draw", side_effect=list(blocks)):
-            trials, times = monitor_crossings(chains, steps)
-        for i, row in enumerate(samples):
+        reports = []
+        for row in samples:
             used = np.concatenate([block[:cols] for block, cols in zip(row.reshape(-1, chunk), steps)])
-            report = run_stream(used, self.PAGE_EXACT, gamma, monitor=True)
-            assert sorted(times[trials == i].tolist()) == report.crossings
-            assert chains.carry[i] == report.final_state.statistic
+            reports.append(run_stream(used, self.PAGE_EXACT, gamma, monitor=True))
+        # the rows alone are gathered out of the block; a whole lane is
+        # scored where it was drawn
+        for n_trials in (n_rows, _LANE):
+            queue = iter(blocks)
+
+            def draw(spec, rng, critical, out, noise):
+                assert not critical and out.shape == noise.shape == (_LANE, chunk)
+                out[...] = next(queue)
+                noise[...] = np.nan  # scratch: nothing may read it after the draw
+                return out
+
+            workspace = _Workspace(chunk)
+            chains = _Chains(S1.controlled(), self.PAGE_EXACT, gamma, 0, 0, n_trials, workspace)
+            with mock.patch.object(simulation, "_draw", side_effect=draw):
+                trials, times = monitor_crossings(chains, steps)
+            assert next(queue, None) is None
+            assert not np.isin(trials, np.arange(n_rows, n_trials)).any()
+            for i, report in enumerate(reports):
+                assert sorted(times[trials == i].tolist()) == report.crossings
+                assert chains.carry[i] == report.final_state.statistic
+            assert (chains.carry[n_rows:] == 0.0).all()
 
 
 class TestFitLinear:
