@@ -138,17 +138,17 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     change time, run-in and workers flags.
 
     The run sizes ``--trials``, ``--seed`` and ``--workers``, the
-    ``--change-time`` of every mode and the types of ``--alpha``,
-    ``--sigma`` and ``--r2-floor`` are checked here, wherever they came
-    from, so that an error names the flag."""
+    ``--change-time`` of every mode (1 when not given) and the types of
+    ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here, wherever
+    they came from, so that an error names the flag."""
     defaults = load_defaults(args.config)
     settings = {
         name: defaults[name] if getattr(args, name) is None else getattr(args, name)
         for name in names
     }
     settings.update(
-        scenario=args.scenario, change_time=args.change_time, run_in=args.run_in,
-        workers=args.workers,
+        scenario=args.scenario, change_time=1 if args.change_time is None else args.change_time,
+        run_in=args.run_in, workers=args.workers,
     )
     for name, low in (("trials", 1), ("seed", 0), ("workers", 1), ("change_time", 1)):
         if type(settings[name]) is not int or settings[name] < low:
@@ -205,7 +205,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
     parser.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
     parser.add_argument("--seed", type=int, help="master seed (default from config)")
-    parser.add_argument("--change-time", type=int, default=1, help="regime change sample (default 1)")
+    parser.add_argument("--change-time", type=int, help="regime change sample (default 1)")
     parser.add_argument(
         "--run-in",
         action="store_true",
@@ -291,11 +291,17 @@ def cmd_simulate(args) -> int:
     alpha, sigma, trials, seed = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
     config = _detector_config(kind, args, sigma, alpha_default=alpha)
+    if args.mode == "pf":
+        given = (("--horizon", args.horizon is not None), ("--run-in", args.run_in),
+                 ("--change-time", args.change_time is not None))
+        unread = [flag for flag, is_given in given if is_given]
+        if unread:
+            raise ValueError(f"{', '.join(unread)} not read by --mode pf (delay trials only)")
 
     rows = []
     if args.mode in ("delay", "both"):
         est = estimate_delay(
-            spec.changed(args.change_time),
+            spec.changed(settings["change_time"]),
             config,
             args.gamma,
             trials,
@@ -372,7 +378,7 @@ def cmd_curve(args) -> int:
             extra_grid = preset[1] if preset else []
         curve = operational_curve(
             spec.controlled(),
-            spec.changed(args.change_time),
+            spec.changed(settings["change_time"]),
             config,
             gamma_grid,
             extra_grid,

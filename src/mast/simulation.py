@@ -22,19 +22,30 @@ directly measured points and extrapolating them into false-alarm regimes
 far beyond Monte Carlo reach.
 
 Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
-consecutive indices.  Each lane owns one generator derived from
-``(seed, lane)`` and draws a ``(_LANE, chunk)`` block per step, row ``r``
-belonging to trial ``lane * _LANE + r``.  Results are therefore a
-deterministic function of the seed and the trial count.  A seed is an int
-or a sequence of ints.
+consecutive indices.  Each lane owns its generators, derived from
+``(seed, lane)``: the noise comes from spawn key ``(lane, 0)`` and, in
+scenario 2 only, the daily means from ``(lane, 1)``.  A lane draws
+time-major: a step of ``cols`` samples fills a ``(cols, _LANE)`` block
+whose row ``t`` is time and whose column ``r`` belongs to trial
+``lane * _LANE + r``.  Sample ``t`` of that trial is then element
+``t * _LANE + r`` of each of its lane's streams, whatever the step sizes,
+so results are a deterministic function of the seed and the trial count
+and do not depend on the chunk schedule.  A seed is an int or a sequence
+of ints.
 
-Lanes step one after another, so each estimate builds one workspace of
-three ``(_LANE, chunk)`` float buffers that all its lanes share: a step
-draws the block into it, scores the block in place and scans it into the
-other buffers, allocating no chunk-sized array of its own.  In monitor
-mode a crossing restarts the statistic, and the crossed rows are scanned
-again from the earliest crossing among them on (suffix only), in the same
-buffers; only the crossed rows' increments are copied for that.
+Lanes step one after another, so each estimate builds one workspace that
+all its lanes share: the time-major block and two row-major
+``(_LANE, chunk)`` buffers for the statistic path and the scan's running
+minimum.  A step draws the block into it, scores the block in place and
+scans it into the other buffers, allocating no chunk-sized array of its
+own.  In monitor mode a crossing restarts the statistic, and the crossed
+trials are scanned again from the earliest crossing among them on (suffix
+only), in the same buffers; only the crossed trials' increments are
+copied for that.
+
+A delay step starts at ``_DELAY_FIRST_STEP`` samples and doubles while
+trials run, up to ``_DELAY_CHUNK``, so that short delays are not scored
+over whole chunks; the run-in draws exactly ``change_time - 1`` samples.
 """
 
 from __future__ import annotations
@@ -65,8 +76,10 @@ __all__ = [
     "operational_curve",
 ]
 
-# trials per generator: one random substream per lane of consecutive trials
+# trials per lane: each lane of consecutive trials owns its random streams
 _LANE = 256
+# the first post-change delay step; later steps double up to _DELAY_CHUNK
+_DELAY_FIRST_STEP = 4
 _DELAY_CHUNK = 64
 # cap of the adaptive delay horizon, in samples per trial
 _DELAY_MAX_STEPS = 1_000_000
@@ -122,19 +135,28 @@ def _seed_entropy(seed, *tags: int) -> list[int]:
     return [int(s) for s in head + list(tags)]
 
 
-def _lane_rng(seed, lane: int) -> np.random.Generator:
-    """The one generator of lane ``lane`` (trials ``lane * _LANE`` onward)."""
-    return np.random.default_rng(np.random.SeedSequence(_seed_entropy(seed), spawn_key=(lane,)))
+def _lane_rngs(seed, lane: int, scenario: int) -> tuple[np.random.Generator, ...]:
+    """The generators of lane ``lane`` (trials ``lane * _LANE`` onward): the
+    noise, from spawn key ``(lane, 0)``, then for scenario 2 the daily means,
+    from ``(lane, 1)``."""
+    entropy = _seed_entropy(seed)
+    streams = (0, 1) if scenario == 2 else (0,)
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(lane, stream)))
+        for stream in streams
+    )
 
 
 class _Workspace:
-    """The ``(_LANE, chunk)`` float buffers that one estimate's lanes share:
-    the drawn ``block``, the statistic ``path`` and the scan's running
-    minimum ``low``."""
+    """The float buffers that one estimate's lanes share: the drawn
+    ``block``, time-major ``(chunk, _LANE)``, and the row-major
+    ``(_LANE, chunk)`` statistic ``path`` and scan minimum ``low``.  A step
+    of ``cols`` samples uses the block's first ``cols`` rows and the other
+    buffers through ``_rows``."""
 
     def __init__(self, chunk: int):
-        self.chunk = chunk
-        self.block, self.path, self.low = np.empty((3, _LANE, chunk))
+        self.block = np.empty((chunk, _LANE))
+        self.path, self.low = np.empty((2, _LANE, chunk))
 
 
 def _rows(buf: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -143,54 +165,64 @@ def _rows(buf: np.ndarray, n: int, cols: int) -> np.ndarray:
 
 
 def _draw(
-    spec: ScenarioSpec, rng: np.random.Generator, critical: bool, out: np.ndarray, noise: np.ndarray
+    spec: ScenarioSpec,
+    rngs: tuple[np.random.Generator, ...],
+    critical: bool,
+    out: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Fill ``out``, a ``(_LANE, chunk)`` block, with the next samples of one
-    regime: the means, then the noise.  Scenario 2 draws its noise into
-    ``noise``, a buffer of the same shape.  Returns ``out``.
+    """Fill ``out``, a time-major ``(cols, _LANE)`` block, with the next
+    ``cols`` samples of one regime for every trial of a lane, from the
+    lane's generators ``rngs`` (see ``_lane_rngs``).  Scenario 2 draws its
+    means into ``out`` and its noise into ``noise``, a buffer of the same
+    shape.  Returns ``out``.
 
+    Each generator fills the block in its memory order, so drawing ``a``
+    rows and then ``b`` gives the same samples as drawing ``a + b`` at once.
     The in-place arithmetic is that of ``means + sigma * z`` with the means
     from ``rng.uniform(low, high, shape)``, bit for bit.
     """
     if spec.scenario == 1:
+        (rng,) = rngs
         rng.standard_normal(out=out)
         out *= spec.sigma
         out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
         return out
+    noise_rng, mean_rng = rngs
     low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
-    rng.random(out=out)
+    mean_rng.random(out=out)
     out *= high - low
     out += low
-    rng.standard_normal(out=noise)
+    noise_rng.standard_normal(out=noise)
     noise *= spec.sigma
     out += noise
     return out
 
 
 def trial_samples(
-    spec: ScenarioSpec, seed, index: int, n: int, *, critical: bool = True, chunk: int = _DELAY_CHUNK
+    spec: ScenarioSpec, seed, index: int, n: int, *, critical: bool = True
 ) -> np.ndarray:
     """First ``n`` samples of the exact stream trial ``index`` consumes.
 
-    Replays the lane's draws and keeps the trial's row of each block;
-    intended for tests that replay a trial through the reference
-    single-stream detector.
+    Draws the lane's first ``n`` time rows as one ``(n, _LANE)`` block and
+    keeps the trial's column: the engine's draws do not depend on how they
+    are cut into steps, so this is what it scores.  Intended for tests that
+    replay a trial through the reference single-stream detector.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _lane_rng(seed, index // _LANE)
-    block, noise = np.empty((2, _LANE, chunk))
-    samples = np.empty((-(-n // chunk), chunk))
-    for row in samples:
-        row[:] = _draw(spec, rng, critical, block, noise)[index % _LANE]
-    return samples.reshape(-1)[:n]
+    block, noise = np.empty((2, n, _LANE))
+    _draw(spec, _lane_rngs(seed, index // _LANE, spec.scenario), critical, block, noise)
+    return block[:, index % _LANE].copy()
 
 
 def _clamped_path(
     increments: np.ndarray, carry: np.ndarray, out: np.ndarray, low: np.ndarray
 ) -> np.ndarray:
     """Statistic trajectory over a chunk, rows advancing in lockstep,
-    written into ``out``; ``low`` is scratch of the same shape.
+    written into ``out``; ``low`` is scratch of the same shape.  The
+    increments may be any ``(rows, cols)`` view, such as a transposed
+    time-major block; ``out`` and ``low`` are contiguous.
 
     Uses the identity T_n = S_n - min(0, min_m S_m) with S the plain
     cumulative sum of increments started at the carried statistic value.
@@ -207,18 +239,20 @@ class _Chains:
     """One lane: trials ``lane * _LANE`` up to ``n_trials`` (at most
     ``_LANE`` of them) advancing in lockstep on one sample clock.
 
-    Every step draws the lane's whole ``(_LANE, chunk)`` block from its one
-    generator and scores only the rows of running trials, so a trial's
-    samples do not depend on when the others retire.  ``running`` holds the
-    indices of the trials not yet retired and ``carry`` their statistics
-    between steps; keeping score is left to the estimators.
+    A step of ``cols`` samples draws the next ``cols`` time rows of the
+    lane's whole block, all ``_LANE`` columns, and scores only the columns
+    of running trials, so a trial's samples depend neither on when the
+    others retire nor on the step sizes.  ``running`` holds the indices of
+    the trials not yet retired and ``carry`` their statistics between
+    steps; keeping score is left to the estimators.
 
     A step allocates no chunk-sized array of its own.  It draws into the
-    shared workspace's block and scores the rows in place there; once some
-    trials have retired it first gathers the running rows into the path
-    buffer.  It scans them into whichever of the two is left free, with
-    ``low`` as scratch.  A monitor step's rescans copy only the crossed
-    rows' suffixes and scan them in the path and low buffers.
+    first rows of the shared workspace's block and scores them in place
+    there; once some trials have retired it first gathers the running
+    columns into the path buffer.  It scans the transposed increments into
+    row-major paths in whichever of the two is left free, with ``low`` as
+    scratch.  A monitor step's rescans copy only the crossed trials'
+    suffixes and scan them in the path and low buffers.
     """
 
     def __init__(self, spec, config, gamma, seed, lane, n_trials, workspace: _Workspace):
@@ -226,24 +260,26 @@ class _Chains:
         self.config = config
         self.gamma = gamma
         self.ws = workspace
-        self.rng = _lane_rng(seed, lane)
+        self.rngs = _lane_rngs(seed, lane, spec.scenario)
         self.running = np.arange(lane * _LANE, min((lane + 1) * _LANE, n_trials))
         self.carry = np.zeros(self.running.size)
 
     def _scan(self, critical: bool, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the lane's next block and return the running rows' first
-        ``cols`` increments and their statistic paths from ``carry``."""
+        """Draw the lane's next ``cols`` samples and return the running
+        trials' increments, a ``(trials, cols)`` view of the time-major
+        block they were scored in, and their statistic paths from
+        ``carry``."""
         ws, n = self.ws, self.running.size
-        block = _draw(self.spec, self.rng, critical, ws.block, ws.path)
+        block = _draw(self.spec, self.rngs, critical, ws.block[:cols], _rows(ws.path, cols, _LANE))
         if n == _LANE:
-            inc, free = block[:, :cols], ws.path
+            inc, free = block, ws.path
         else:
             # the indices are in range; mode "raise" would gather into a copy first
-            rows = _rows(ws.path, n, ws.chunk)
-            inc = np.take(block, self.running % _LANE, axis=0, out=rows, mode="clip")[:, :cols]
+            out = _rows(ws.path, cols, n)
+            inc = np.take(block, self.running % _LANE, axis=1, out=out, mode="clip")
             free = ws.block
         self.config.increment(inc, out=inc)
-        return inc, _clamped_path(inc, self.carry, _rows(free, n, cols), _rows(ws.low, n, cols))
+        return inc.T, _clamped_path(inc.T, self.carry, _rows(free, n, cols), _rows(ws.low, n, cols))
 
     def monitor(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance running trials ``cols`` controlled samples, resetting the
@@ -344,6 +380,11 @@ def estimate_delay(
     zero at any crossing) and the post-change segment continues from the
     state so reached.
 
+    The run-in draws exactly ``change_time - 1`` samples per trial.  The
+    post-change steps start at ``_DELAY_FIRST_STEP`` samples and double
+    while trials run, up to ``_DELAY_CHUNK``; a trial's samples, and so the
+    estimate, do not depend on these step sizes.
+
     Trials still running at the horizon are counted at the horizon value
     and reported in ``n_censored`` with a warning.  ``horizon=None`` grows
     the horizon adaptively to 100x the running mean of completed trials
@@ -358,29 +399,31 @@ def estimate_delay(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     workspace = _Workspace(_DELAY_CHUNK)
-    blocks = [
-        _Chains(spec, config, gamma, seed, lane, n_trials, workspace)
-        for lane in range(-(-n_trials // _LANE))
+    lanes = [
+        _Chains(spec, config, gamma, seed, i, n_trials, workspace)
+        for i in range(-(-n_trials // _LANE))
     ]
     if run_in:
         pre_change = spec.change_time - 1
         for done in range(0, pre_change, _DELAY_CHUNK):
             cols = min(_DELAY_CHUNK, pre_change - done)
-            for block in blocks:
-                block.monitor(cols)
+            for lane in lanes:
+                lane.monitor(cols)
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
     delays = np.zeros(n_trials, dtype=np.int64)
     steps_done = 0
     cap = horizon if horizon is not None else _DELAY_MAX_STEPS
-    running = blocks
+    running = lanes
+    step = _DELAY_FIRST_STEP
     while steps_done < cap and running:
-        cols = min(_DELAY_CHUNK, cap - steps_done)
-        for block in running:
-            trials, offsets = block.stop_at_first(cols)
+        cols = min(step, cap - steps_done)
+        for lane in running:
+            trials, offsets = lane.stop_at_first(cols)
             delays[trials] = steps_done + offsets
         steps_done += cols
+        step = min(2 * step, _DELAY_CHUNK)
         running = [c for c in running if c.running.size]
         completed = np.count_nonzero(delays)
         if horizon is None and completed:
@@ -443,9 +486,9 @@ def estimate_pf(
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
     workspace = _Workspace(_PF_CHUNK)
-    blocks = [
-        _Chains(spec, config, gamma, seed, lane, n_chains, workspace)
-        for lane in range(-(-n_chains // _LANE))
+    lanes = [
+        _Chains(spec, config, gamma, seed, i, n_chains, workspace)
+        for i in range(-(-n_chains // _LANE))
     ]
     chains, times = [], []
     crossings = 0
@@ -453,8 +496,8 @@ def estimate_pf(
     steps = 0
     while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        for block in blocks:
-            trials, offsets = block.monitor(cols)
+        for lane in lanes:
+            trials, offsets = lane.monitor(cols)
             chains.append(trials)
             times.append(steps + offsets)
             crossings += trials.size

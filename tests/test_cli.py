@@ -232,18 +232,18 @@ class TestBarrierPair:
 PINNED_CSV = [
     (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
-     "e603322447b8b6614806c1a49036a62c8335b525467f59c076cd1ebd2a129cf9"),
+     "15d3bb46dea6a566fd2746e49c3722ae96a1b318a0aaaf0c453bd4bd25133bd0"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
-     "f5cbfc62ae996050dafe5246ec7172f82a33d3e416ff8bff507110c69a348933"),
-    # scenario 2 pf draws and the run-in monitor (49 samples, part of a chunk)
+     "d053379923f7749b0f7540861eac358c7d2c102bdb8e9307d99c240705748558"),
+    # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--run-in", "--change-time", "50"],
-     "47a34ce2236e529fa9055f9a52ff9ca915c7aae892c515dc7d64f4c5df351f11"),
+     "279c8c3e28a120b8aec54be880dd3186c28ffc883aa096b7f73862898b9acf6c"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
       "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
       "--extrapolate-grid", "none"],
-     "fc8a1bb04ea7169009d030c84f991f7ccc1b1652cb7e252ca95893ed50fb4a74"),
+     "a3b9c7b6efaa314c4ad6b7ae83ccd30aca711866ac951e02b281bfa410a93242"),
 ]
 
 
@@ -315,6 +315,37 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "error: --change-time must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--horizon", "5"], "--horizon"), (["--run-in"], "--run-in"),
+         (["--change-time", "1"], "--change-time"),
+         (["--run-in", "--change-time", "40"], "--run-in, --change-time")],
+    )
+    def test_delay_flags_rejected_in_pf_mode(self, capsys, tmp_path, flags, named):
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--scenario", "1", "--gamma", "2", "--trials", "100",
+                     "--seed", "1", "--mode", "pf", "--output", str(out)] + flags)
+        assert code == EXIT_ERROR
+        assert f"error: {named} not read by --mode pf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delay_flags_read_in_both_mode(self, tmp_path):
+        args = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "100", "--seed", "1",
+                "--mode", "both"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(args + ["--output", str(plain)]) == EXIT_OK
+        with pytest.warns(UserWarning, match="within 3 samples"):
+            code = main(args + ["--horizon", "3", "--run-in", "--change-time", "40",
+                                "--output", str(flagged)])
+        assert code == EXIT_OK
+        (_, delay, pf), (_, delay_flagged, pf_flagged) = (
+            path.read_text().splitlines() for path in (plain, flagged)
+        )
+        assert delay != delay_flagged and pf == pf_flagged
+        manifest = json.loads((tmp_path / "flagged.csv.manifest.json").read_text())
+        recorded = {key: manifest["parameters"][key] for key in ("horizon", "run_in", "change_time")}
+        assert recorded == {"horizon": 3, "run_in": True, "change_time": 40}
 
     @pytest.mark.parametrize("key, value", [("trials", 0), ("seed", -3), ("trials", 2.5)])
     def test_run_sizes_from_config_checked(self, capsys, tmp_path, key, value):

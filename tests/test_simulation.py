@@ -87,17 +87,30 @@ class TestTrialSamples:
     def test_trial_indices_give_different_streams(self):
         assert not np.array_equal(trial_samples(S2, 5, 0, 100), trial_samples(S2, 5, 1, 100))
 
-    # the scenario-2 means are checked on one whole lane block of 256 x 4096
-    # samples: trial_samples would draw 256 rows for every row it returns
+    @pytest.mark.parametrize("spec", [S1, S2], ids=["s1", "s2"])
+    @pytest.mark.parametrize("index", [0, _LANE - 1, _LANE + 3])
+    def test_shorter_replay_is_a_prefix(self, spec, index):
+        # a lane's draws do not depend on how many rows one call takes
+        for critical in (False, True):
+            whole = trial_samples(spec, 8, index, 300, critical=critical)
+            for k in (1, 37, 299):
+                np.testing.assert_array_equal(
+                    whole[:k], trial_samples(spec, 8, index, k, critical=critical)
+                )
+
+    # the scenario-2 means are checked on one whole lane block of 4096 x 256
+    # samples: trial_samples would draw 256 columns for every one it returns
     def test_scenario2_controlled_mean(self):
         # controlled means are uniform on (1 - alpha, 1): expectation 0.975
-        xs = _draw(S2, np.random.default_rng(77), False, *np.empty((2, _LANE, 4096)))
+        rngs = (np.random.default_rng(77), np.random.default_rng(177))
+        xs = _draw(S2, rngs, False, *np.empty((2, 4096, _LANE)))
         se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 0.975) < 3 * se
 
     def test_scenario2_critical_mean(self):
         # critical means are uniform on (1, 1 + 10 alpha): expectation 1.25
-        xs = _draw(S2, np.random.default_rng(78), True, *np.empty((2, _LANE, 4096)))
+        rngs = (np.random.default_rng(78), np.random.default_rng(178))
+        xs = _draw(S2, rngs, True, *np.empty((2, 4096, _LANE)))
         se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 1.25) < 3 * se
 
@@ -123,11 +136,11 @@ class TestSeeds:
         # layout must update them on purpose
         delay = estimate_delay(S2.changed(70), MAST, 1.5, 200, seed=17, run_in=True)
         assert delay == PerformanceEstimate(
-            gamma=1.5, n_trials=200, mean_delay=1.21, delay_se=0.03515221745437689
+            gamma=1.5, n_trials=200, mean_delay=1.2, delay_se=0.03170213124741207
         )
         pf = estimate_pf(S1.controlled(), PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
         assert pf == PerformanceEstimate(
-            gamma=2.0, n_trials=455, pf=0.02777099609375, pf_se=0.001248042663326847,
+            gamma=2.0, n_trials=438, pf=0.0267333984375, pf_se=0.0012891703786016273,
             observed_steps=16384,
         )
         # plain Python numbers, so that callers can serialise an estimate
@@ -157,6 +170,20 @@ class TestEstimateDelay:
         one = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
         two = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
         assert one == two
+
+    @pytest.mark.parametrize("run_in", [False, True], ids=["zero-start", "run-in"])
+    @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
+    def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, run_in):
+        # change time 100: the run-in ends inside a step under either
+        # schedule (64 + 35 samples, or 14 x 7 + 1); 300 trials make a
+        # whole lane and a partial one
+        def run():
+            return repr(estimate_delay(spec.changed(100), cfg, 4.0, 300, seed=31, run_in=run_in))
+
+        packaged = run()
+        monkeypatch.setattr(simulation, "_DELAY_FIRST_STEP", 1)
+        monkeypatch.setattr(simulation, "_DELAY_CHUNK", 7)
+        assert run() == packaged
 
     def test_matches_reference_detector(self):
         # engine delays averaged over trials == replaying each trial's own
@@ -190,24 +217,28 @@ class TestEstimateDelay:
             assert delays[trial] == run_stream(xs, MAST, gamma).alarm_index
 
     def test_run_in_matches_reference_replay(self):
-        # change_time 100: the run-in covers one whole 64-sample chunk and
-        # 35 samples of a second one, whose other 29 samples go unused.  The
-        # barrier at the controlled mean keeps the run-in statistic near the
-        # threshold, so the resets decide where the post-change part starts.
+        # change_time 100: the run-in draws exactly 99 controlled samples,
+        # ending inside its second 64-sample step, and the post-change part
+        # starts with the lane's very next draw.  The barrier at the
+        # controlled mean keeps the run-in statistic near the threshold, so
+        # the resets decide where the post-change part starts.
         nu, n_trials = 100, 30
         at_mean = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.95, 0.95))
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
                 est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
-                # the lane's generator, keyed here independently of the engine
-                rng = np.random.default_rng(np.random.SeedSequence([61], spawn_key=(0,)))
-                shape = (2, _LANE, _DELAY_CHUNK)
-                pre = np.hstack([_draw(spec, rng, False, *np.empty(shape)) for _ in range(2)])
-                post = np.hstack([_draw(spec, rng, True, *np.empty(shape)) for _ in range(50)])
+                # the lane's generators, keyed here independently of the engine
+                keys = [(0, 0), (0, 1)] if spec.scenario == 2 else [(0, 0)]
+                rngs = tuple(
+                    np.random.default_rng(np.random.SeedSequence([61], spawn_key=key))
+                    for key in keys
+                )
+                pre = _draw(spec, rngs, False, *np.empty((2, nu - 1, _LANE))).T
+                post = _draw(spec, rngs, True, *np.empty((2, 3200, _LANE))).T
                 reference = []
                 for trial in range(n_trials):
                     t = 0.0
-                    for d in cfg.increment(pre[trial, : nu - 1]).tolist():
+                    for d in cfg.increment(pre[trial]).tolist():
                         t = max(0.0, t + d)
                         if t > gamma:
                             t = 0.0
@@ -265,6 +296,21 @@ class TestEstimatePf:
         two = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000)
         assert one == two
 
+    @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
+    def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg):
+        # max_steps binds before the target, so both schedules observe 1000
+        # samples per chain (512 + 488, or 10 x 96 + 40); the target check
+        # between steps would otherwise stop them at different times
+        def run():
+            return repr(estimate_pf(
+                spec.controlled(), cfg, 2.0, seed=32, n_chains=300, target_crossings=10**9,
+                min_crossings=1, max_steps=300 * 1000,
+            ))
+
+        packaged = run()
+        monkeypatch.setattr(simulation, "_PF_CHUNK", 96)
+        assert run() == packaged
+
     def test_pf_is_reciprocal_mean_crossing_time(self):
         est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
         assert est.pf == pytest.approx(est.n_trials / est.observed_steps)
@@ -284,7 +330,7 @@ class TestEstimatePf:
         trials, times = monitor_crossings(chains, steps)
         intervals = []
         for chain in range(n_chains):
-            xs = trial_samples(S2, 55, chain, per_chain, critical=False, chunk=_PF_CHUNK)
+            xs = trial_samples(S2, 55, chain, per_chain, critical=False)
             report = run_stream(xs, MAST, gamma, monitor=True)
             assert sorted(times[trials == chain].tolist()) == report.crossings
             assert chains.carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
@@ -312,7 +358,7 @@ class TestEstimatePf:
         assert est.n_trials == trials.size
         carry = np.concatenate([c.carry for c in lanes])
         for chain in (0, _LANE - 1, _LANE, n_chains - 1):
-            xs = trial_samples(S2, 55, chain, per_chain, critical=False, chunk=_PF_CHUNK)
+            xs = trial_samples(S2, 55, chain, per_chain, critical=False)
             report = run_stream(xs, MAST, gamma, monitor=True)
             assert sorted(times[trials == chain].tolist()) == report.crossings
             assert carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
@@ -364,14 +410,15 @@ class TestEstimatePf:
 
 @st.composite
 def monitor_runs(draw):
-    """Rows of samples ``1 + k/8`` in whole chunks, the columns each monitor
-    step uses, and a threshold that is a multiple of 1/8."""
+    """Rows of samples ``1 + k/8``, the workspace's chunk, the samples each
+    monitor step draws (at most a chunk), and a threshold that is a
+    multiple of 1/8."""
     chunk = draw(st.integers(1, 8))
     steps = draw(st.lists(st.integers(1, chunk), min_size=1, max_size=4))
     n_rows = draw(st.integers(1, 4))
     ks = draw(
         st.lists(
-            st.lists(st.integers(-24, 24), min_size=chunk * len(steps), max_size=chunk * len(steps)),
+            st.lists(st.integers(-24, 24), min_size=sum(steps), max_size=sum(steps)),
             min_size=n_rows,
             max_size=n_rows,
         )
@@ -387,7 +434,7 @@ class TestMonitorKernel:
     @settings(max_examples=300, deadline=None)
     @given(run=monitor_runs())
     @example(run=(1.0 + np.array([[1, 1, 1, 0, 0, 9]]) / 8.0, 3, [3, 3], 0.25))  # last column
-    @example(run=(1.0 + np.array([[1, -1, 2, 0], [0, 3, -2, 1]]) / 8.0, 2, [2, 1], 0.0))  # gamma 0
+    @example(run=(1.0 + np.array([[1, -1, 2], [0, 3, -2]]) / 8.0, 2, [2, 1], 0.0))  # gamma 0
     # rows 0 and 1 both cross again on the first step's last column in the
     # second round: nothing is left to rescan and the next step starts at 0
     @example(
@@ -403,22 +450,21 @@ class TestMonitorKernel:
     def test_matches_run_stream(self, run):
         samples, chunk, steps, gamma = run
         n_rows = len(samples)
-        # the lane draws the rows' chunks one by one, padded to a whole lane
-        # with samples that score 0.0
-        blocks = np.ones((len(steps), _LANE, chunk))
-        blocks[:, :n_rows] = samples.reshape(n_rows, -1, chunk).swapaxes(0, 1)
-        reports = []
-        for row in samples:
-            used = np.concatenate([block[:cols] for block, cols in zip(row.reshape(-1, chunk), steps)])
-            reports.append(run_stream(used, self.PAGE_EXACT, gamma, monitor=True))
+        reports = [run_stream(row, self.PAGE_EXACT, gamma, monitor=True) for row in samples]
+        # the lane draws each step's samples as time-major rows, the trials
+        # padded to a whole lane with samples that score 0.0
+        lane = np.ones((samples.shape[1], _LANE))
+        lane[:, :n_rows] = samples.T
+        blocks = np.split(lane, np.cumsum(steps)[:-1])
         # the rows alone are gathered out of the block; a whole lane is
         # scored where it was drawn
         for n_trials in (n_rows, _LANE):
             queue = iter(blocks)
 
-            def draw(spec, rng, critical, out, noise):
-                assert not critical and out.shape == noise.shape == (_LANE, chunk)
-                out[...] = next(queue)
+            def draw(spec, rngs, critical, out, noise):
+                block = next(queue)  # exactly the step's samples: (cols, _LANE)
+                assert not critical and out.shape == noise.shape == block.shape
+                out[...] = block
                 noise[...] = np.nan  # scratch: nothing may read it after the draw
                 return out
 
