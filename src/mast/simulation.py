@@ -46,6 +46,15 @@ copied for that.
 A delay step starts at ``_DELAY_FIRST_STEP`` samples and doubles while
 trials run, up to ``_DELAY_CHUNK``, so that short delays are not scored
 over whole chunks; the run-in draws exactly ``change_time - 1`` samples.
+
+The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
+and checks its target only between these whole steps.  Within a step each
+lane advances in monitor sub-steps sized from the crossing rate seen so
+far: ``_PF_FIRST_SUBSTEP`` samples in the first step, then the largest
+power of two not above the mean samples per crossing, clamped to
+``[_PF_MIN_SUBSTEP, _PF_CHUNK]``.  A chain then expects about one crossing
+per sub-step, so a sub-step takes one or two rescan rounds instead of one
+per crossing of the row that crosses most.
 """
 
 from __future__ import annotations
@@ -83,7 +92,12 @@ _DELAY_FIRST_STEP = 4
 _DELAY_CHUNK = 64
 # cap of the adaptive delay horizon, in samples per trial
 _DELAY_MAX_STEPS = 1_000_000
+# pf samples per chain between two checks of the crossing target
 _PF_CHUNK = 512
+# monitor sub-steps within a pf step: the first step's size, and the floor of
+# the sizes taken from the crossing rate after it
+_PF_FIRST_SUBSTEP = 64
+_PF_MIN_SUBSTEP = 16
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -286,15 +300,17 @@ class _Chains:
         statistic at each crossing; return the trial and the crossing offset
         (1-based within the step) of every crossing.
 
-        Rescans in rounds, one per crossing of the row that crosses most.
-        Each round takes every crossed row's first crossing and scans its
-        increments again with those up to the crossing set to 0.0.  The
-        cumsum stays 0.0 over them and 0.0 + x == x, so the rest of the row
-        is exactly a fresh scan from zero after the crossing.  Every
-        rescanned row is zero up to the round's earliest crossing, so the
-        round drops those columns and scans only the suffix, in the
-        workspace's path and low buffers; a crossing on the last column
-        leaves nothing to rescan and the statistic at 0.
+        Rescans in rounds, one per crossing of the row that crosses most,
+        so ``estimate_pf`` passes sub-steps in which a row expects about
+        one crossing (see ``_pf_substep``).  Each round takes every crossed
+        row's first crossing and scans its increments again with those up
+        to the crossing set to 0.0.  The cumsum stays 0.0 over them and
+        0.0 + x == x, so the rest of the row is exactly a fresh scan from
+        zero after the crossing.  Every rescanned row is zero up to the
+        round's earliest crossing, so the round drops those columns and
+        scans only the suffix, in the workspace's path and low buffers; a
+        crossing on the last column leaves nothing to rescan and the
+        statistic at 0.
         """
         inc, paths = self._scan(False, cols)
         rows = np.arange(self.running.size)
@@ -449,6 +465,14 @@ def estimate_delay(
     )
 
 
+def _pf_substep(observed: int, crossings: int) -> int:
+    """Monitor sub-step after ``observed`` samples with ``crossings``
+    crossings: the largest power of two not above the mean samples per
+    crossing, clamped to ``[_PF_MIN_SUBSTEP, _PF_CHUNK]``."""
+    mean_gap = max(observed // max(crossings, 1), 1)
+    return min(max(1 << (mean_gap.bit_length() - 1), _PF_MIN_SUBSTEP), _PF_CHUNK)
+
+
 def estimate_pf(
     spec: ScenarioSpec,
     config: DetectorConfig,
@@ -471,7 +495,14 @@ def estimate_pf(
 
     Chains run until ``target_crossings`` crossings have been seen, but
     never beyond ``max_steps`` total samples (rounded up to a whole
-    per-chain count).  Fewer than ``min_crossings`` crossings raises
+    per-chain count).  The target is checked only after every chain has
+    run a whole step of ``_PF_CHUNK`` samples (the last step may be
+    shorter, at the ``max_steps`` cap).  Within a step each lane advances
+    in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples in the first
+    step and ``_pf_substep`` samples after it; a chain's samples do not
+    depend on these sizes, so neither do the crossings and the estimate.
+
+    Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach
     and the threshold belongs on an extrapolated operational curve
     instead.
@@ -494,14 +525,17 @@ def estimate_pf(
     crossings = 0
     per_chain_cap = -(-max_steps // n_chains)
     steps = 0
+    sub = _PF_FIRST_SUBSTEP
     while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
         for lane in lanes:
-            trials, offsets = lane.monitor(cols)
-            chains.append(trials)
-            times.append(steps + offsets)
-            crossings += trials.size
+            for done in range(0, cols, sub):
+                trials, offsets = lane.monitor(min(sub, cols - done))
+                chains.append(trials)
+                times.append(steps + done + offsets)
+                crossings += trials.size
         steps += cols
+        sub = _pf_substep(steps * n_chains, crossings)
 
     observed = steps * n_chains
     if crossings < min_crossings:

@@ -311,6 +311,52 @@ class TestEstimatePf:
         monkeypatch.setattr(simulation, "_PF_CHUNK", 96)
         assert run() == packaged
 
+    @pytest.mark.parametrize(
+        "spec, cfg, gamma, target",
+        [
+            (S1, MAST, 0.0, 60_000), (S1, MAST, 2.0, 600),
+            (S1, PAGE, 0.0, 60_000), (S1, PAGE, 2.0, 10_000),
+            (S2, MAST, 0.0, 120_000), (S2, MAST, 2.0, 5_000),
+            (S2, PAGE, 0.0, 120_000), (S2, PAGE, 2.0, 35_000),
+        ],
+        ids=["s1-mast-0", "s1-mast-2", "s1-page-0", "s1-page-2",
+             "s2-mast-0", "s2-mast-2", "s2-page-0", "s2-page-2"],
+    )
+    def test_substep_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, gamma, target):
+        # the target binds after two or three whole steps, so the sub-steps
+        # have been sized from the crossing rate; whole-step sub-steps are
+        # the schedule without sub-steps
+        n_chains = 300
+
+        def run():
+            return estimate_pf(
+                spec.controlled(), cfg, gamma, seed=33, n_chains=n_chains, target_crossings=target
+            )
+
+        packaged = run()
+        assert packaged.n_trials >= target
+        assert packaged.observed_steps > n_chains * _PF_CHUNK
+        monkeypatch.setattr(simulation, "_PF_FIRST_SUBSTEP", _PF_CHUNK)
+        monkeypatch.setattr(simulation, "_PF_MIN_SUBSTEP", _PF_CHUNK)
+        assert repr(run()) == repr(packaged)
+
+    def test_rescan_volume(self, monkeypatch):
+        # Page at gamma 2 crosses about 15 times per row in a 512-sample
+        # step; sub-steps sized from the crossing rate keep the scans of
+        # the first pass and every rescan round within 3x the samples
+        # observed
+        scanned = 0
+        clamped_path = simulation._clamped_path
+
+        def counting(increments, *args):
+            nonlocal scanned
+            scanned += increments.size
+            return clamped_path(increments, *args)
+
+        monkeypatch.setattr(simulation, "_clamped_path", counting)
+        est = estimate_pf(S1.controlled(), PAGE, 2.0, seed=1, target_crossings=500)
+        assert scanned <= 3 * est.observed_steps
+
     def test_pf_is_reciprocal_mean_crossing_time(self):
         est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
         assert est.pf == pytest.approx(est.n_trials / est.observed_steps)
