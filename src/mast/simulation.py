@@ -48,13 +48,12 @@ trials run, up to ``_DELAY_CHUNK``, so that short delays are not scored
 over whole chunks; the run-in draws exactly ``change_time - 1`` samples.
 
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
-and checks its target only between these whole steps.  Within a step each
-lane advances in monitor sub-steps sized from the crossing rate seen so
-far: ``_PF_FIRST_SUBSTEP`` samples in the first step, then the largest
-power of two not above the mean samples per crossing, clamped to
-``[_PF_MIN_SUBSTEP, _PF_CHUNK]``.  A chain then expects about one crossing
-per sub-step, so a sub-step takes one or two rescan rounds instead of one
-per crossing of the row that crosses most.
+and checks its target only between these whole steps.  The first step
+runs each lane in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples: a
+call whose chains cross often meets its target there, and short sub-steps
+keep the rescans of rows that cross many times short.  A call that needs
+a second step has seen fewer crossings than its target, and later steps
+run whole.
 """
 
 from __future__ import annotations
@@ -94,10 +93,8 @@ _DELAY_CHUNK = 64
 _DELAY_MAX_STEPS = 1_000_000
 # pf samples per chain between two checks of the crossing target
 _PF_CHUNK = 512
-# monitor sub-steps within a pf step: the first step's size, and the floor of
-# the sizes taken from the crossing rate after it
+# monitor sub-step within the first pf step; later steps run whole
 _PF_FIRST_SUBSTEP = 64
-_PF_MIN_SUBSTEP = 16
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -301,15 +298,15 @@ class _Chains:
         (1-based within the step) of every crossing.
 
         Rescans in rounds, one per crossing of the row that crosses most,
-        so ``estimate_pf`` passes sub-steps in which a row expects about
-        one crossing (see ``_pf_substep``).  Each round takes every crossed
-        row's first crossing and scans its increments again with those up
-        to the crossing set to 0.0.  The cumsum stays 0.0 over them and
-        0.0 + x == x, so the rest of the row is exactly a fresh scan from
-        zero after the crossing.  Every rescanned row is zero up to the
-        round's earliest crossing, so the round drops those columns and
-        scans only the suffix, in the workspace's path and low buffers; a
-        crossing on the last column leaves nothing to rescan and the
+        so ``estimate_pf`` runs its first step, where it does not yet know
+        the crossing rate, in short sub-steps.  Each round takes every
+        crossed row's first crossing and scans its increments again with
+        those up to the crossing set to 0.0.  The cumsum stays 0.0 over
+        them and 0.0 + x == x, so the rest of the row is exactly a fresh
+        scan from zero after the crossing.  Every rescanned row is zero up
+        to the round's earliest crossing, so the round drops those columns
+        and scans only the suffix, in the workspace's path and low buffers;
+        a crossing on the last column leaves nothing to rescan and the
         statistic at 0.
         """
         inc, paths = self._scan(False, cols)
@@ -465,14 +462,6 @@ def estimate_delay(
     )
 
 
-def _pf_substep(observed: int, crossings: int) -> int:
-    """Monitor sub-step after ``observed`` samples with ``crossings``
-    crossings: the largest power of two not above the mean samples per
-    crossing, clamped to ``[_PF_MIN_SUBSTEP, _PF_CHUNK]``."""
-    mean_gap = max(observed // max(crossings, 1), 1)
-    return min(max(1 << (mean_gap.bit_length() - 1), _PF_MIN_SUBSTEP), _PF_CHUNK)
-
-
 def estimate_pf(
     spec: ScenarioSpec,
     config: DetectorConfig,
@@ -497,10 +486,12 @@ def estimate_pf(
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  Within a step each lane advances
-    in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples in the first
-    step and ``_pf_substep`` samples after it; a chain's samples do not
-    depend on these sizes, so neither do the crossings and the estimate.
+    shorter, at the ``max_steps`` cap).  In the first step each lane
+    advances in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples; later
+    steps run whole.  A chain's samples do not depend on these sizes, and
+    its crossings match up to the rounding of the statistic carried
+    across a sub-step boundary (identical output was checked with
+    ``cmp`` on the packaged curves).
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach
@@ -535,7 +526,7 @@ def estimate_pf(
                 times.append(steps + done + offsets)
                 crossings += trials.size
         steps += cols
-        sub = _pf_substep(steps * n_chains, crossings)
+        sub = _PF_CHUNK
 
     observed = steps * n_chains
     if crossings < min_crossings:

@@ -323,9 +323,10 @@ class TestEstimatePf:
              "s2-mast-0", "s2-mast-2", "s2-page-0", "s2-page-2"],
     )
     def test_substep_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, gamma, target):
-        # the target binds after two or three whole steps, so the sub-steps
-        # have been sized from the crossing rate; whole-step sub-steps are
-        # the schedule without sub-steps
+        # the target binds after two or three whole steps, so crossings
+        # of the sub-stepped first step and of whole later steps are
+        # joined; a whole-step first sub-step is the schedule without
+        # sub-steps
         n_chains = 300
 
         def run():
@@ -337,14 +338,14 @@ class TestEstimatePf:
         assert packaged.n_trials >= target
         assert packaged.observed_steps > n_chains * _PF_CHUNK
         monkeypatch.setattr(simulation, "_PF_FIRST_SUBSTEP", _PF_CHUNK)
-        monkeypatch.setattr(simulation, "_PF_MIN_SUBSTEP", _PF_CHUNK)
         assert repr(run()) == repr(packaged)
 
     def test_rescan_volume(self, monkeypatch):
         # Page at gamma 2 crosses about 15 times per row in a 512-sample
-        # step; sub-steps sized from the crossing rate keep the scans of
-        # the first pass and every rescan round within 3x the samples
-        # observed
+        # step, so the call meets its target in the first step; running
+        # that step in 64-sample sub-steps keeps the scans of the first
+        # pass and every rescan round within 3x the samples observed
+        # (12.6x in whole steps)
         scanned = 0
         clamped_path = simulation._clamped_path
 
@@ -355,7 +356,26 @@ class TestEstimatePf:
 
         monkeypatch.setattr(simulation, "_clamped_path", counting)
         est = estimate_pf(S1.controlled(), PAGE, 2.0, seed=1, target_crossings=500)
+        assert est.observed_steps == 2048 * _PF_CHUNK
         assert scanned <= 3 * est.observed_steps
+
+    def test_later_steps_run_whole(self, monkeypatch):
+        # a call that needs a second step has seen fewer crossings than its
+        # target; sub-steps after the first step would only add calls
+        sizes = []
+        monitor = _Chains.monitor
+
+        def recording(self, cols):
+            sizes.append(cols)
+            return monitor(self, cols)
+
+        monkeypatch.setattr(_Chains, "monitor", recording)
+        estimate_pf(
+            S1.controlled(), MAST, 2.0, seed=1, n_chains=_LANE,
+            target_crossings=10**9, max_steps=3 * _LANE * _PF_CHUNK, min_crossings=1,
+        )
+        first = [simulation._PF_FIRST_SUBSTEP] * (_PF_CHUNK // simulation._PF_FIRST_SUBSTEP)
+        assert sizes == first + [_PF_CHUNK, _PF_CHUNK]
 
     def test_pf_is_reciprocal_mean_crossing_time(self):
         est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
