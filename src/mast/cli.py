@@ -244,11 +244,13 @@ def cmd_detect(args) -> int:
             sigma = estimate_sigma(ratios, window)
         except (InsufficientDataError, DegenerateSigmaError) as exc:
             raise ValueError(f"sigma estimation failed: {exc}; supply --sigma instead")
+        except ValueError as exc:
+            raise ValueError(f"--sigma-window: {exc}")
         sigma_source = f"estimated from trailing window of {window}"
 
     config = _detector_config(kind, args, sigma)
-    dates = [day for day, x in ratios.entries if x is not None]
-    values = ratios.values
+    usable = ~np.isnan(ratios.values)
+    days, values = ratios.days[usable], ratios.values[usable]
     report = run_stream(values, config, args.gamma)
 
     if args.output is not None:
@@ -257,22 +259,23 @@ def cmd_detect(args) -> int:
                       "smooth_window": args.smooth_window, "date_column": args.date_column,
                       "count_column": args.count_column, "date_format": args.date_format}
         # a generator, so that a long trace is never held in memory; the
-        # ratios and the statistic are floats, so !r matches _fmt
-        alarm = report.alarm_index
+        # ratios and the statistic are Python floats, so !r matches _fmt
+        alarm, scored = report.alarm_index, len(report.path)
+        rows = zip(np.datetime_as_string(days[:scored]).tolist(), values[:scored].tolist(),
+                   report.path)
         trace = (
-            f"{n},{day.isoformat()},{x!r},{statistic!r},{int(n == alarm)}\n"
-            for n, (day, x, statistic) in enumerate(zip(dates, values, report.path), 1)
+            f"{n},{day},{x!r},{statistic!r},{int(n == alarm)}\n"
+            for n, (day, x, statistic) in enumerate(rows, 1)
         )
         _write_output(
             args.output, ["n", "date", "x", "statistic", "alarmed"], trace, "detect", parameters
         )
 
-    gaps = ratios.n_gaps
+    gaps = len(ratios) - len(values)
     gap_note = f", {gaps} gap(s) skipped" if gaps else ""
     if report.alarmed:
-        day = dates[report.alarm_index - 1]
         print(
-            f"alarm on {day.isoformat()} (sample {report.alarm_index} of {len(values)}"
+            f"alarm on {days[report.alarm_index - 1]} (sample {report.alarm_index} of {len(values)}"
             f"{gap_note}; statistic {report.final_state.statistic:.6g} > gamma {args.gamma:g}; "
             f"sigma {sigma:.6g}, {sigma_source})"
         )

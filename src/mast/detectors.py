@@ -12,9 +12,6 @@ detectors differ only in the increment, which comes in two families:
 * ``page`` -- classical Page CUSUM with nominal means ``1 +/- alpha``.
 
 ``run_stream`` is the one implementation of that recursion.
-``brute_force_statistic`` recomputes the same quantity for the MAST family
-by explicit maximisation over the unknown change index; it exists as a
-slow, structurally independent cross-check of the recursion.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "DetectorConfig",
     "DetectorKind",
     "DetectorState",
-    "brute_force_statistic",
     "run_stream",
 ]
 
@@ -110,13 +106,6 @@ class AlarmReport:
         return self.alarm_index is not None
 
 
-def _finite_samples(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("samples must be finite numbers (no NaN or +/-inf)")
-    return x
-
-
 def run_stream(
     samples: Sequence[float],
     config: DetectorConfig,
@@ -137,11 +126,15 @@ def run_stream(
     the same array arithmetic the Monte Carlo engine uses, so both score a
     sample identically.  A NaN or +/-inf sample raises ``ValueError``
     instead of silently resetting the statistic.  ``detect`` does not
-    produce one, because ``parse_counts`` already bounds counts to finite
-    floats; the engine's ``_clamped_path`` sees only drawn, finite samples.
+    pass one: it drops the gaps (NaN) of its ratio series, and
+    ``parse_counts`` bounds counts to finite floats; the engine's
+    ``_clamped_path`` sees only drawn, finite samples.
     """
     gamma = check_gamma(gamma)
-    increments = config.increment(_finite_samples(samples)).tolist()
+    x = np.asarray(samples, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite numbers (no NaN or +/-inf)")
+    increments = config.increment(x).tolist()
     path: list[float] = []
     crossings: list[int] = []
     alarm_index: int | None = None
@@ -158,17 +151,3 @@ def run_stream(
             t = 0.0
     return AlarmReport(alarm_index, DetectorState(t, len(path)), path, crossings)
 
-
-def brute_force_statistic(samples: Sequence[float], barriers: Barriers, sigma: float) -> float:
-    """MAST statistic by explicit maximisation over the change index.
-
-    Evaluates ``max(0, max_j sum_{k=j..n} increment(x_k))`` directly; the
-    empty change index (change after the last sample) contributes 0.
-    NaN and +/-inf samples raise ``ValueError``, as in ``run_stream``.
-    """
-    x = _finite_samples(list(samples))
-    if x.size == 0:
-        return 0.0
-    scores = mast_increment(x, barriers, sigma)
-    suffix_sums = np.cumsum(scores[::-1])[::-1]
-    return float(max(0.0, suffix_sums.max()))

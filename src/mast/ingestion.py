@@ -1,9 +1,10 @@
 """Turn raw daily-count files into ratio streams the detectors consume.
 
-A count series is an ordered list of ``(date, count)`` pairs.  Consecutive
-same-day-gap pairs are converted to ratios ``x_n = p_n / p_{n-1}``; a
-missing day or a zero previous count produces a gap marker instead of a
-number.  Detectors skip gaps without touching their state.
+A count series is two columns: strictly increasing days and nonnegative
+counts.  Consecutive same-day-gap pairs are converted to ratios
+``x_n = p_n / p_{n-1}``; a missing day or a zero previous count produces a
+gap (NaN) instead of a number.  Detectors skip gaps without touching their
+state.
 
 The noise level is either supplied by the user or estimated as the sample
 standard deviation of a trailing window of ratios.
@@ -17,7 +18,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = [
 
 _ISO_FORMAT = "%Y-%m-%d"
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_ONE_DAY = np.timedelta64(1, "D")
 
 
 class ParseError(ValueError):
@@ -54,52 +57,51 @@ class DegenerateSigmaError(ValueError):
     """Estimated noise level is zero; a positive sigma must be supplied."""
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """Dated nonnegative counts with strictly increasing dates.
+@dataclass(frozen=True, eq=False)
+class _Series:
+    """A ``datetime64[D]`` column of strictly increasing days and a float64
+    column of one value per day.  ``len()`` is the number of days."""
 
-    Values are integers as parsed; smoothing may make them fractional.
+    days: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        days = np.asarray(self.days, dtype="datetime64[D]")
+        values = np.asarray(self.values, dtype=float)
+        if days.ndim != 1 or days.shape != values.shape:
+            raise ValueError("days and values must be 1-D columns of one length")
+        if not (np.diff(days) > np.timedelta64(0, "D")).all():
+            raise ValueError("days must strictly increase")
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+
+class CountSeries(_Series):
+    """Dated nonnegative counts.
+
+    Counts are float64, so they are exact up to 2**53 and larger ones are
+    rounded to the nearest float; smoothing may make them fractional.
     Calendar gaps are allowed and simply separate ratio runs later on.
     """
 
-    entries: tuple[tuple[dt.date, float], ...]
-
     def __post_init__(self) -> None:
-        for i, (day, value) in enumerate(self.entries):
-            if value < 0:
-                raise ValueError(f"negative count {value} on {day}")
-            if i and day <= self.entries[i - 1][0]:
-                raise ValueError(f"dates not strictly increasing at {day}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(day for day, _ in self.entries)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([value for _, value in self.entries], dtype=float)
+        super().__post_init__()
+        if not (self.values >= 0.0).all() or not np.isfinite(self.values).all():
+            raise ValueError("counts must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class RatioSeries:
-    """Dated daily ratios; ``None`` marks a gap (no usable ratio that day)."""
+class RatioSeries(_Series):
+    """Dated daily ratios; NaN marks a gap (no usable ratio that day)."""
 
-    entries: tuple[tuple[dt.date, float | None], ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def values(self) -> list[float]:
-        """Ratios with gaps dropped, in date order."""
-        return [x for _, x in self.entries if x is not None]
-
-    @property
-    def n_gaps(self) -> int:
-        return sum(1 for _, x in self.entries if x is None)
+def _day_column(dates: Iterable[dt.date]) -> np.ndarray:
+    """``dates`` as ``datetime64[D]``, converted through their ordinals,
+    which is many times faster than converting the date objects."""
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), np.int64)
+    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
 def _parse_date(text: str, date_format: str, line: int) -> dt.date:
@@ -173,7 +175,8 @@ def parse_counts(
         if series is not None:
             return series
 
-    entries: list[tuple[dt.date, float]] = []
+    days: list[dt.date] = []
+    counts: list[int] = []
     lines: list[int] = []
     for line, row in enumerate(rows[data_idx:], data_idx + 1):
         if _blank(row):
@@ -182,17 +185,18 @@ def parse_counts(
             raise ParseError(line, f"expected at least {max(date_idx, count_idx) + 1} columns")
         day = _parse_date(row[date_idx], date_format, line)
         value = _parse_count(row[count_idx], line)
-        if entries and day <= entries[-1][0]:
-            # entries strictly increase: only the first one not before day can equal it
-            k = next(k for k, (earlier, _) in enumerate(entries) if earlier >= day)
-            if entries[k][0] == day:
+        if days and day <= days[-1]:
+            # days strictly increase: only the first one not before day can equal it
+            k = next(k for k, earlier in enumerate(days) if earlier >= day)
+            if days[k] == day:
                 raise ParseError(line, f"duplicate date {day} (first seen on line {lines[k]})")
-            raise ParseError(line, f"date {day} out of order (previous {entries[-1][0]})")
-        entries.append((day, value))
+            raise ParseError(line, f"date {day} out of order (previous {days[-1]})")
+        days.append(day)
+        counts.append(value)
         lines.append(line)
-    if not entries:
+    if not days:
         raise ParseError(data_idx + 1, "no data rows")
-    return CountSeries(tuple(entries))
+    return CountSeries(_day_column(days), counts)
 
 
 def _parse_iso_rows(rows: list[list[str]], date_idx: int, count_idx: int) -> CountSeries | None:
@@ -210,7 +214,7 @@ def _parse_iso_rows(rows: list[list[str]], date_idx: int, count_idx: int) -> Cou
         counts = [int(row[count_idx].strip()) for row in rows]
         float(max(counts))  # OverflowError: a count too large for a float
         if all(map(_ISO_DATE.fullmatch, dates)):
-            return CountSeries(tuple(zip(map(dt.date.fromisoformat, dates), counts)))
+            return CountSeries(_day_column(map(dt.date.fromisoformat, dates)), counts)
     except (IndexError, ValueError, OverflowError):
         pass
     return None
@@ -236,20 +240,19 @@ def _looks_like_date(text: str, date_format: str) -> bool:
 def to_ratios(series: CountSeries) -> RatioSeries:
     """Daily ratios of consecutive counts.
 
-    Each entry is dated at the later day of its pair.  A pair of days more
+    Each ratio is dated at the later day of its pair.  A pair of days more
     than one calendar day apart, or a zero previous count, yields a gap
-    marker; a zero current count over a positive previous one yields the
-    ratio 0.0 (the collapse itself is informative).
+    (NaN); a zero current count over a positive previous one yields the
+    ratio 0.0 (the collapse itself is informative).  The ratio is the
+    quotient of the float64 counts, so counts above 2**53 give the quotient
+    of their rounded values.
     """
     if len(series) < 2:
         raise InsufficientDataError("need at least 2 counts to form ratios")
-    entries: list[tuple[dt.date, float | None]] = []
-    for (d0, p0), (d1, p1) in zip(series.entries, series.entries[1:]):
-        if (d1 - d0).days != 1 or p0 == 0:
-            entries.append((d1, None))
-        else:
-            entries.append((d1, p1 / p0))
-    return RatioSeries(tuple(entries))
+    previous, current = series.values[:-1], series.values[1:]
+    usable = (np.diff(series.days) == _ONE_DAY) & (previous != 0.0)
+    ratios = np.divide(current, previous, out=np.full(len(current), np.nan), where=usable)
+    return RatioSeries(series.days[1:], ratios)
 
 
 def estimate_sigma(ratios: RatioSeries, window: int = 30) -> float:
@@ -261,13 +264,12 @@ def estimate_sigma(ratios: RatioSeries, window: int = 30) -> float:
     """
     if window < 8:
         raise ValueError(f"window must be >= 8, got {window}")
-    values = ratios.values
+    values = ratios.values[~np.isnan(ratios.values)]
     if len(values) < window:
         raise InsufficientDataError(
             f"need {window} non-gap ratios to estimate sigma, have {len(values)}"
         )
-    tail = np.array(values[-window:])
-    sigma = float(tail.std(ddof=1))
+    sigma = float(values[-window:].std(ddof=1))
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise DegenerateSigmaError(
             "ratio window has zero spread; supply a positive sigma explicitly"
@@ -288,14 +290,10 @@ def smooth_counts(series: CountSeries, window: int = 7) -> CountSeries:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if len(series) < window:
         raise InsufficientDataError(f"need at least {window} counts, have {len(series)}")
-    days = series.dates
-    for d0, d1 in zip(days, days[1:]):
-        if (d1 - d0).days != 1:
-            raise ValueError(f"smoothing needs consecutive days; gap before {d1}")
-    values = series.values
-    kernel = np.full(window, 1.0 / window)
-    smoothed = np.convolve(values, kernel, mode="valid")
+    gaps = np.flatnonzero(np.diff(series.days) != _ONE_DAY)
+    if gaps.size:
+        raise ValueError(f"smoothing needs consecutive days; gap before {series.days[gaps[0] + 1]}")
+    smoothed = np.convolve(series.values, np.full(window, 1.0 / window), mode="valid")
     half = window // 2
-    entries = tuple((days[half + i], float(v)) for i, v in enumerate(smoothed))
-    return CountSeries(entries)
+    return CountSeries(series.days[half : half + len(smoothed)], smoothed)
 

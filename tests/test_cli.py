@@ -106,6 +106,43 @@ class TestDetect:
             runs.append((trace.read_bytes(), capsys.readouterr().out))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize(
+        "sep, date_format, flags",
+        [("\t", "%Y-%m-%d", []), (",", "%d/%m/%Y", ["--date-format", "%d/%m/%Y"])],
+    )
+    def test_trace_text_with_zero_count_and_missing_day(
+        self, tmp_path, capsys, sep, date_format, flags
+    ):
+        # a zero count on 10-03 gives the ratio 0.0 and then a gap (10-04
+        # over zero); the missing 10-05 gives a second gap (10-06)
+        counts = {1: 100, 2: 120, 3: 0, 4: 80, 6: 96, 7: 192, 8: 200}
+        path = tmp_path / "gappy.txt"
+        path.write_text(f"date{sep}count\n" + "".join(
+            f"{dt.date(2020, 10, d):{date_format}}{sep}{c}\n" for d, c in counts.items()
+        ))
+        trace = tmp_path / "trace.csv"
+        code = main(["detect", "--input", str(path), "--gamma", "30", "--sigma", "0.1",
+                     "--output", str(trace)] + flags)
+        assert code == EXIT_ALARM
+        assert trace.read_text() == (
+            "n,date,x,statistic,alarmed\n"
+            "1,2020-10-02,1.2,1.9999999999999987,0\n"
+            "2,2020-10-03,0.0,0.0,0\n"
+            "3,2020-10-07,2.0,49.99999999999999,1\n"
+        )
+        assert capsys.readouterr().out == (
+            "alarm on 2020-10-07 (sample 3 of 4, 2 gap(s) skipped; statistic 50 > gamma 30; "
+            "sigma 0.1, supplied)\n"
+        )
+
+    @pytest.mark.parametrize("window", ["5", "-1"])
+    def test_sigma_window_below_floor_names_the_flag(self, doubling_series, capsys, window):
+        code = main(["detect", "--input", str(doubling_series), "--gamma", "5",
+                     "--sigma-window", window])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error: --sigma-window: window must be >= 8, got {window}" in err
+
     def test_bad_row_after_blank_lines_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "gappy.csv"
         path.write_text("date,count\n\n2020-10-01,5\n\n  \n2020-10-02,5\n2020-10-03,oops\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mast import Barriers, mast_increment, page_increment
+from mast.core import Barriers, mast_increment, page_increment
 
 
 def random_barriers(rng):

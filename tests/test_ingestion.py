@@ -3,50 +3,54 @@
 import csv
 import datetime as dt
 import io
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mast import (
-    Barriers,
+from mast.core import Barriers
+from mast.detectors import DetectorConfig, DetectorKind, run_stream
+from mast.ingestion import (
     CountSeries,
     DegenerateSigmaError,
-    DetectorConfig,
-    DetectorKind,
     InsufficientDataError,
     ParseError,
     RatioSeries,
+    _sniff_delimiter,
     estimate_sigma,
     parse_counts,
-    run_stream,
     smooth_counts,
     to_ratios,
 )
-from mast.ingestion import _sniff_delimiter
 
 
 def day(offset: int) -> dt.date:
     return dt.date(2020, 10, 1) + dt.timedelta(days=offset)
 
 
+def days(n: int) -> list[dt.date]:
+    return [day(i) for i in range(n)]
+
+
 def series(counts, start=0):
-    return CountSeries(tuple((day(start + i), c) for i, c in enumerate(counts)))
+    return CountSeries([day(start + i) for i in range(len(counts))], counts)
 
 
 class TestParseCounts:
     def test_headerless_two_columns(self):
         parsed = parse_counts("2020-10-01,100\n2020-10-02,120")
         assert len(parsed) == 2
-        assert parsed.entries[0] == (dt.date(2020, 10, 1), 100)
-        assert parsed.entries[1] == (dt.date(2020, 10, 2), 120)
+        assert parsed.days.tolist() == [dt.date(2020, 10, 1), dt.date(2020, 10, 2)]
+        assert parsed.values.tolist() == [100.0, 120.0]
 
     def test_header_with_named_columns(self):
         text = "count,region,date\n7,north,2021-01-05\n9,north,2021-01-06\n"
         parsed = parse_counts(text)
-        assert parsed.dates == (dt.date(2021, 1, 5), dt.date(2021, 1, 6))
-        assert list(parsed.values) == [7.0, 9.0]
+        assert parsed.days.tolist() == [dt.date(2021, 1, 5), dt.date(2021, 1, 6)]
+        assert parsed.values.tolist() == [7.0, 9.0]
 
     def test_custom_column_names(self):
         text = "when,cases\n2021-01-05,7\n2021-01-06,9\n"
@@ -61,8 +65,8 @@ class TestParseCounts:
     def test_tab_delimited_after_blank_lines(self, newline):
         lines = ["", "   ", "\t", " \t ", "date\tcount", "2020-10-01\t5", "2020-10-02\t6"]
         parsed = parse_counts(newline.join(lines) + newline)
-        assert parsed.dates == (dt.date(2020, 10, 1), dt.date(2020, 10, 2))
-        assert list(parsed.values) == [5.0, 6.0]
+        assert parsed.days.tolist() == [dt.date(2020, 10, 1), dt.date(2020, 10, 2)]
+        assert parsed.values.tolist() == [5.0, 6.0]
 
     @settings(max_examples=500, deadline=None)
     @given(text=st.text(alphabet=["\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", " ", "\t",
@@ -172,7 +176,7 @@ def reference_parse_counts(text, date_column="date", count_column="count", date_
         entries.append((day, value))
     if not entries:
         raise ParseError(data_idx + 1, "no data rows")
-    return CountSeries(tuple(entries))
+    return CountSeries([day for day, _ in entries], [value for _, value in entries])
 
 
 ODD_DATES = ["2020-W01-1", "0000-01-01", "2020-02-30", "today", "NaT", "20200105", ""]
@@ -209,11 +213,12 @@ def count_files(draw):
 
 
 def outcome(parse, text):
-    """A parse's series, or the line and message of its ParseError."""
+    """A parse's days and counts, or the line and message of its ParseError."""
     try:
-        return repr(parse(text))
+        parsed = parse(text)
     except ParseError as exc:
         return exc.line, str(exc)
+    return parsed.days.tolist(), parsed.values.tolist()
 
 
 class TestParseEquivalence:
@@ -240,35 +245,117 @@ class TestParseEquivalence:
 class TestToRatios:
     def test_simple_division(self):
         ratios = to_ratios(series([100, 120]))
-        assert ratios.entries == ((day(1), 1.2),)
+        assert ratios.days.tolist() == [day(1)]
+        assert ratios.values.tolist() == [1.2]
 
     def test_zero_policies(self):
         # a zero count is a 0.0 ratio; dividing by zero is a gap
         ratios = to_ratios(series([100, 0, 50]))
-        assert ratios.entries[0] == (day(1), 0.0)
-        assert ratios.entries[1] == (day(2), None)
-        assert ratios.n_gaps == 1
+        assert ratios.days.tolist() == [day(1), day(2)]
+        assert ratios.values[0] == 0.0
+        assert np.isnan(ratios.values[1])
+        assert len(ratios) == 2
 
     def test_constant_series(self):
-        assert to_ratios(series([100, 100, 100])).values == [1.0, 1.0]
+        assert to_ratios(series([100, 100, 100])).values.tolist() == [1.0, 1.0]
 
     def test_calendar_gap_marks_gap(self):
-        counts = CountSeries(((day(0), 10), (day(1), 12), (day(3), 15)))
+        counts = CountSeries([day(0), day(1), day(3)], [10, 12, 15])
         ratios = to_ratios(counts)
-        assert ratios.entries[0][1] == pytest.approx(1.2)
-        assert ratios.entries[1] == (day(3), None)
+        assert ratios.values[0] == pytest.approx(1.2)
+        assert ratios.days[1] == np.datetime64(day(3))
+        assert np.isnan(ratios.values[1])
 
     def test_needs_two_entries(self):
         with pytest.raises(InsufficientDataError):
             to_ratios(series([100]))
 
 
+def reference_to_ratios(entries):
+    """``to_ratios`` as a loop over ``(date, count)`` pairs, with exact
+    integer quotients and ``None`` for a gap: the reference the array
+    version must match for counts up to 2**53."""
+    ratios = []
+    for (d0, p0), (d1, p1) in zip(entries, entries[1:]):
+        if (d1 - d0).days != 1 or p0 == 0:
+            ratios.append((d1, None))
+        else:
+            ratios.append((d1, p1 / p0))
+    return ratios
+
+
+def reference_smooth_counts(entries, window):
+    """``smooth_counts`` as a loop over ``(date, count)`` pairs: the
+    reference the array version must match."""
+    dates = [d for d, _ in entries]
+    for d0, d1 in zip(dates, dates[1:]):
+        if (d1 - d0).days != 1:
+            raise ValueError(f"smoothing needs consecutive days; gap before {d1}")
+    values = np.array([v for _, v in entries], dtype=float)
+    smoothed = np.convolve(values, np.full(window, 1.0 / window), mode="valid")
+    half = window // 2
+    return [(dates[half + i], float(v)) for i, v in enumerate(smoothed)]
+
+
+@st.composite
+def count_entries(draw):
+    """Dated counts with zeros, calendar gaps of a few days and counts up to
+    2**53, the largest range where every count is exact as a float."""
+    steps = draw(st.lists(st.sampled_from([1] * 6 + [2, 3]), max_size=20))
+    count = st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 2**53),
+                      st.just(2**53), st.just(2**53 - 1))
+    start = day(draw(st.integers(-1000, 1000)))
+    dates = [start + dt.timedelta(days=offset) for offset in np.cumsum([0, *steps]).tolist()]
+    return [(d, draw(count)) for d in dates]
+
+
+def from_pairs(entries):
+    return CountSeries([d for d, _ in entries], [c for _, c in entries])
+
+
+class TestArrayVersionsMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=count_entries())
+    @example(entries=[(day(0), 3), (day(1), 2**53), (day(2), 0), (day(3), 0), (day(5), 7)])
+    def test_to_ratios(self, entries):
+        counts = from_pairs(entries)
+        if len(entries) < 2:
+            with pytest.raises(InsufficientDataError):
+                to_ratios(counts)
+            return
+        ratios = to_ratios(counts)
+        expect = reference_to_ratios(entries)
+        assert ratios.days.tolist() == [d for d, _ in expect]
+        # exact, and NaN where the loop has None (assert_array_equal matches NaN to NaN)
+        np.testing.assert_array_equal(
+            ratios.values, [math.nan if x is None else x for _, x in expect]
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=count_entries(), window=st.sampled_from([1, 3, 5, 7]))
+    def test_smooth_counts(self, entries, window):
+        counts = from_pairs(entries)
+        if len(entries) < window:
+            with pytest.raises(InsufficientDataError):
+                smooth_counts(counts, window)
+            return
+        try:
+            expect = reference_smooth_counts(entries, window)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                smooth_counts(counts, window)
+            return
+        smoothed = smooth_counts(counts, window)
+        assert smoothed.days.tolist() == [d for d, _ in expect]
+        assert smoothed.values.tolist() == [v for _, v in expect]
+
+
 class TestRoundTrip:
     def test_gap_isolation(self):
         # a gap never feeds the detector: state is carried unchanged
         counts = series([100, 120, 0, 80, 96, 115])
-        ratios = to_ratios(counts)
-        with_gap = ratios.values
+        ratios = to_ratios(counts).values
+        with_gap = ratios[~np.isnan(ratios)].tolist()
         direct = [1.2, 0.0, 1.2, 115.0 / 96.0]
         assert with_gap == pytest.approx(direct)
         cfg = DetectorConfig(DetectorKind.MAST, 0.1, barriers=Barriers(1.0, 1.0))
@@ -285,9 +372,7 @@ class TestEstimateSigma:
 
     def test_recovers_known_noise(self):
         rng = np.random.default_rng(4002)
-        ratios = RatioSeries(
-            tuple((day(i), float(x)) for i, x in enumerate(rng.normal(1.0, 0.1, 1000)))
-        )
+        ratios = RatioSeries(days(1000), rng.normal(1.0, 0.1, 1000))
         sigma = estimate_sigma(ratios, window=1000)
         assert sigma == pytest.approx(0.1, rel=0.10)
 
@@ -305,16 +390,19 @@ class TestEstimateSigma:
         rng = np.random.default_rng(4003)
         quiet = rng.normal(1.0, 0.01, 50)
         loud = rng.normal(1.0, 0.3, 50)
-        entries = tuple((day(i), float(v)) for i, v in enumerate(np.concatenate([loud, quiet])))
-        sigma = estimate_sigma(RatioSeries(entries), window=40)
+        values = np.concatenate([loud, quiet])
+        sigma = estimate_sigma(RatioSeries(days(100), values), window=40)
         assert sigma < 0.05  # early loud segment must not leak in
+        # gaps are skipped: the last 40 ratios are still quiet ones
+        values[-20::2] = np.nan
+        assert estimate_sigma(RatioSeries(days(100), values), window=40) < 0.05
 
 
 class TestSmoothing:
     def test_centered_average(self):
         smoothed = smooth_counts(series([0, 3, 6, 9, 12]), window=3)
-        assert [v for _, v in smoothed.entries] == [3.0, 6.0, 9.0]
-        assert smoothed.dates[0] == day(1)
+        assert smoothed.values.tolist() == [3.0, 6.0, 9.0]
+        assert smoothed.days.tolist() == [day(1), day(2), day(3)]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -323,15 +411,25 @@ class TestSmoothing:
             smooth_counts(series([1, 2]), window=5)
 
     def test_requires_consecutive_days(self):
-        counts = CountSeries(((day(0), 1), (day(1), 2), (day(3), 3)))
+        counts = CountSeries([day(0), day(1), day(3)], [1, 2, 3])
         with pytest.raises(ValueError, match="consecutive"):
             smooth_counts(counts, window=3)
 
 
 class TestCountSeries:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CountSeries(((day(0), -1),))
-        with pytest.raises(ValueError):
-            CountSeries(((day(1), 1), (day(0), 2)))
+        for bad in (-1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                CountSeries([day(0)], [bad])
+        with pytest.raises(ValueError, match="strictly increase"):
+            CountSeries([day(1), day(0)], [1, 2])
+        with pytest.raises(ValueError, match="strictly increase"):
+            CountSeries([day(0), day(0)], [1, 2])
+        with pytest.raises(ValueError, match="one length"):
+            CountSeries([day(0), day(1)], [1])
 
+    def test_len_counts_days(self):
+        # gaps included: a length is a number of days, not of usable ratios
+        counts = series([5, 0, 3, 4])
+        assert len(counts) == 4
+        assert len(to_ratios(counts)) == 3

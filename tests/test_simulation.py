@@ -10,29 +10,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress, norm
 
-from mast import (
-    Barriers,
-    DetectorConfig,
-    DetectorKind,
+from mast import simulation
+from mast.core import Barriers
+from mast.detectors import DetectorConfig, DetectorKind, run_stream
+from mast.simulation import (
+    _DELAY_CHUNK,
+    _LANE,
+    _PF_CHUNK,
     ExtrapolationError,
     InsufficientEventsError,
     LinearFit,
     PerformanceEstimate,
     ScenarioSpec,
+    _Chains,
+    _draw,
+    _Workspace,
     estimate_delay,
     estimate_pf,
     fit_linear,
     operational_curve,
-    run_stream,
-)
-from mast import simulation
-from mast.simulation import (
-    _DELAY_CHUNK,
-    _LANE,
-    _PF_CHUNK,
-    _Chains,
-    _draw,
-    _Workspace,
     trial_samples,
 )
 
