@@ -123,12 +123,13 @@ def run_stream(
     false alarms.
 
     The whole stream is scored by one vectorised ``config.increment`` call,
-    the same array arithmetic the Monte Carlo engine uses, so both score a
-    sample identically.  A NaN or +/-inf sample raises ``ValueError``
-    instead of silently resetting the statistic.  ``detect`` does not
-    pass one: it drops the gaps (NaN) of its ratio series, and
-    ``parse_counts`` bounds counts to finite floats; the engine's
-    ``_clamped_path`` sees only drawn, finite samples.
+    and the Monte Carlo engine in ``simulation`` runs this recursion with
+    the same array arithmetic and float operations, so both reach the same
+    statistic and crossings from the same samples.  A NaN or +/-inf sample
+    raises ``ValueError`` instead of silently resetting the statistic.
+    ``detect`` does not pass one: it drops the gaps (NaN) of its ratio
+    series, and ``parse_counts`` bounds counts to finite floats; the engine
+    sees only drawn, finite samples.
     """
     gamma = check_gamma(gamma)
     x = np.asarray(samples, dtype=float)

@@ -22,6 +22,11 @@ Grids are provided for ``mast`` and ``page``.  The ``mast`` grids were chosen
 for the barrier pair (1, 1), the paper's single barrier at 1; ``curve`` uses
 them only for that pair, and any other pair needs an explicit grid on the
 command line.
+
+A user file of the wrong shape (a top level, ``grids``, scenario or
+detector entry that is not an object, or a ``measure`` or ``extrapolate``
+grid that is not a list of numbers) raises a ``ValueError`` naming
+``--config`` and the key.
 """
 
 from __future__ import annotations
@@ -33,15 +38,31 @@ from pathlib import Path
 __all__ = ["load_defaults", "grid_for"]
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"--config: {key} must be an object, got {value!r}")
+    return value
+
+
+def _grid(value, key: str) -> list[float]:
+    try:
+        if isinstance(value, list):
+            return [float(g) for g in value]
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"--config: {key} must be a list of numbers, got {value!r}")
+
+
 def load_defaults(path: str | Path | None = None) -> dict:
     """Packaged defaults, optionally overlaid with a user JSON file."""
     packaged = resources.files("mast").joinpath("default_experiments.json")
     defaults = json.loads(packaged.read_text())
     if path is not None:
-        user = json.loads(Path(path).read_text())
+        user = _object(json.loads(Path(path).read_text()), "the top level")
         for key, value in user.items():
             if key == "grids":
-                for scenario, per_kind in value.items():
+                for scenario, per_kind in _object(value, "grids").items():
+                    per_kind = _object(per_kind, f"grids.{scenario}")
                     defaults["grids"].setdefault(scenario, {}).update(per_kind)
             else:
                 defaults[key] = value
@@ -50,10 +71,12 @@ def load_defaults(path: str | Path | None = None) -> dict:
 
 def grid_for(defaults: dict, scenario: int, kind: str) -> tuple[list[float], list[float]] | None:
     """(measure, extrapolate) grids for a detector kind, if configured."""
+    key = f"grids.scenario{scenario}.{kind}"
     entry = defaults.get("grids", {}).get(f"scenario{scenario}", {}).get(kind)
     if entry is None:
         return None
+    entry = _object(entry, key)
     return (
-        [float(g) for g in entry.get("measure", [])],
-        [float(g) for g in entry.get("extrapolate", [])],
+        _grid(entry.get("measure", []), f"{key}.measure"),
+        _grid(entry.get("extrapolate", []), f"{key}.extrapolate"),
     )

@@ -33,27 +33,21 @@ so results are a deterministic function of the seed and the trial count
 and do not depend on the chunk schedule.  A seed is an int or a sequence
 of ints.
 
-Lanes step one after another, so each estimate builds one workspace that
-all its lanes share: the time-major block and two row-major
-``(_LANE, chunk)`` buffers for the statistic path and the scan's running
-minimum.  A step draws the block into it, scores the block in place and
-scans it into the other buffers, allocating no chunk-sized array of its
-own.  In monitor mode a crossing restarts the statistic, and the crossed
-trials are scanned again from the earliest crossing among them on (suffix
-only), in the same buffers; only the crossed trials' increments are
-copied for that.
+Every chain runs the recursion of ``run_stream``,
+``T_n = max(0, T_{n-1} + increment(x_n))``, with the same float
+operations, so a chain crosses where ``run_stream`` replaying its samples
+does.  All lanes advance together: the live lanes' next columns are drawn
+into one block of at most ``_BLOCK`` samples, scored by one increment
+call, and the recursion then steps one column at a time across every
+chain.  A crossing restarts the statistic at 0 (false alarms and the
+run-in) or retires the trial (delays); a lane with no trial left running
+is not drawn again.
 
 A delay step starts at ``_DELAY_FIRST_STEP`` samples and doubles while
 trials run, up to ``_DELAY_CHUNK``, so that short delays are not scored
 over whole chunks; the run-in draws exactly ``change_time - 1`` samples.
-
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
-and checks its target only between these whole steps.  The first step
-runs each lane in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples: a
-call whose chains cross often meets its target there, and short sub-steps
-keep the rescans of rows that cross many times short.  A call that needs
-a second step has seen fewer crossings than its target, and later steps
-run whole.
+and checks its target only between these whole steps.
 """
 
 from __future__ import annotations
@@ -93,8 +87,8 @@ _DELAY_CHUNK = 64
 _DELAY_MAX_STEPS = 1_000_000
 # pf samples per chain between two checks of the crossing target
 _PF_CHUNK = 512
-# monitor sub-step within the first pf step; later steps run whole
-_PF_FIRST_SUBSTEP = 64
+# samples one engine block draws across all live lanes: one lane's pf step
+_BLOCK = _LANE * _PF_CHUNK
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -158,23 +152,6 @@ def _lane_rngs(seed, lane: int, scenario: int) -> tuple[np.random.Generator, ...
     )
 
 
-class _Workspace:
-    """The float buffers that one estimate's lanes share: the drawn
-    ``block``, time-major ``(chunk, _LANE)``, and the row-major
-    ``(_LANE, chunk)`` statistic ``path`` and scan minimum ``low``.  A step
-    of ``cols`` samples uses the block's first ``cols`` rows and the other
-    buffers through ``_rows``."""
-
-    def __init__(self, chunk: int):
-        self.block = np.empty((chunk, _LANE))
-        self.path, self.low = np.empty((2, _LANE, chunk))
-
-
-def _rows(buf: np.ndarray, n: int, cols: int) -> np.ndarray:
-    """A contiguous ``(n, cols)`` view of the start of a workspace buffer."""
-    return buf.reshape(-1)[: n * cols].reshape(n, cols)
-
-
 def _draw(
     spec: ScenarioSpec,
     rngs: tuple[np.random.Generator, ...],
@@ -227,126 +204,72 @@ def trial_samples(
     return block[:, index % _LANE].copy()
 
 
-def _clamped_path(
-    increments: np.ndarray, carry: np.ndarray, out: np.ndarray, low: np.ndarray
-) -> np.ndarray:
-    """Statistic trajectory over a chunk, rows advancing in lockstep,
-    written into ``out``; ``low`` is scratch of the same shape.  The
-    increments may be any ``(rows, cols)`` view, such as a transposed
-    time-major block; ``out`` and ``low`` are contiguous.
+class _Lanes:
+    """Chains ``0 .. n - 1`` in lanes of ``_LANE``, advancing in lockstep
+    on one sample clock by ``run_stream``'s recursion.
 
-    Uses the identity T_n = S_n - min(0, min_m S_m) with S the plain
-    cumulative sum of increments started at the carried statistic value.
-    """
-    s = np.cumsum(increments, axis=1, out=out)
-    s += carry[:, None]
-    np.minimum(s, 0.0, out=low)
-    np.minimum.accumulate(low, axis=1, out=low)
-    s -= low
-    return s
-
-
-class _Chains:
-    """One lane: trials ``lane * _LANE`` up to ``n_trials`` (at most
-    ``_LANE`` of them) advancing in lockstep on one sample clock.
-
-    A step of ``cols`` samples draws the next ``cols`` time rows of the
-    lane's whole block, all ``_LANE`` columns, and scores only the columns
-    of running trials, so a trial's samples depend neither on when the
-    others retire nor on the step sizes.  ``running`` holds the indices of
-    the trials not yet retired and ``carry`` their statistics between
-    steps; keeping score is left to the estimators.
-
-    A step allocates no chunk-sized array of its own.  It draws into the
-    first rows of the shared workspace's block and scores them in place
-    there; once some trials have retired it first gathers the running
-    columns into the path buffer.  It scans the transposed increments into
-    row-major paths in whichever of the two is left free, with ``low`` as
-    scratch.  A monitor step's rescans copy only the crossed trials'
-    suffixes and scan them in the path and low buffers.
+    ``stat`` and ``limit`` hold one row per live lane and one column per
+    chain of it.  ``limit`` is ``gamma``, or inf for a retired chain and
+    for the padding past ``n`` in the last lane, which is drawn and scored
+    with its lane but never crosses.  ``lanes`` holds the indices of the
+    live lanes and ``rngs`` their generators.  Every block is drawn into
+    ``buf``, two rows of floats for the samples and scenario 2's noise, and
+    its crossings are marked in ``hits``.
     """
 
-    def __init__(self, spec, config, gamma, seed, lane, n_trials, workspace: _Workspace):
+    def __init__(self, spec, config, gamma, seed, n):
+        count = -(-n // _LANE)
         self.spec = spec
         self.config = config
-        self.gamma = gamma
-        self.ws = workspace
-        self.rngs = _lane_rngs(seed, lane, spec.scenario)
-        self.running = np.arange(lane * _LANE, min((lane + 1) * _LANE, n_trials))
-        self.carry = np.zeros(self.running.size)
+        self.rngs = [_lane_rngs(seed, lane, spec.scenario) for lane in range(count)]
+        self.lanes = np.arange(count)
+        self.stat = np.zeros((count, _LANE))
+        self.limit = np.full((count, _LANE), gamma)
+        self.limit.reshape(-1)[n:] = np.inf
+        size = max(_BLOCK, count * _LANE)
+        self.buf = np.empty((2, size))
+        self.hits = np.empty(size, bool)
 
-    def _scan(self, critical: bool, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the lane's next ``cols`` samples and return the running
-        trials' increments, a ``(trials, cols)`` view of the time-major
-        block they were scored in, and their statistic paths from
-        ``carry``."""
-        ws, n = self.ws, self.running.size
-        block = _draw(self.spec, self.rngs, critical, ws.block[:cols], _rows(ws.path, cols, _LANE))
-        if n == _LANE:
-            inc, free = block, ws.path
-        else:
-            # the indices are in range; mode "raise" would gather into a copy first
-            out = _rows(ws.path, cols, n)
-            inc = np.take(block, self.running % _LANE, axis=1, out=out, mode="clip")
-            free = ws.block
-        self.config.increment(inc, out=inc)
-        return inc.T, _clamped_path(inc.T, self.carry, _rows(free, n, cols), _rows(ws.low, n, cols))
+    def advance(self, critical: bool, cols: int, retire: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every live chain ``cols`` samples of one regime; return
+        the chain and the offset (1-based within the call) of every
+        crossing.  A crossed chain restarts at 0, or with ``retire`` it
+        stops counting: its limit becomes inf.  A lane left with no live
+        chain is dropped and not drawn again.
 
-    def monitor(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Advance running trials ``cols`` controlled samples, resetting the
-        statistic at each crossing; return the trial and the crossing offset
-        (1-based within the step) of every crossing.
-
-        Rescans in rounds, one per crossing of the row that crosses most,
-        so ``estimate_pf`` runs its first step, where it does not yet know
-        the crossing rate, in short sub-steps.  Each round takes every
-        crossed row's first crossing and scans its increments again with
-        those up to the crossing set to 0.0.  The cumsum stays 0.0 over
-        them and 0.0 + x == x, so the rest of the row is exactly a fresh
-        scan from zero after the crossing.  Every rescanned row is zero up
-        to the round's earliest crossing, so the round drops those columns
-        and scans only the suffix, in the workspace's path and low buffers;
-        a crossing on the last column leaves nothing to rescan and the
-        statistic at 0.
+        The live lanes' next columns are drawn into one block of at most
+        ``_BLOCK`` samples (one column per lane if there are more lanes
+        than that), scored by one ``config.increment`` call, and run
+        through the recursion one column at a time across all chains.
         """
-        inc, paths = self._scan(False, cols)
-        rows = np.arange(self.running.size)
-        done = 0  # columns dropped by earlier rounds
-        trials, offsets = [rows[:0]], [rows[:0]]
-        while True:
-            self.carry[rows] = paths[:, -1]
-            hits = paths > self.gamma
-            crossed = hits.any(axis=1)
-            if not crossed.any():
-                break
-            first = np.argmax(hits[crossed], axis=1)
-            del hits  # a bool per scanned sample, not needed by the rescan
-            rows = rows[crossed]
-            trials.append(self.running[rows])
-            offsets.append(done + first + 1)
-            drop = int(first.min()) + 1
-            if drop == inc.shape[1]:
-                self.carry[rows] = 0.0
-                break
-            inc = inc[crossed, drop:]
-            k, m = inc.shape
-            inc[np.arange(m) < (first + 1 - drop)[:, None]] = 0.0
-            done += drop
-            path, low = _rows(self.ws.path, k, m), _rows(self.ws.low, k, m)
-            paths = _clamped_path(inc, np.zeros(k), path, low)
-        return np.concatenate(trials), np.concatenate(offsets)
-
-    def stop_at_first(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Advance running trials ``cols`` critical samples and retire those
-        that cross; return their indices and first-crossing offsets (1-based
-        within the step)."""
-        _, paths = self._scan(True, cols)
-        crossed = paths > self.gamma
-        hit = crossed.any(axis=1)
-        finished = self.running[hit]
-        self.running = self.running[~hit]
-        self.carry = paths[~hit, -1]
-        return finished, np.argmax(crossed[hit], axis=1) + 1
+        chains, offsets = [np.arange(0)], [np.arange(0)]
+        done = 0
+        while done < cols and self.lanes.size:
+            k = min(cols - done, max(1, _BLOCK // (self.lanes.size * _LANE)))
+            size = self.lanes.size * k * _LANE
+            block, noise = self.buf[:, :size].reshape(2, self.lanes.size, k, _LANE)
+            for rngs, out, scratch in zip(self.rngs, block, noise):
+                _draw(self.spec, rngs, critical, out, scratch)
+            inc = self.config.increment(block, out=block)
+            hits = self.hits[:size].reshape(k, *self.stat.shape)
+            reset, value = (self.limit, np.inf) if retire else (self.stat, 0.0)
+            for t in range(k):
+                np.add(self.stat, inc[:, t], out=self.stat)
+                np.maximum(self.stat, 0.0, out=self.stat)
+                np.greater(self.stat, self.limit, out=hits[t])
+                np.copyto(reset, value, where=hits[t])
+            t, lane, col = np.nonzero(hits)
+            chains.append(self.lanes[lane] * _LANE + col)
+            offsets.append(done + t + 1)
+            done += k
+            if retire and t.size:
+                # only a finite gamma crosses, so an inf limit marks no live chain
+                live = (self.limit < np.inf).any(axis=1)
+                self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
+                self.lanes, self.stat, self.limit = (
+                    self.lanes[live], self.stat[live], self.limit[live]
+                )
+        return np.concatenate(chains), np.concatenate(offsets)
 
 
 @dataclass(frozen=True)
@@ -411,33 +334,22 @@ def estimate_delay(
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    workspace = _Workspace(_DELAY_CHUNK)
-    lanes = [
-        _Chains(spec, config, gamma, seed, i, n_trials, workspace)
-        for i in range(-(-n_trials // _LANE))
-    ]
+    lanes = _Lanes(spec, config, gamma, seed, n_trials)
     if run_in:
-        pre_change = spec.change_time - 1
-        for done in range(0, pre_change, _DELAY_CHUNK):
-            cols = min(_DELAY_CHUNK, pre_change - done)
-            for lane in lanes:
-                lane.monitor(cols)
+        lanes.advance(False, spec.change_time - 1, retire=False)
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
     delays = np.zeros(n_trials, dtype=np.int64)
     steps_done = 0
     cap = horizon if horizon is not None else _DELAY_MAX_STEPS
-    running = lanes
     step = _DELAY_FIRST_STEP
-    while steps_done < cap and running:
+    while steps_done < cap and lanes.lanes.size:
         cols = min(step, cap - steps_done)
-        for lane in running:
-            trials, offsets = lane.stop_at_first(cols)
-            delays[trials] = steps_done + offsets
+        trials, offsets = lanes.advance(True, cols, retire=True)
+        delays[trials] = steps_done + offsets
         steps_done += cols
         step = min(2 * step, _DELAY_CHUNK)
-        running = [c for c in running if c.running.size]
         completed = np.count_nonzero(delays)
         if horizon is None and completed:
             adaptive = max(1000, -(-100 * int(delays.sum()) // completed))
@@ -486,12 +398,8 @@ def estimate_pf(
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  In the first step each lane
-    advances in monitor sub-steps of ``_PF_FIRST_SUBSTEP`` samples; later
-    steps run whole.  A chain's samples do not depend on these sizes, and
-    its crossings match up to the rounding of the statistic carried
-    across a sub-step boundary (identical output was checked with
-    ``cmp`` on the packaged curves).
+    shorter, at the ``max_steps`` cap).  A chain's samples and crossings
+    depend neither on these steps nor on how a step is cut into blocks.
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach
@@ -507,26 +415,18 @@ def estimate_pf(
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
-    workspace = _Workspace(_PF_CHUNK)
-    lanes = [
-        _Chains(spec, config, gamma, seed, i, n_chains, workspace)
-        for i in range(-(-n_chains // _LANE))
-    ]
+    lanes = _Lanes(spec, config, gamma, seed, n_chains)
     chains, times = [], []
     crossings = 0
     per_chain_cap = -(-max_steps // n_chains)
     steps = 0
-    sub = _PF_FIRST_SUBSTEP
     while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        for lane in lanes:
-            for done in range(0, cols, sub):
-                trials, offsets = lane.monitor(min(sub, cols - done))
-                chains.append(trials)
-                times.append(steps + done + offsets)
-                crossings += trials.size
+        trials, offsets = lanes.advance(False, cols, retire=False)
+        chains.append(trials)
+        times.append(steps + offsets)
+        crossings += trials.size
         steps += cols
-        sub = _PF_CHUNK
 
     observed = steps * n_chains
     if crossings < min_crossings:

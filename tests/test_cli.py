@@ -407,6 +407,27 @@ class TestSimulate:
         flag = "--" + key.replace("_", "-")
         assert f"error: {flag} must be a real number, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [([1, 2], "the top level"),
+         ({"grids": 3}, "grids"),
+         ({"grids": {"scenario1": 3}}, "grids.scenario1"),
+         ({"grids": {"scenario1": {"page": [1, 2, 3]}}}, "grids.scenario1.page"),
+         ({"grids": {"scenario1": {"page": {"measure": 3}}}}, "grids.scenario1.page.measure"),
+         ({"grids": {"scenario1": {"page": {"measure": ["a"]}}}}, "grids.scenario1.page.measure"),
+         ({"grids": {"scenario1": {"page": {"extrapolate": [None]}}}},
+          "grids.scenario1.page.extrapolate")],
+        ids=["top-list", "grids-int", "scenario-int", "entry-list", "grid-int", "grid-str",
+             "grid-null"],
+    )
+    def test_config_shape_named(self, capsys, tmp_path, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["curve", "--scenario", "1", "--detectors", "page", "--trials", "100",
+                     "--config", str(path)])
+        assert code == EXIT_ERROR
+        assert f"error: --config: {key} must be " in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--mode", "delay", "--horizon", "200"], ["--mode", "pf"]])
     def test_nan_gamma_rejected(self, capsys, extra):
         code = main(["simulate", "--scenario", "1", "--gamma", "nan", "--trials", "10"] + extra)

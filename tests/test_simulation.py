@@ -22,9 +22,8 @@ from mast.simulation import (
     LinearFit,
     PerformanceEstimate,
     ScenarioSpec,
-    _Chains,
+    _Lanes,
     _draw,
-    _Workspace,
     estimate_delay,
     estimate_pf,
     fit_linear,
@@ -36,14 +35,15 @@ S1 = ScenarioSpec(1, 0.05, 0.05)
 S2 = ScenarioSpec(2, 0.05, 0.05)
 MAST = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.0, 1.0))
 PAGE = DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)
+PAIR = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.99, 1.02))
 
 
-def monitor_crossings(chains, steps):
-    """Chain and 1-based time of every crossing over monitor steps of
-    ``steps`` columns each."""
+def advance_crossings(lanes, steps, critical=False, retire=False):
+    """Chain and 1-based time of every crossing over ``lanes.advance`` calls
+    of ``steps`` columns each."""
     trials, times, done = [], [], 0
     for cols in steps:
-        chain_of, offsets = chains.monitor(cols)
+        chain_of, offsets = lanes.advance(critical, cols, retire)
         assert ((offsets >= 1) & (offsets <= cols)).all()
         trials.append(chain_of)
         times.append(done + offsets)
@@ -194,19 +194,19 @@ class TestEstimateDelay:
                     reference.append(run_stream(xs, cfg, gamma).alarm_index)
                 assert est.mean_delay == pytest.approx(np.mean(reference), abs=1e-12)
         # 300 trials fill one lane and part of a second: the lanes' own
-        # delays make up the estimate, and the trials at the lane edges
-        # alarm where their replayed rows do
+        # delays make up the estimate, each trial alarms once, and the
+        # trials at the lane edges alarm where their replayed rows do
         spec, n_trials, gamma = S2.changed(1), 300, 4.0
         est = estimate_delay(spec, MAST, gamma, n_trials, seed=123)
         delays = np.zeros(n_trials, dtype=int)
-        workspace = _Workspace(_DELAY_CHUNK)
-        for lane in range(2):
-            chains = _Chains(spec, MAST, gamma, 123, lane, n_trials, workspace)
-            done = 0
-            while chains.running.size:
-                trials, offsets = chains.stop_at_first(_DELAY_CHUNK)
-                delays[trials] = done + offsets
-                done += _DELAY_CHUNK
+        lanes = _Lanes(spec, MAST, gamma, 123, n_trials)
+        done = 0
+        while lanes.lanes.size:
+            trials, offsets = lanes.advance(True, _DELAY_CHUNK, retire=True)
+            assert not delays[trials].any()
+            delays[trials] = done + offsets
+            done += _DELAY_CHUNK
+        assert delays.all()
         assert est.mean_delay == pytest.approx(delays.mean(), abs=1e-12)
         for trial in (0, _LANE - 1, _LANE, n_trials - 1):
             xs = trial_samples(S2, 123, trial, 640, critical=True)
@@ -319,10 +319,10 @@ class TestEstimatePf:
              "s2-mast-0", "s2-mast-2", "s2-page-0", "s2-page-2"],
     )
     def test_substep_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, gamma, target):
-        # the target binds after two or three whole steps, so crossings
-        # of the sub-stepped first step and of whole later steps are
-        # joined; a whole-step first sub-step is the schedule without
-        # sub-steps
+        # the target binds after two or three whole steps; blocks of 7
+        # lane columns split the two lanes' 512-sample steps into 3-column
+        # blocks, and the crossings and the statistic carried across them
+        # must not depend on that split
         n_chains = 300
 
         def run():
@@ -333,45 +333,8 @@ class TestEstimatePf:
         packaged = run()
         assert packaged.n_trials >= target
         assert packaged.observed_steps > n_chains * _PF_CHUNK
-        monkeypatch.setattr(simulation, "_PF_FIRST_SUBSTEP", _PF_CHUNK)
+        monkeypatch.setattr(simulation, "_BLOCK", _LANE * 7)
         assert repr(run()) == repr(packaged)
-
-    def test_rescan_volume(self, monkeypatch):
-        # Page at gamma 2 crosses about 15 times per row in a 512-sample
-        # step, so the call meets its target in the first step; running
-        # that step in 64-sample sub-steps keeps the scans of the first
-        # pass and every rescan round within 3x the samples observed
-        # (12.6x in whole steps)
-        scanned = 0
-        clamped_path = simulation._clamped_path
-
-        def counting(increments, *args):
-            nonlocal scanned
-            scanned += increments.size
-            return clamped_path(increments, *args)
-
-        monkeypatch.setattr(simulation, "_clamped_path", counting)
-        est = estimate_pf(S1.controlled(), PAGE, 2.0, seed=1, target_crossings=500)
-        assert est.observed_steps == 2048 * _PF_CHUNK
-        assert scanned <= 3 * est.observed_steps
-
-    def test_later_steps_run_whole(self, monkeypatch):
-        # a call that needs a second step has seen fewer crossings than its
-        # target; sub-steps after the first step would only add calls
-        sizes = []
-        monitor = _Chains.monitor
-
-        def recording(self, cols):
-            sizes.append(cols)
-            return monitor(self, cols)
-
-        monkeypatch.setattr(_Chains, "monitor", recording)
-        estimate_pf(
-            S1.controlled(), MAST, 2.0, seed=1, n_chains=_LANE,
-            target_crossings=10**9, max_steps=3 * _LANE * _PF_CHUNK, min_crossings=1,
-        )
-        first = [simulation._PF_FIRST_SUBSTEP] * (_PF_CHUNK // simulation._PF_FIRST_SUBSTEP)
-        assert sizes == first + [_PF_CHUNK, _PF_CHUNK]
 
     def test_pf_is_reciprocal_mean_crossing_time(self):
         est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
@@ -387,15 +350,15 @@ class TestEstimatePf:
             S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        chains = _Chains(S2.controlled(), MAST, gamma, 55, 0, n_chains, _Workspace(_PF_CHUNK))
+        lanes = _Lanes(S2.controlled(), MAST, gamma, 55, n_chains)
         steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
-        trials, times = monitor_crossings(chains, steps)
+        trials, times = advance_crossings(lanes, steps)
         intervals = []
         for chain in range(n_chains):
             xs = trial_samples(S2, 55, chain, per_chain, critical=False)
             report = run_stream(xs, MAST, gamma, monitor=True)
             assert sorted(times[trials == chain].tolist()) == report.crossings
-            assert chains.carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
+            assert lanes.stat[0, chain] == report.final_state.statistic
             intervals.extend(np.diff(report.crossings, prepend=0).tolist())
         crossings = len(intervals)
         assert est.n_trials == crossings
@@ -410,20 +373,14 @@ class TestEstimatePf:
             S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        steps = [_PF_CHUNK, per_chain - _PF_CHUNK]
-        workspace = _Workspace(_PF_CHUNK)
-        lanes = [
-            _Chains(S2.controlled(), MAST, gamma, 55, lane, n_chains, workspace) for lane in (0, 1)
-        ]
-        (trials, times), (trials1, times1) = [monitor_crossings(c, steps) for c in lanes]
-        trials, times = np.concatenate([trials, trials1]), np.concatenate([times, times1])
+        lanes = _Lanes(S2.controlled(), MAST, gamma, 55, n_chains)
+        trials, times = advance_crossings(lanes, [_PF_CHUNK, per_chain - _PF_CHUNK])
         assert est.n_trials == trials.size
-        carry = np.concatenate([c.carry for c in lanes])
         for chain in (0, _LANE - 1, _LANE, n_chains - 1):
             xs = trial_samples(S2, 55, chain, per_chain, critical=False)
             report = run_stream(xs, MAST, gamma, monitor=True)
             assert sorted(times[trials == chain].tolist()) == report.crossings
-            assert carry[chain] == pytest.approx(report.final_state.statistic, abs=1e-12)
+            assert lanes.stat.reshape(-1)[chain] == report.final_state.statistic
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_crossings"):
@@ -446,10 +403,10 @@ class TestEstimatePf:
 
     @pytest.mark.parametrize("config, gamma", [(MAST, 4.0), (PAGE, 2.0)], ids=["mast", "page"])
     def test_memory_within_six_lane_blocks(self, config, gamma):
-        # the lanes share one workspace of three (256, 512) float blocks;
-        # the rest is the rescan copies of crossed rows and the results.
-        # MAST at gamma 4 steps without crossings in most rows, Page at
-        # gamma 2 rescans in many rounds.
+        # a step draws into two blocks of _BLOCK floats, samples and S2's
+        # noise, and marks crossings in a bool block of that shape; the
+        # rest is the statistic, its limits and the results.  MAST at
+        # gamma 4 crosses in few chains, Page at gamma 2 in many.
         lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
         tracemalloc.start()
         try:
@@ -462,6 +419,19 @@ class TestEstimatePf:
         assert est.n_trials >= 500
         assert peak <= 6 * lane_block
 
+    def test_delay_memory_within_eight_lane_blocks(self):
+        # the benchmark's delay-s2 call: 196 lanes draw a 2-column block
+        # of at most _BLOCK samples per step, not a whole 64-sample chunk
+        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            est = estimate_delay(S2.changed(1), MAST, 5.0, 50_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_trials == 50_000 and est.n_censored == 0
+        assert peak <= 8 * lane_block
+
     def test_explicit_horizon_observed_steps(self):
         est = estimate_pf(
             S1.controlled(), MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
@@ -472,11 +442,11 @@ class TestEstimatePf:
 
 @st.composite
 def monitor_runs(draw):
-    """Rows of samples ``1 + k/8``, the workspace's chunk, the samples each
-    monitor step draws (at most a chunk), and a threshold that is a
+    """Rows of samples ``1 + k/8``, the lane columns of one engine block,
+    the samples each ``advance`` call takes, and a threshold that is a
     multiple of 1/8."""
-    chunk = draw(st.integers(1, 8))
-    steps = draw(st.lists(st.integers(1, chunk), min_size=1, max_size=4))
+    block = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     n_rows = draw(st.integers(1, 4))
     ks = draw(
         st.lists(
@@ -485,20 +455,32 @@ def monitor_runs(draw):
             max_size=n_rows,
         )
     )
-    return 1.0 + np.array(ks) / 8.0, chunk, steps, draw(st.integers(0, 24)) / 8.0
+    return 1.0 + np.array(ks) / 8.0, block, steps, draw(st.integers(0, 24)) / 8.0
+
+
+def block_ends(steps, block):
+    """Sample counts at which one lane's blocks end over ``advance`` calls
+    of ``steps`` columns, each cut into blocks of ``block`` columns."""
+    ends, done = [], 0
+    for cols in steps:
+        ends += [done + k for k in range(block, cols, block)] + [done + cols]
+        done += cols
+    return ends
 
 
 class TestMonitorKernel:
     # Page(0.5, 1) scores a sample 1 + k/8 as exactly k/8, so every partial
     # sum is exact and the engine must agree with the reference exactly
     PAGE_EXACT = DetectorConfig(DetectorKind.PAGE, 1.0, alpha=0.5)
+    # a sample scoring 25/8 crosses every threshold of monitor_runs at once
+    FILLER = 1.0 + 25 / 8
 
     @settings(max_examples=300, deadline=None)
     @given(run=monitor_runs())
     @example(run=(1.0 + np.array([[1, 1, 1, 0, 0, 9]]) / 8.0, 3, [3, 3], 0.25))  # last column
     @example(run=(1.0 + np.array([[1, -1, 2], [0, 3, -2]]) / 8.0, 2, [2, 1], 0.0))  # gamma 0
-    # rows 0 and 1 both cross again on the first step's last column in the
-    # second round: nothing is left to rescan and the next step starts at 0
+    # rows 0 and 1 cross twice in the first call, the second time on its
+    # last column, so the next call starts them at 0
     @example(
         run=(
             1.0 + np.array([[3, 0, 0, 3, 1, 1, 1, 0], [0, 3, 0, 3, 2, 0, 0, 1],
@@ -506,40 +488,81 @@ class TestMonitorKernel:
             4, [4, 4], 0.25,
         )
     )
-    # first crossings at columns 0 and 2 in one round: row 1 is rescanned
-    # with its own zeroed prefix inside the dropped-column suffix
-    @example(run=(1.0 + np.array([[3, 1, 1, 1, 0, 0], [1, 1, 3, -1, 2, 2]]) / 8.0, 6, [6], 0.25))
+    # calls longer than a block: the statistic carries across block ends
+    @example(run=(1.0 + np.array([[3, 1, 1, 1, 0, 0], [1, 1, 3, -1, 2, 2]]) / 8.0, 2, [6], 0.25))
     def test_matches_run_stream(self, run):
-        samples, chunk, steps, gamma = run
-        n_rows = len(samples)
-        reports = [run_stream(row, self.PAGE_EXACT, gamma, monitor=True) for row in samples]
-        # the lane draws each step's samples as time-major rows, the trials
-        # padded to a whole lane with samples that score 0.0
-        lane = np.ones((samples.shape[1], _LANE))
+        samples, block, steps, gamma = run
+        n_rows, total = samples.shape
+        # the lane is drawn time-major; the columns past the rows hold
+        # samples that cross at once, as trials or as padding
+        lane = np.full((total, _LANE), self.FILLER)
         lane[:, :n_rows] = samples.T
-        blocks = np.split(lane, np.cumsum(steps)[:-1])
-        # the rows alone are gathered out of the block; a whole lane is
-        # scored where it was drawn
-        for n_trials in (n_rows, _LANE):
-            queue = iter(blocks)
+        filler = np.full(total, self.FILLER)
+        for retire in (False, True):
+            for n_trials in (n_rows, _LANE):
+                drawn = 0
 
-            def draw(spec, rngs, critical, out, noise):
-                block = next(queue)  # exactly the step's samples: (cols, _LANE)
-                assert not critical and out.shape == noise.shape == block.shape
-                out[...] = block
-                noise[...] = np.nan  # scratch: nothing may read it after the draw
-                return out
+                def draw(spec, rngs, critical, out, noise):
+                    nonlocal drawn
+                    assert not critical and out.shape == noise.shape == (len(out), _LANE)
+                    assert drawn + len(out) in block_ends(steps, block)
+                    out[...] = lane[drawn : drawn + len(out)]
+                    noise[...] = np.nan  # scratch: nothing may read it after the draw
+                    drawn += len(out)
+                    return out
 
-            workspace = _Workspace(chunk)
-            chains = _Chains(S1.controlled(), self.PAGE_EXACT, gamma, 0, 0, n_trials, workspace)
-            with mock.patch.object(simulation, "_draw", side_effect=draw):
-                trials, times = monitor_crossings(chains, steps)
-            assert next(queue, None) is None
-            assert not np.isin(trials, np.arange(n_rows, n_trials)).any()
-            for i, report in enumerate(reports):
-                assert sorted(times[trials == i].tolist()) == report.crossings
-                assert chains.carry[i] == report.final_state.statistic
-            assert (chains.carry[n_rows:] == 0.0).all()
+                lanes = _Lanes(S1.controlled(), self.PAGE_EXACT, gamma, 0, n_trials)
+                with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
+                    trials, times = advance_crossings(lanes, steps, retire=retire)
+                # padding never crosses
+                assert not np.isin(trials, np.arange(n_trials, _LANE)).any()
+                rows = list(samples) + [filler] * (n_trials - n_rows)
+                alarms = []
+                for i, row in enumerate(rows):
+                    report = run_stream(row, self.PAGE_EXACT, gamma, monitor=not retire)
+                    crossings = times[trials == i].tolist()
+                    if retire:
+                        alarms.append(report.alarm_index)
+                        assert crossings == [a for a in alarms[-1:] if a is not None]
+                    else:
+                        assert sorted(crossings) == report.crossings
+                        assert lanes.stat[0, i] == report.final_state.statistic
+                if retire and None not in alarms:
+                    # a lane with no live trial is not drawn again
+                    assert drawn == min(e for e in block_ends(steps, block) if e >= max(alarms))
+                    assert lanes.lanes.size == 0
+                else:
+                    assert drawn == total
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        block=st.integers(1, 9),
+        steps=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        gamma=st.sampled_from([0.0, 0.5, 2.0]),
+        retire=st.booleans(),
+    )
+    @pytest.mark.parametrize(
+        "spec, cfg", [(S1, MAST), (S1, PAGE), (S2, MAST), (S2, PAIR)],
+        ids=["s1-mast", "s1-page", "s2-mast", "s2-pair"],
+    )
+    def test_drawn_samples_match_run_stream(self, spec, cfg, block, steps, gamma, retire):
+        # real draws, whose sums round: the engine and run_stream run the
+        # same recursion on the same increments, so they agree exactly.
+        # 300 chains make two lanes, and the chains at their edges are
+        # replayed
+        total = sum(steps)
+        lanes = _Lanes(spec.controlled(), cfg, gamma, 7, 300)
+        with mock.patch.object(simulation, "_BLOCK", block * _LANE):
+            trials, times = advance_crossings(lanes, steps, critical=retire, retire=retire)
+        for chain in (0, _LANE - 1, _LANE, 299):
+            xs = trial_samples(spec, 7, chain, total, critical=retire)
+            report = run_stream(xs, cfg, gamma, monitor=not retire)
+            crossings = times[trials == chain].tolist()
+            if retire:
+                assert crossings == [a for a in [report.alarm_index] if a is not None]
+            else:
+                assert sorted(crossings) == report.crossings
+                assert lanes.stat.reshape(-1)[chain] == report.final_state.statistic
 
 
 class TestFitLinear:
