@@ -69,18 +69,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Grid syntax: comma list ``1,2,3`` or linspace ``lo:hi:n`` or ``none``."""
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """Grid syntax: comma list ``1,2,3`` or linspace ``lo:hi:n`` or ``none``.
+    A syntax error names ``flag``, the option the text came from."""
     text = text.strip()
     if text.lower() == "none":
         return []
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid range must be lo:hi:n, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return [float(g) for g in np.linspace(lo, hi, n)]
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"grid range must be lo:hi:n, got {text!r}")
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            return [float(g) for g in np.linspace(lo, hi, n)]
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _detector_kinds(args, alpha_read: bool) -> list[DetectorKind]:
@@ -140,15 +144,17 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     The run sizes ``--trials``, ``--seed`` and ``--workers``, the
     ``--change-time`` of every mode (1 when not given) and the types of
     ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here, wherever
-    they came from, so that an error names the flag."""
+    they came from, so that an error names the flag.  Each command checks
+    that ``--change-time`` comes with ``--run-in``, the only flag that
+    reads it, so the recorded change time is the one the delay trials use."""
     defaults = load_defaults(args.config)
     settings = {
         name: defaults[name] if getattr(args, name) is None else getattr(args, name)
         for name in names
     }
     settings.update(
-        scenario=args.scenario, change_time=1 if args.change_time is None else args.change_time,
-        run_in=args.run_in, workers=args.workers,
+        scenario=args.scenario, run_in=args.run_in, workers=args.workers,
+        change_time=args.change_time if args.change_time is not None else 1,
     )
     for name, low in (("trials", 1), ("seed", 0), ("workers", 1), ("change_time", 1)):
         if type(settings[name]) is not int or settings[name] < low:
@@ -205,7 +211,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
     parser.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
     parser.add_argument("--seed", type=int, help="master seed (default from config)")
-    parser.add_argument("--change-time", type=int, help="regime change sample (default 1)")
+    parser.add_argument("--change-time", type=int, help="regime change sample, read with --run-in")
     parser.add_argument(
         "--run-in",
         action="store_true",
@@ -300,16 +306,18 @@ def cmd_simulate(args) -> int:
         unread = [flag for flag, is_given in given if is_given]
         if unread:
             raise ValueError(f"{', '.join(unread)} not read by --mode pf (delay trials only)")
+    if args.change_time is not None and not args.run_in:
+        raise ValueError("--change-time is not read without --run-in")
 
     rows = []
     if args.mode in ("delay", "both"):
         est = estimate_delay(
-            spec.changed(settings["change_time"]),
+            spec,
             config,
             args.gamma,
             trials,
             seed=[seed, DELAY_SEED_TAG, 0],
-            run_in=args.run_in,
+            change_time=settings["change_time"],
             horizon=args.horizon,
         )
         censored = f", {est.n_censored} censored" if est.n_censored else ""
@@ -323,7 +331,7 @@ def cmd_simulate(args) -> int:
         )
     if args.mode in ("pf", "both"):
         est = estimate_pf(
-            spec.controlled(),
+            spec,
             config,
             args.gamma,
             seed=[seed, PF_SEED_TAG, 0],
@@ -353,8 +361,10 @@ def cmd_curve(args) -> int:
     defaults, settings = _experiment_settings(args, *names)
     alpha, sigma, trials, seed, r2_floor = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
+    if args.change_time is not None and not args.run_in:
+        raise ValueError("--change-time is not read without --run-in")
 
-    given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid)
+    given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid, "--gamma-grid")
     if given_grid == []:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
@@ -376,18 +386,17 @@ def cmd_curve(args) -> int:
                 f"{args.scenario}; pass --gamma-grid"
             )
         if args.extrapolate_grid is not None:
-            extra_grid = _parse_grid(args.extrapolate_grid)
+            extra_grid = _parse_grid(args.extrapolate_grid, "--extrapolate-grid")
         else:
             extra_grid = preset[1] if preset else []
         curve = operational_curve(
-            spec.controlled(),
-            spec.changed(settings["change_time"]),
+            spec,
             config,
             gamma_grid,
             extra_grid,
             n_trials=trials,
             seed=[seed, _KIND_SEED_TAG[kind]],
-            run_in=args.run_in,
+            change_time=settings["change_time"],
             r2_floor=r2_floor,
         )
         if curve.delay_fit is not None:

@@ -45,11 +45,9 @@ def _object(value, key: str) -> dict:
 
 
 def _grid(value, key: str) -> list[float]:
-    try:
-        if isinstance(value, list):
-            return [float(g) for g in value]
-    except (TypeError, ValueError):
-        pass
+    # JSON numbers only: a string or a bool is not a grid point
+    if isinstance(value, list) and all(type(g) in (int, float) for g in value):
+        return [float(g) for g in value]
     raise ValueError(f"--config: {key} must be a list of numbers, got {value!r}")
 
 

@@ -39,13 +39,15 @@ operations, so a chain crosses where ``run_stream`` replaying its samples
 does.  All lanes advance together: the live lanes' next columns are drawn
 into one block of at most ``_BLOCK`` samples, scored by one increment
 call, and the recursion then steps one column at a time across every
-chain.  A crossing restarts the statistic at 0 (false alarms and the
-run-in) or retires the trial (delays); a lane with no trial left running
+chain.  A crossing in the controlled regime (a false alarm, or one in a
+delay trial's run-in) restarts the statistic at 0; one in the critical
+regime is an alarm and ends the trial.  A lane with no trial left running
 is not drawn again.
 
-A delay step starts at ``_DELAY_FIRST_STEP`` samples and doubles while
-trials run, up to ``_DELAY_CHUNK``, so that short delays are not scored
-over whole chunks; the run-in draws exactly ``change_time - 1`` samples.
+A delay trial's run-in draws exactly ``change_time - 1`` controlled
+samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
+doubles while trials run, up to ``_DELAY_CHUNK``, so that short delays are
+not scored over whole chunks.
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
 and checks its target only between these whole steps.
 """
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,16 +106,12 @@ class ExtrapolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Generative description of one experiment's ratio stream.
-
-    ``change_time`` is the 1-based index of the first critical-regime
-    sample; ``None`` means the stream never leaves the controlled regime.
-    """
+    """Generative description of one experiment's ratio stream; the
+    estimate that reads it decides the regime and when it changes."""
 
     scenario: int
     alpha: float
     sigma: float
-    change_time: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in (1, 2):
@@ -121,16 +119,6 @@ class ScenarioSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
-        if self.change_time is not None and self.change_time < 1:
-            raise ValueError(f"change_time must be >= 1, got {self.change_time}")
-
-    def controlled(self) -> "ScenarioSpec":
-        """Copy with no regime change (pure controlled stream)."""
-        return replace(self, change_time=None)
-
-    def changed(self, nu: int = 1) -> "ScenarioSpec":
-        """Copy whose regime turns critical at sample ``nu``."""
-        return replace(self, change_time=nu)
 
 
 def _seed_entropy(seed, *tags: int) -> list[int]:
@@ -209,7 +197,7 @@ class _Lanes:
     on one sample clock by ``run_stream``'s recursion.
 
     ``stat`` and ``limit`` hold one row per live lane and one column per
-    chain of it.  ``limit`` is ``gamma``, or inf for a retired chain and
+    chain of it.  ``limit`` is ``gamma``, or inf for an alarmed chain and
     for the padding past ``n`` in the last lane, which is drawn and scored
     with its lane but never crosses.  ``lanes`` holds the indices of the
     live lanes and ``rngs`` their generators.  Every block is drawn into
@@ -230,12 +218,12 @@ class _Lanes:
         self.buf = np.empty((2, size))
         self.hits = np.empty(size, bool)
 
-    def advance(self, critical: bool, cols: int, retire: bool) -> tuple[np.ndarray, np.ndarray]:
+    def advance(self, critical: bool, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance every live chain ``cols`` samples of one regime; return
         the chain and the offset (1-based within the call) of every
-        crossing.  A crossed chain restarts at 0, or with ``retire`` it
-        stops counting: its limit becomes inf.  A lane left with no live
-        chain is dropped and not drawn again.
+        crossing.  A crossed chain restarts at 0 in the controlled regime;
+        in the critical regime it has alarmed, and its limit becomes inf.
+        A lane left with no live chain is dropped and not drawn again.
 
         The live lanes' next columns are drawn into one block of at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
@@ -252,7 +240,7 @@ class _Lanes:
                 _draw(self.spec, rngs, critical, out, scratch)
             inc = self.config.increment(block, out=block)
             hits = self.hits[:size].reshape(k, *self.stat.shape)
-            reset, value = (self.limit, np.inf) if retire else (self.stat, 0.0)
+            reset, value = (self.limit, np.inf) if critical else (self.stat, 0.0)
             for t in range(k):
                 np.add(self.stat, inc[:, t], out=self.stat)
                 np.maximum(self.stat, 0.0, out=self.stat)
@@ -262,7 +250,7 @@ class _Lanes:
             chains.append(self.lanes[lane] * _LANE + col)
             offsets.append(done + t + 1)
             done += k
-            if retire and t.size:
+            if critical and t.size:
                 # only a finite gamma crosses, so an inf limit marks no live chain
                 live = (self.limit < np.inf).any(axis=1)
                 self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
@@ -302,19 +290,19 @@ def estimate_delay(
     n_trials: int,
     seed,
     *,
-    run_in: bool = False,
+    change_time: int = 1,
     horizon: int | None = None,
 ) -> PerformanceEstimate:
     """Mean detection delay at threshold ``gamma`` over ``n_trials`` trials.
 
-    Each trial draws its own critical-regime stream and counts the samples
-    until the statistic first exceeds ``gamma``; the alarm sample itself
-    counts, so an alarm on the first post-change sample is delay 1.  By
-    default the statistic starts at zero at the change time (worst-case
-    convention); with ``run_in=True`` it first evolves through
-    ``change_time - 1`` controlled samples in monitoring mode (reset to
-    zero at any crossing) and the post-change segment continues from the
-    state so reached.
+    Each trial runs the statistic from zero at sample 1 on its own stream,
+    whose regime turns critical at sample ``change_time`` (an int >= 1).
+    Through the ``change_time - 1`` controlled samples before the change
+    the statistic is reset to zero at any crossing; the trial then counts
+    the critical-regime samples until it first exceeds ``gamma``.  The
+    alarm sample itself counts, so an alarm on the first post-change
+    sample is delay 1.  The default ``change_time=1`` starts the statistic
+    at zero at the change: the worst-case convention.
 
     The run-in draws exactly ``change_time - 1`` samples per trial.  The
     post-change steps start at ``_DELAY_FIRST_STEP`` samples and double
@@ -329,14 +317,14 @@ def estimate_delay(
     gamma = check_gamma(gamma)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if spec.change_time is None:
-        raise ValueError("delay estimation needs a spec with a change time")
+    # a bool is an int to Python; change_time=True must not run as 1
+    if type(change_time) is not int or change_time < 1:
+        raise ValueError(f"change_time must be an integer >= 1, got {change_time!r}")
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     lanes = _Lanes(spec, config, gamma, seed, n_trials)
-    if run_in:
-        lanes.advance(False, spec.change_time - 1, retire=False)
+    lanes.advance(False, change_time - 1)
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
@@ -346,7 +334,7 @@ def estimate_delay(
     step = _DELAY_FIRST_STEP
     while steps_done < cap and lanes.lanes.size:
         cols = min(step, cap - steps_done)
-        trials, offsets = lanes.advance(True, cols, retire=True)
+        trials, offsets = lanes.advance(True, cols)
         delays[trials] = steps_done + offsets
         steps_done += cols
         step = min(2 * step, _DELAY_CHUNK)
@@ -407,8 +395,6 @@ def estimate_pf(
     instead.
     """
     gamma = check_gamma(gamma)
-    if spec.change_time is not None:
-        raise ValueError("false-alarm estimation needs a pure controlled spec")
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
@@ -422,7 +408,7 @@ def estimate_pf(
     steps = 0
     while steps < per_chain_cap and crossings < target_crossings:
         cols = min(_PF_CHUNK, per_chain_cap - steps)
-        trials, offsets = lanes.advance(False, cols, retire=False)
+        trials, offsets = lanes.advance(False, cols)
         chains.append(trials)
         times.append(steps + offsets)
         crossings += trials.size
@@ -514,32 +500,30 @@ class OperationalCurve:
 
 
 def operational_curve(
-    controlled: ScenarioSpec,
-    changed: ScenarioSpec,
+    spec: ScenarioSpec,
     config: DetectorConfig,
     gamma_grid: Sequence[float],
     extrapolation_grid: Sequence[float] = (),
     n_trials: int = 10_000,
     seed=0,
     *,
-    run_in: bool = False,
+    change_time: int = 1,
     r2_floor: float = 0.95,
 ) -> OperationalCurve:
     """Measure (delay, pf) on ``gamma_grid`` and extend by linear fits.
 
-    Direct Monte Carlo runs on every ``gamma_grid`` point (delay on the
-    ``changed`` spec, false alarms on the ``controlled`` one); straight
-    lines are fitted to ``gamma -> delay`` and ``gamma -> log10(pf)`` and
-    evaluated on ``extrapolation_grid``.  Extrapolation is refused unless
-    both fits reach ``r2_floor``, a number in [0, 1].
+    Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
+    delay trials with the regime change at ``change_time`` (see
+    ``estimate_delay``) and false alarms.  Straight lines are fitted to
+    ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated on
+    ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
+    number in [0, 1].  Both grids are checked before anything runs.
     """
-    if controlled.change_time is not None:
-        raise ValueError("controlled spec must have no change time")
-    if changed.change_time is None:
-        raise ValueError("changed spec needs a change time")
-    gammas = [float(g) for g in gamma_grid]
+    gammas = [check_gamma(g) for g in gamma_grid]
     if not gammas:
         raise ValueError("gamma_grid must not be empty")
+    if math.inf in gammas:
+        raise ValueError("a measured gamma must be finite, got inf")
     extra_gammas = [check_gamma(g) for g in extrapolation_grid]
     if not 0.0 <= r2_floor <= 1.0:
         raise ValueError(f"r2_floor must lie in [0, 1], got {r2_floor}")
@@ -547,15 +531,15 @@ def operational_curve(
     measured: list[CurvePoint] = []
     for i, gamma in enumerate(gammas):
         delay = estimate_delay(
-            changed,
+            spec,
             config,
             gamma,
             n_trials,
             seed=_seed_entropy(seed, DELAY_SEED_TAG, i),
-            run_in=run_in,
+            change_time=change_time,
         )
         pf = estimate_pf(
-            controlled,
+            spec,
             config,
             gamma,
             seed=_seed_entropy(seed, PF_SEED_TAG, i),

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mast
+from mast import simulation
 from mast.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
 
 
@@ -367,6 +368,23 @@ class TestSimulate:
         assert f"error: {named} not read by --mode pf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--scenario", "1", "--gamma", "2", "--mode", "delay"],
+         ["simulate", "--scenario", "1", "--gamma", "2", "--mode", "both"],
+         ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,2,3"]],
+        ids=["delay", "both", "curve"],
+    )
+    def test_change_time_needs_run_in(self, capsys, tmp_path, args):
+        # without --run-in the statistic starts at 0 at the change, so a
+        # change time would be recorded but never read
+        out = tmp_path / "out.csv"
+        code = main(args + ["--trials", "100", "--seed", "1", "--change-time", "50",
+                            "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: --change-time is not read without --run-in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_delay_flags_read_in_both_mode(self, tmp_path):
         args = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "100", "--seed", "1",
                 "--mode", "both"]
@@ -416,9 +434,13 @@ class TestSimulate:
          ({"grids": {"scenario1": {"page": {"measure": 3}}}}, "grids.scenario1.page.measure"),
          ({"grids": {"scenario1": {"page": {"measure": ["a"]}}}}, "grids.scenario1.page.measure"),
          ({"grids": {"scenario1": {"page": {"extrapolate": [None]}}}},
-          "grids.scenario1.page.extrapolate")],
+          "grids.scenario1.page.extrapolate"),
+         ({"grids": {"scenario1": {"page": {"measure": [1, "2.5", 3]}}}},
+          "grids.scenario1.page.measure"),
+         ({"grids": {"scenario1": {"page": {"measure": [1, True, 3]}}}},
+          "grids.scenario1.page.measure")],
         ids=["top-list", "grids-int", "scenario-int", "entry-list", "grid-int", "grid-str",
-             "grid-null"],
+             "grid-null", "grid-numeric-str", "grid-bool"],
     )
     def test_config_shape_named(self, capsys, tmp_path, config, key):
         path = tmp_path / "config.json"
@@ -495,6 +517,34 @@ class TestCurve:
         code = main(["curve", "--scenario", "1", "--gamma-grid", "nan,1,2", "--trials", "200"])
         assert code == EXIT_ERROR
         assert "gamma must be >= 0" in capsys.readouterr().err
+
+    def test_infinite_measured_gamma_rejected_before_simulating(self, capsys, monkeypatch):
+        # an inf point would run its delay trials to the 1 M-sample cap and
+        # draw 200 M pf samples before the pf estimate failed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before the grid was checked")
+
+        monkeypatch.setattr(simulation, "estimate_delay", unreachable)
+        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        code = main(["curve", "--scenario", "1", "--detectors", "page", "--trials", "100",
+                     "--seed", "1", "--gamma-grid", "inf,1,2", "--extrapolate-grid", "none"])
+        assert code == EXIT_ERROR
+        assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grids, message",
+        [(["--gamma-grid", "abc"], "--gamma-grid: could not convert string to float: 'abc'"),
+         (["--gamma-grid", "1:5:-1"], "--gamma-grid: Number of samples, -1, must be non-negative"),
+         (["--gamma-grid", "1:5"], "--gamma-grid: grid range must be lo:hi:n, got '1:5'"),
+         (["--gamma-grid", "1:5:2.5"], "--gamma-grid: invalid literal for int()"),
+         (["--gamma-grid", "1,2,3", "--extrapolate-grid", "6,x"],
+          "--extrapolate-grid: could not convert string to float: 'x'")],
+        ids=["word", "negative-count", "two-parts", "fractional-count", "extrapolate-word"],
+    )
+    def test_grid_syntax_error_names_the_flag(self, capsys, grids, message):
+        code = main(["curve", "--scenario", "1", "--detectors", "page", "--trials", "100"] + grids)
+        assert code == EXIT_ERROR
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, message",

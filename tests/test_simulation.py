@@ -38,12 +38,12 @@ PAGE = DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)
 PAIR = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.99, 1.02))
 
 
-def advance_crossings(lanes, steps, critical=False, retire=False):
+def advance_crossings(lanes, steps, critical=False):
     """Chain and 1-based time of every crossing over ``lanes.advance`` calls
     of ``steps`` columns each."""
     trials, times, done = [], [], 0
     for cols in steps:
-        chain_of, offsets = lanes.advance(critical, cols, retire)
+        chain_of, offsets = lanes.advance(critical, cols)
         assert ((offsets >= 1) & (offsets <= cols)).all()
         trials.append(chain_of)
         times.append(done + offsets)
@@ -59,13 +59,9 @@ class TestScenarioSpec:
             ScenarioSpec(1, 0.0, 0.05)
         with pytest.raises(ValueError):
             ScenarioSpec(1, 0.05, 0.0)
-        with pytest.raises(ValueError):
-            ScenarioSpec(1, 0.05, 0.05, change_time=0)
-
-    def test_regime_helpers(self):
-        spec = S1.changed(10)
-        assert spec.change_time == 10
-        assert spec.controlled().change_time is None
+        # the change time belongs to the delay estimate, not to the stream
+        with pytest.raises(TypeError):
+            ScenarioSpec(1, 0.05, 0.05, change_time=10)
 
 
 class TestTrialSamples:
@@ -121,20 +117,20 @@ class TestSeeds:
     def test_seed_sequence_rejected(self):
         seed = np.random.SeedSequence(5)
         with pytest.raises(TypeError):
-            estimate_delay(S1.changed(1), MAST, 4.0, 200, seed=seed)
+            estimate_delay(S1, MAST, 4.0, 200, seed=seed)
         with pytest.raises(TypeError):
-            estimate_pf(S1.controlled(), MAST, 1.0, seed=seed)
+            estimate_pf(S1, MAST, 1.0, seed=seed)
         with pytest.raises(TypeError):
             trial_samples(S1, seed, 0, 10)
 
     def test_pinned_estimates(self):
         # exact outputs of the draw layout at fixed seeds: a change to the
         # layout must update them on purpose
-        delay = estimate_delay(S2.changed(70), MAST, 1.5, 200, seed=17, run_in=True)
+        delay = estimate_delay(S2, MAST, 1.5, 200, seed=17, change_time=70)
         assert delay == PerformanceEstimate(
             gamma=1.5, n_trials=200, mean_delay=1.2, delay_se=0.03170213124741207
         )
-        pf = estimate_pf(S1.controlled(), PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
+        pf = estimate_pf(S1, PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
         assert pf == PerformanceEstimate(
             gamma=2.0, n_trials=438, pf=0.0267333984375, pf_se=0.0012891703786016273,
             observed_steps=16384,
@@ -146,35 +142,35 @@ class TestSeeds:
 
 class TestEstimateDelay:
     def test_zero_threshold_delay_is_about_one(self):
-        est = estimate_delay(S1.changed(1), PAGE, 0.0, 4000, seed=42)
+        est = estimate_delay(S1, PAGE, 0.0, 4000, seed=42)
         assert 1.0 <= est.mean_delay < 1.5
         assert est.n_censored == 0
 
     def test_monotone_in_gamma(self):
         means = [
-            estimate_delay(S1.changed(1), PAGE, g, 3000, seed=15).mean_delay
+            estimate_delay(S1, PAGE, g, 3000, seed=15).mean_delay
             for g in (0.0, 2.0, 4.0)
         ]
         assert means[0] < means[1] < means[2]
 
     def test_se_shrinks_with_sqrt_trials(self):
-        a = estimate_delay(S1.changed(1), PAGE, 3.0, 2000, seed=11)
-        b = estimate_delay(S1.changed(1), PAGE, 3.0, 4000, seed=11)
+        a = estimate_delay(S1, PAGE, 3.0, 2000, seed=11)
+        b = estimate_delay(S1, PAGE, 3.0, 4000, seed=11)
         assert 1.25 < a.delay_se / b.delay_se < 1.6
 
     def test_deterministic_and_parallel_identical(self):
-        one = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
-        two = estimate_delay(S2.changed(1), MAST, 2.0, 500, seed=9)
+        one = estimate_delay(S2, MAST, 2.0, 500, seed=9)
+        two = estimate_delay(S2, MAST, 2.0, 500, seed=9)
         assert one == two
 
-    @pytest.mark.parametrize("run_in", [False, True], ids=["zero-start", "run-in"])
+    @pytest.mark.parametrize("change_time", [1, 100], ids=["zero-start", "run-in"])
     @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
-    def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, run_in):
+    def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, change_time):
         # change time 100: the run-in ends inside a step under either
         # schedule (64 + 35 samples, or 14 x 7 + 1); 300 trials make a
         # whole lane and a partial one
         def run():
-            return repr(estimate_delay(spec.changed(100), cfg, 4.0, 300, seed=31, run_in=run_in))
+            return repr(estimate_delay(spec, cfg, 4.0, 300, seed=31, change_time=change_time))
 
         packaged = run()
         monkeypatch.setattr(simulation, "_DELAY_FIRST_STEP", 1)
@@ -187,7 +183,7 @@ class TestEstimateDelay:
         # within the 640 replayed samples, or the mean of None fails)
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S2, PAGE)]:
             for gamma in (0.0, 1.5, 4.0):
-                est = estimate_delay(spec.changed(1), cfg, gamma, 25, seed=123)
+                est = estimate_delay(spec, cfg, gamma, 25, seed=123)
                 reference = []
                 for trial in range(25):
                     xs = trial_samples(spec, 123, trial, 640, critical=True)
@@ -196,13 +192,13 @@ class TestEstimateDelay:
         # 300 trials fill one lane and part of a second: the lanes' own
         # delays make up the estimate, each trial alarms once, and the
         # trials at the lane edges alarm where their replayed rows do
-        spec, n_trials, gamma = S2.changed(1), 300, 4.0
+        spec, n_trials, gamma = S2, 300, 4.0
         est = estimate_delay(spec, MAST, gamma, n_trials, seed=123)
         delays = np.zeros(n_trials, dtype=int)
         lanes = _Lanes(spec, MAST, gamma, 123, n_trials)
         done = 0
         while lanes.lanes.size:
-            trials, offsets = lanes.advance(True, _DELAY_CHUNK, retire=True)
+            trials, offsets = lanes.advance(True, _DELAY_CHUNK)
             assert not delays[trials].any()
             delays[trials] = done + offsets
             done += _DELAY_CHUNK
@@ -222,7 +218,7 @@ class TestEstimateDelay:
         at_mean = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.95, 0.95))
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
-                est = estimate_delay(spec.changed(nu), cfg, gamma, n_trials, seed=61, run_in=True)
+                est = estimate_delay(spec, cfg, gamma, n_trials, seed=61, change_time=nu)
                 # the lane's generators, keyed here independently of the engine
                 keys = [(0, 0), (0, 1)] if spec.scenario == 2 else [(0, 0)]
                 rngs = tuple(
@@ -249,47 +245,47 @@ class TestEstimateDelay:
     def test_censoring_counts_at_horizon(self):
         # a threshold far out of reach within the horizon censors every trial
         with pytest.warns(UserWarning, match="counted at the horizon"):
-            est = estimate_delay(S1.changed(1), MAST, 500.0, 50, seed=3, horizon=64)
+            est = estimate_delay(S1, MAST, 500.0, 50, seed=3, horizon=64)
         assert est.n_censored == 50
         assert est.mean_delay == 64.0
 
     def test_run_in_state_carries_over(self):
-        est = estimate_delay(
-            S1.changed(40), MAST, 2.0, 400, seed=21, run_in=True
-        )
-        again = estimate_delay(
-            S1.changed(40), MAST, 2.0, 400, seed=21, run_in=True
-        )
+        est = estimate_delay(S1, MAST, 2.0, 400, seed=21, change_time=40)
+        again = estimate_delay(S1, MAST, 2.0, 400, seed=21, change_time=40)
         assert est == again
         assert est.mean_delay >= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_delay(S1.controlled(), MAST, 1.0, 10, seed=0)
-        with pytest.raises(ValueError):
-            estimate_delay(S1.changed(1), MAST, -1.0, 10, seed=0)
+            estimate_delay(S1, MAST, -1.0, 10, seed=0)
         with pytest.raises(ValueError, match="gamma"):
-            estimate_delay(S1.changed(1), MAST, float("nan"), 10, seed=0)
+            estimate_delay(S1, MAST, float("nan"), 10, seed=0)
         with pytest.raises(ValueError):
-            estimate_delay(S1.changed(1), MAST, 1.0, 0, seed=0)
+            estimate_delay(S1, MAST, 1.0, 0, seed=0)
+
+    # a bool is an int to Python, and True must not run as change time 1
+    @pytest.mark.parametrize("change_time", [0, -3, True, 2.5, 100.0, None])
+    def test_rejects_bad_change_time(self, change_time):
+        with pytest.raises(ValueError, match="change_time must be an integer >= 1"):
+            estimate_delay(S1, MAST, 1.0, 10, seed=0, change_time=change_time)
 
 
 class TestEstimatePf:
     def test_zero_threshold_matches_gaussian_tail(self):
         # at gamma=0 every positive increment crosses: pf -> Phi(-alpha/sigma)
-        est = estimate_pf(S1.controlled(), MAST, 0.0, seed=42)
+        est = estimate_pf(S1, MAST, 0.0, seed=42)
         assert abs(est.pf - norm.cdf(-1.0)) < 3 * est.pf_se
 
     def test_monotone_in_gamma(self):
         pfs = [
-            estimate_pf(S1.controlled(), PAGE, g, seed=13, target_crossings=3000).pf
+            estimate_pf(S1, PAGE, g, seed=13, target_crossings=3000).pf
             for g in (0.5, 1.5, 3.0)
         ]
         assert pfs[0] > pfs[1] > pfs[2]
 
     def test_deterministic_and_parallel_identical(self):
-        one = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000)
-        two = estimate_pf(S2.controlled(), MAST, 1.0, seed=4, target_crossings=2000)
+        one = estimate_pf(S2, MAST, 1.0, seed=4, target_crossings=2000)
+        two = estimate_pf(S2, MAST, 1.0, seed=4, target_crossings=2000)
         assert one == two
 
     @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
@@ -299,7 +295,7 @@ class TestEstimatePf:
         # between steps would otherwise stop them at different times
         def run():
             return repr(estimate_pf(
-                spec.controlled(), cfg, 2.0, seed=32, n_chains=300, target_crossings=10**9,
+                spec, cfg, 2.0, seed=32, n_chains=300, target_crossings=10**9,
                 min_crossings=1, max_steps=300 * 1000,
             ))
 
@@ -327,7 +323,7 @@ class TestEstimatePf:
 
         def run():
             return estimate_pf(
-                spec.controlled(), cfg, gamma, seed=33, n_chains=n_chains, target_crossings=target
+                spec, cfg, gamma, seed=33, n_chains=n_chains, target_crossings=target
             )
 
         packaged = run()
@@ -337,7 +333,7 @@ class TestEstimatePf:
         assert repr(run()) == repr(packaged)
 
     def test_pf_is_reciprocal_mean_crossing_time(self):
-        est = estimate_pf(S1.controlled(), PAGE, 1.0, seed=8, target_crossings=2000)
+        est = estimate_pf(S1, PAGE, 1.0, seed=8, target_crossings=2000)
         assert est.pf == pytest.approx(est.n_trials / est.observed_steps)
 
     def test_matches_reference_monitor(self):
@@ -347,10 +343,10 @@ class TestEstimatePf:
         # max_steps fix the run length.
         n_chains, per_chain, gamma = 6, 2000, 1.0
         est = estimate_pf(
-            S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
+            S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        lanes = _Lanes(S2.controlled(), MAST, gamma, 55, n_chains)
+        lanes = _Lanes(S2, MAST, gamma, 55, n_chains)
         steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
         trials, times = advance_crossings(lanes, steps)
         intervals = []
@@ -370,10 +366,10 @@ class TestEstimatePf:
         # lane edges cross where their replayed rows do
         n_chains, per_chain = 300, 1000
         est = estimate_pf(
-            S2.controlled(), MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
+            S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        lanes = _Lanes(S2.controlled(), MAST, gamma, 55, n_chains)
+        lanes = _Lanes(S2, MAST, gamma, 55, n_chains)
         trials, times = advance_crossings(lanes, [_PF_CHUNK, per_chain - _PF_CHUNK])
         assert est.n_trials == trials.size
         for chain in (0, _LANE - 1, _LANE, n_chains - 1):
@@ -384,22 +380,18 @@ class TestEstimatePf:
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_crossings"):
-            estimate_pf(S1.controlled(), MAST, 2.0, seed=0, target_crossings=0)
+            estimate_pf(S1, MAST, 2.0, seed=0, target_crossings=0)
 
     def test_insufficient_events(self):
         with pytest.raises(InsufficientEventsError):
             estimate_pf(
-                S1.controlled(), MAST, 50.0, seed=1, n_chains=8, max_steps=20_000
+                S1, MAST, 50.0, seed=1, n_chains=8, max_steps=20_000
             )
 
     @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            estimate_pf(S1.controlled(), MAST, gamma, seed=0)
-
-    def test_requires_controlled_spec(self):
-        with pytest.raises(ValueError):
-            estimate_pf(S1.changed(5), MAST, 1.0, seed=0)
+            estimate_pf(S1, MAST, gamma, seed=0)
 
     @pytest.mark.parametrize("config, gamma", [(MAST, 4.0), (PAGE, 2.0)], ids=["mast", "page"])
     def test_memory_within_six_lane_blocks(self, config, gamma):
@@ -411,7 +403,7 @@ class TestEstimatePf:
         tracemalloc.start()
         try:
             est = estimate_pf(
-                S1.controlled(), config, gamma, seed=1, n_chains=2048, target_crossings=500
+                S1, config, gamma, seed=1, n_chains=2048, target_crossings=500
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -425,7 +417,7 @@ class TestEstimatePf:
         lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
         tracemalloc.start()
         try:
-            est = estimate_delay(S2.changed(1), MAST, 5.0, 50_000, seed=1)
+            est = estimate_delay(S2, MAST, 5.0, 50_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -434,7 +426,7 @@ class TestEstimatePf:
 
     def test_explicit_horizon_observed_steps(self):
         est = estimate_pf(
-            S1.controlled(), MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
+            S1, MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
             min_crossings=1, max_steps=4096,
         )
         assert est.observed_steps == 4096
@@ -504,16 +496,16 @@ class TestMonitorKernel:
 
                 def draw(spec, rngs, critical, out, noise):
                     nonlocal drawn
-                    assert not critical and out.shape == noise.shape == (len(out), _LANE)
+                    assert critical == retire and out.shape == noise.shape == (len(out), _LANE)
                     assert drawn + len(out) in block_ends(steps, block)
                     out[...] = lane[drawn : drawn + len(out)]
                     noise[...] = np.nan  # scratch: nothing may read it after the draw
                     drawn += len(out)
                     return out
 
-                lanes = _Lanes(S1.controlled(), self.PAGE_EXACT, gamma, 0, n_trials)
+                lanes = _Lanes(S1, self.PAGE_EXACT, gamma, 0, n_trials)
                 with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
-                    trials, times = advance_crossings(lanes, steps, retire=retire)
+                    trials, times = advance_crossings(lanes, steps, critical=retire)
                 # padding never crosses
                 assert not np.isin(trials, np.arange(n_trials, _LANE)).any()
                 rows = list(samples) + [filler] * (n_trials - n_rows)
@@ -551,9 +543,9 @@ class TestMonitorKernel:
         # 300 chains make two lanes, and the chains at their edges are
         # replayed
         total = sum(steps)
-        lanes = _Lanes(spec.controlled(), cfg, gamma, 7, 300)
+        lanes = _Lanes(spec, cfg, gamma, 7, 300)
         with mock.patch.object(simulation, "_BLOCK", block * _LANE):
-            trials, times = advance_crossings(lanes, steps, critical=retire, retire=retire)
+            trials, times = advance_crossings(lanes, steps, critical=retire)
         for chain in (0, _LANE - 1, _LANE, 299):
             xs = trial_samples(spec, 7, chain, total, critical=retire)
             report = run_stream(xs, cfg, gamma, monitor=not retire)
@@ -613,8 +605,7 @@ class TestFitLinear:
 @pytest.fixture(scope="module")
 def small_curve():
     return operational_curve(
-        S1.controlled(),
-        S1.changed(1),
+        S1,
         PAGE,
         gamma_grid=[1.0, 2.0, 3.0, 4.0],
         extrapolation_grid=[6.0, 8.0],
@@ -637,8 +628,7 @@ class TestOperationalCurve:
 
     def test_empty_extrapolation_grid(self):
         curve = operational_curve(
-            S1.controlled(),
-            S1.changed(1),
+            S1,
             PAGE,
             gamma_grid=[1.0, 2.0, 3.0],
             extrapolation_grid=[],
@@ -651,8 +641,7 @@ class TestOperationalCurve:
     def test_refuses_extrapolation_below_floor(self):
         with pytest.raises(ExtrapolationError, match="refusing to extrapolate"):
             operational_curve(
-                S1.controlled(),
-                S1.changed(1),
+                S1,
                 PAGE,
                 gamma_grid=[1.0, 2.0, 3.0],
                 extrapolation_grid=[10.0],
@@ -662,31 +651,45 @@ class TestOperationalCurve:
             )
 
     def test_spec_validation(self):
+        with pytest.raises(ValueError, match="change_time"):
+            operational_curve(S1, PAGE, [1.0, 2.0, 3.0], change_time=0)
         with pytest.raises(ValueError):
-            operational_curve(S1.changed(1), S1.changed(1), PAGE, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            operational_curve(S1.controlled(), S1.controlled(), PAGE, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            operational_curve(S1.controlled(), S1.changed(1), PAGE, [])
+            operational_curve(S1, PAGE, [])
+
+    # the whole grid is checked before any point is simulated, so a bad
+    # point fails at once even after good ones
+    @pytest.mark.parametrize("point, message", [
+        (float("inf"), "a measured gamma must be finite, got inf"),
+        (float("nan"), "gamma must be >= 0, got nan"),
+        (-1.0, "gamma must be >= 0, got -1.0"),
+    ])
+    def test_rejects_bad_measured_point(self, monkeypatch, point, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before the grid was checked")
+
+        monkeypatch.setattr(simulation, "estimate_delay", unreachable)
+        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        with pytest.raises(ValueError, match=message):
+            operational_curve(S1, PAGE, [1.0, 2.0, point], n_trials=200)
 
     @pytest.mark.parametrize("point", [float("nan"), -5.0])
     def test_rejects_bad_extrapolation_point(self, point):
         with pytest.raises(ValueError, match="gamma must be >= 0"):
             operational_curve(
-                S1.controlled(), S1.changed(1), PAGE, [2.0, 3.0, 4.0], [6.0, point], n_trials=200
+                S1, PAGE, [2.0, 3.0, 4.0], [6.0, point], n_trials=200
             )
 
     @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
     def test_rejects_bad_r2_floor(self, floor):
         with pytest.raises(ValueError, match="r2_floor"):
             operational_curve(
-                S1.controlled(), S1.changed(1), PAGE, [2.0, 3.0, 4.0], [6.0], n_trials=200,
+                S1, PAGE, [2.0, 3.0, 4.0], [6.0], n_trials=200,
                 r2_floor=floor,
             )
 
     def test_infinite_extrapolation_point_allowed(self):
         curve = operational_curve(
-            S1.controlled(), S1.changed(1), PAGE, [1.0, 2.0, 3.0], [float("inf")], n_trials=200,
+            S1, PAGE, [1.0, 2.0, 3.0], [float("inf")], n_trials=200,
             seed=34, r2_floor=0.0,
         )
         assert [p.gamma for p in curve.points if not p.measured] == [float("inf")]
