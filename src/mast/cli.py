@@ -21,7 +21,7 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .simulation import (
     DELAY_SEED_TAG,
     PF_SEED_TAG,
     ScenarioSpec,
+    check_grids,
     estimate_delay,
     estimate_pf,
     operational_curve,
@@ -49,6 +50,8 @@ from .simulation import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_ALARM = 2
+
+_TRACE_CHUNK = 8192  # trace rows per string written
 
 # fixed per-kind seed tags so detector order on the command line is irrelevant
 _KIND_SEED_TAG = {DetectorKind.MAST: 10, DetectorKind.PAGE: 13}
@@ -226,6 +229,23 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file overriding packaged experiment defaults")
 
 
+def _trace_chunks(days, values, path: list[float], alarm: int | None) -> Iterator[str]:
+    """The ``detect`` trace rows ``n,date,x,statistic,alarmed`` for each
+    scored sample, ``_TRACE_CHUNK`` lines per string, so that a long trace
+    is never held whole.  The ``repr`` of a list of floats holds the
+    ``repr`` of each, so split at ``", "`` it gives the cells ``_fmt`` would."""
+    for start in range(0, len(path), _TRACE_CHUNK):
+        stop = min(start + _TRACE_CHUNK, len(path))
+        x = repr(values[start:stop].tolist())[1:-1].split(", ")
+        statistic = repr(path[start:stop])[1:-1].split(", ")
+        alarmed = ["0"] * (stop - start)
+        if alarm is not None and start < alarm <= stop:
+            alarmed[alarm - 1 - start] = "1"
+        rows = zip(map(str, range(start + 1, stop + 1)),
+                   np.datetime_as_string(days[start:stop]).tolist(), x, statistic, alarmed)
+        yield "\n".join(map(",".join, rows)) + "\n"
+
+
 def cmd_detect(args) -> int:
     (kind,) = _detector_kinds(args, alpha_read=False)
     try:
@@ -264,15 +284,7 @@ def cmd_detect(args) -> int:
                       "sigma_source": sigma_source, "input": str(args.input),
                       "smooth_window": args.smooth_window, "date_column": args.date_column,
                       "count_column": args.count_column, "date_format": args.date_format}
-        # a generator, so that a long trace is never held in memory; the
-        # ratios and the statistic are Python floats, so !r matches _fmt
-        alarm, scored = report.alarm_index, len(report.path)
-        rows = zip(np.datetime_as_string(days[:scored]).tolist(), values[:scored].tolist(),
-                   report.path)
-        trace = (
-            f"{n},{day},{x!r},{statistic!r},{int(n == alarm)}\n"
-            for n, (day, x, statistic) in enumerate(rows, 1)
-        )
+        trace = _trace_chunks(days, values, report.path, report.alarm_index)
         _write_output(
             args.output, ["n", "date", "x", "statistic", "alarmed"], trace, "detect", parameters
         )
@@ -368,7 +380,8 @@ def cmd_curve(args) -> int:
     if given_grid == []:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
-    table: list[list] = []
+    # every detector's grids are checked before any curve is simulated
+    runs = []
     pair: dict = {"delta_lower": None, "delta_upper": None}
     for kind in kinds:
         config = _detector_config(kind, args, sigma, alpha_default=alpha)
@@ -389,6 +402,11 @@ def cmd_curve(args) -> int:
             extra_grid = _parse_grid(args.extrapolate_grid, "--extrapolate-grid")
         else:
             extra_grid = preset[1] if preset else []
+        check_grids(gamma_grid, extra_grid, r2_floor)
+        runs.append((kind, config, gamma_grid, extra_grid))
+
+    table: list[list] = []
+    for kind, config, gamma_grid, extra_grid in runs:
         curve = operational_curve(
             spec,
             config,

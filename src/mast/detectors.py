@@ -122,14 +122,16 @@ def run_stream(
     all crossing indices; this is the regime used to measure time between
     false alarms.
 
-    The whole stream is scored by one vectorised ``config.increment`` call,
-    and the Monte Carlo engine in ``simulation`` runs this recursion with
-    the same array arithmetic and float operations, so both reach the same
-    statistic and crossings from the same samples.  A NaN or +/-inf sample
-    raises ``ValueError`` instead of silently resetting the statistic.
-    ``detect`` does not pass one: it drops the gaps (NaN) of its ratio
-    series, and ``parse_counts`` bounds counts to finite floats; the engine
-    sees only drawn, finite samples.
+    The whole stream is scored by one vectorised ``config.increment`` call.
+    A float loop then adds each increment and sets a sum not above zero to
+    0.0, which is ``max(0.0, t + d)``; it counts samples only at a
+    crossing, as the length of the path.  The Monte Carlo engine in
+    ``simulation`` runs this recursion with the same array arithmetic and
+    float operations, so both reach the same statistic and crossings from
+    the same samples.  A NaN or +/-inf sample raises ``ValueError`` instead
+    of silently resetting the statistic.  ``detect`` does not pass one: it
+    drops the gaps (NaN) of its ratio series, and ``parse_counts`` bounds
+    counts to finite floats; the engine sees only drawn, finite samples.
     """
     gamma = check_gamma(gamma)
     x = np.asarray(samples, dtype=float)
@@ -137,13 +139,17 @@ def run_stream(
         raise ValueError("samples must be finite numbers (no NaN or +/-inf)")
     increments = config.increment(x).tolist()
     path: list[float] = []
+    append = path.append
     crossings: list[int] = []
     alarm_index: int | None = None
     t = 0.0
-    for n, d in enumerate(increments, 1):
-        t = max(0.0, t + d)
-        path.append(t)
+    for d in increments:
+        t += d
+        if not t > 0.0:  # max(0.0, t): -0.0 and NaN become 0.0 too
+            t = 0.0
+        append(t)
         if t > gamma:
+            n = len(path)
             if alarm_index is None:
                 alarm_index = n
             if not monitor:

@@ -105,8 +105,12 @@ def _day_column(dates: Iterable[dt.date]) -> np.ndarray:
 
 
 def _parse_date(text: str, date_format: str, line: int) -> dt.date:
+    cell = text.strip()
     try:
-        return dt.datetime.strptime(text.strip(), date_format).date()
+        # a YYYY-MM-DD date means the same day to fromisoformat, many times faster
+        if date_format == _ISO_FORMAT and _ISO_DATE.fullmatch(cell):
+            return dt.date.fromisoformat(cell)
+        return dt.datetime.strptime(cell, date_format).date()
     except ValueError:
         raise ParseError(line, f"unparseable date {text!r} (expected format {date_format})")
 
@@ -126,7 +130,7 @@ def _parse_count(text: str, line: int) -> int:
 
 
 def _blank(row: list[str]) -> bool:
-    return not row or all(not c.strip() for c in row)
+    return not any(map(str.strip, row))
 
 
 def parse_counts(
@@ -146,22 +150,34 @@ def parse_counts(
     negative count or count too large for a float raises ``ParseError``
     naming the offending line.
 
-    With the default ``date_format``, input whose dates are all written
-    ``YYYY-MM-DD`` is parsed column by column; anything else goes through
-    a per-row loop with ``strptime``.  Both accept the same inputs and give
-    the same series: the loop is also what names the first bad line.
+    ``csv`` first reads the rows up to the first non-blank one.  With the
+    default ``date_format``, the rest is parsed as text in bulk when every
+    row has as many cells as the first (the header, if any), none quoted,
+    the date written ``YYYY-MM-DD`` and the count in at most 15 digits,
+    neither padded (see ``_parse_iso_text``).  Any other input, and any
+    that fails there (a date out of order, say), goes through a per-row
+    loop over every ``csv`` row, which names the first bad line.  Both
+    give the same series.
     """
     text = source if isinstance(source, str) else source.read()
-    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter or _sniff_delimiter(text)))
-    date_idx, count_idx = 0, 1
-    first_idx = next((i for i, r in enumerate(rows) if not _blank(r)), None)
-    if first_idx is None:
+    delimiter = delimiter or _sniff_delimiter(text)
+    # read up to the first non-blank row only: the ISO path takes the rest
+    # as text, and only the row loop needs every row
+    buffer = io.StringIO(text)
+    reader = csv.reader(buffer, delimiter=delimiter)
+    first_idx, start = 0, 0
+    for first in reader:
+        if not _blank(first):
+            break
+        first_idx, start = first_idx + 1, buffer.tell()
+    else:
         raise ParseError(1, "no data rows")
-    first = rows[first_idx]
+    date_idx, count_idx = 0, 1
     data_idx = first_idx
     if not _looks_like_date(first[0], date_format):
         header = [c.strip() for c in first]
         if date_column not in header or count_column not in header:
+            list(reader)  # a csv.Error in a later row comes first, as in the row loop
             raise ParseError(
                 first_idx + 1,
                 f"header must contain {date_column!r} and {count_column!r}, got {header}",
@@ -169,20 +185,23 @@ def parse_counts(
         date_idx = header.index(date_column)
         count_idx = header.index(count_column)
         data_idx = first_idx + 1
+        start = buffer.tell()
 
     if date_format == _ISO_FORMAT:
-        series = _parse_iso_rows(rows[data_idx:], date_idx, count_idx)
+        series = _parse_iso_text(text[start:], delimiter, len(first), date_idx, count_idx)
         if series is not None:
             return series
 
+    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
     days: list[dt.date] = []
     counts: list[int] = []
     lines: list[int] = []
+    needed = max(date_idx, count_idx) + 1
     for line, row in enumerate(rows[data_idx:], data_idx + 1):
         if _blank(row):
             continue
-        if len(row) <= max(date_idx, count_idx):
-            raise ParseError(line, f"expected at least {max(date_idx, count_idx) + 1} columns")
+        if len(row) < needed:
+            raise ParseError(line, f"expected at least {needed} columns")
         day = _parse_date(row[date_idx], date_format, line)
         value = _parse_count(row[count_idx], line)
         if days and day <= days[-1]:
@@ -199,25 +218,46 @@ def parse_counts(
     return CountSeries(_day_column(days), counts)
 
 
-def _parse_iso_rows(rows: list[list[str]], date_idx: int, count_idx: int) -> CountSeries | None:
-    """The data ``rows`` as a series when the per-row loop would accept them
-    and every date is written ``YYYY-MM-DD``; else None.
+def _parse_iso_text(
+    body: str, delimiter: str, columns: int, date_idx: int, count_idx: int
+) -> CountSeries | None:
+    """The data rows in ``body`` as a series, or None unless each row is
+    ``columns`` cells with no quote, its date written ``YYYY-MM-DD`` and its
+    count in at most 15 ASCII digits, with no whitespace around either, and
+    only blank lines (spaces, tabs and delimiters) follow the last row.
 
-    A date of that shape means the same day to ``fromisoformat`` and to
-    ``strptime`` with the default format, and ``CountSeries`` itself
-    rejects negative counts and dates that do not strictly increase.
+    The rows end with the last line that holds a digit.  One regular
+    expression search looks for a line among them that is not a row, and
+    the rows are split into cells once.  A date of that shape means the
+    same day to ``fromisoformat`` and to ``strptime`` with the default
+    format, a count of at most 15 digits is an exact float, and
+    ``CountSeries`` itself rejects dates that do not strictly increase.
+    Lines end in ``\\n`` or ``\\r\\n``, as ``csv`` reads them; a NUL, which
+    ``csv`` rejects before Python 3.11, is left to the row loop.
     """
-    # testing the first cell before the whole row skips most _blank() calls
-    rows = [row for row in rows if row and row[0].strip() or not _blank(row)]
+    last_digit = max(map(body.rfind, "0123456789"))
+    if date_idx == count_idx or max(date_idx, count_idx) >= columns or last_digit < 0:
+        return None
+    end = body.find("\n", last_digit)
+    rows = body[: len(body) if end < 0 else end].removesuffix("\r")
+    if body[len(rows) :].replace("\r\n", "\n").strip(f" \t\n{delimiter}"):
+        return None
+    sep = re.escape(delimiter)
+    patterns = [rf'[^{sep}"\r\n\x00]*'] * columns
+    patterns[date_idx] = _ISO_DATE.pattern
+    patterns[count_idx] = "[0-9]{1,15}"
+    # a search, not a match of repeated rows, whose backtracking stack
+    # would grow with the number of rows
+    if re.search(rf"\n(?!{sep.join(patterns)}\r?(?:\n|\Z))", "\n" + rows):
+        return None
+    cells = rows.replace("\r\n", "\n").replace("\n", delimiter).split(delimiter)
     try:
-        dates = [row[date_idx].strip() for row in rows]
-        counts = [int(row[count_idx].strip()) for row in rows]
-        float(max(counts))  # OverflowError: a count too large for a float
-        if all(map(_ISO_DATE.fullmatch, dates)):
-            return CountSeries(_day_column(map(dt.date.fromisoformat, dates)), counts)
-    except (IndexError, ValueError, OverflowError):
-        pass
-    return None
+        return CountSeries(
+            _day_column(map(dt.date.fromisoformat, cells[date_idx::columns])),
+            np.array(cells[count_idx::columns], dtype=float),
+        )
+    except ValueError:
+        return None
 
 
 def _sniff_delimiter(text: str) -> str:

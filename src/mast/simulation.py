@@ -74,6 +74,7 @@ __all__ = [
     "OperationalCurve",
     "PerformanceEstimate",
     "ScenarioSpec",
+    "check_grids",
     "estimate_delay",
     "estimate_pf",
     "fit_linear",
@@ -239,14 +240,18 @@ class _Lanes:
             for rngs, out, scratch in zip(self.rngs, block, noise):
                 _draw(self.spec, rngs, critical, out, scratch)
             inc = self.config.increment(block, out=block)
-            hits = self.hits[:size].reshape(k, *self.stat.shape)
-            reset, value = (self.limit, np.inf) if critical else (self.stat, 0.0)
+            stat, limit = self.stat, self.limit
+            hits = self.hits[:size].reshape(k, *stat.shape)
+            reset, value = (limit, np.inf) if critical else (stat, 0.0)
+            add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
             for t in range(k):
-                np.add(self.stat, inc[:, t], out=self.stat)
-                np.maximum(self.stat, 0.0, out=self.stat)
-                np.greater(self.stat, self.limit, out=hits[t])
-                np.copyto(reset, value, where=hits[t])
-            t, lane, col = np.nonzero(hits)
+                add(stat, inc[:, t], out=stat)
+                maximum(stat, 0.0, out=stat)
+                greater(stat, limit, out=hits[t])
+                copyto(reset, value, where=hits[t])
+            # flat indices in C order: by column, then lane, then chain
+            t, chain = np.divmod(np.flatnonzero(hits), stat.size)
+            lane, col = np.divmod(chain, _LANE)
             chains.append(self.lanes[lane] * _LANE + col)
             offsets.append(done + t + 1)
             done += k
@@ -499,6 +504,24 @@ class OperationalCurve:
     logpf_fit: LinearFit | None
 
 
+def check_grids(
+    gamma_grid: Sequence[float], extrapolation_grid: Sequence[float] = (), r2_floor: float = 0.95
+) -> tuple[list[float], list[float]]:
+    """The measured and extrapolated grids of ``operational_curve`` as floats,
+    or ``ValueError``: the measured grid must be a nonempty list of finite
+    thresholds, the extrapolated one of thresholds (see ``check_gamma``),
+    and ``r2_floor`` must lie in [0, 1]."""
+    gammas = [check_gamma(g) for g in gamma_grid]
+    if not gammas:
+        raise ValueError("gamma_grid must not be empty")
+    if math.inf in gammas:
+        raise ValueError("a measured gamma must be finite, got inf")
+    extra_gammas = [check_gamma(g) for g in extrapolation_grid]
+    if not 0.0 <= r2_floor <= 1.0:
+        raise ValueError(f"r2_floor must lie in [0, 1], got {r2_floor}")
+    return gammas, extra_gammas
+
+
 def operational_curve(
     spec: ScenarioSpec,
     config: DetectorConfig,
@@ -517,16 +540,10 @@ def operational_curve(
     ``estimate_delay``) and false alarms.  Straight lines are fitted to
     ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated on
     ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
-    number in [0, 1].  Both grids are checked before anything runs.
+    number in [0, 1].  Both grids are checked by ``check_grids`` before
+    anything runs.
     """
-    gammas = [check_gamma(g) for g in gamma_grid]
-    if not gammas:
-        raise ValueError("gamma_grid must not be empty")
-    if math.inf in gammas:
-        raise ValueError("a measured gamma must be finite, got inf")
-    extra_gammas = [check_gamma(g) for g in extrapolation_grid]
-    if not 0.0 <= r2_floor <= 1.0:
-        raise ValueError(f"r2_floor must lie in [0, 1], got {r2_floor}")
+    gammas, extra_gammas = check_grids(gamma_grid, extrapolation_grid, r2_floor)
 
     measured: list[CurvePoint] = []
     for i, gamma in enumerate(gammas):

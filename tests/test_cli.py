@@ -4,14 +4,16 @@ import datetime as dt
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mast
-from mast import simulation
+from mast import cli, simulation
 from mast.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
 
 
@@ -294,6 +296,63 @@ def test_pinned_csv_bytes(tmp_path, args, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def long_count_file(path, days=24_000, tail=60):
+    """A count file of ``days`` days: counts decay with noisy daily ratios,
+    read zero when they would fall below 10**5 (a gap in the ratios) and
+    restart near 10**14; the last ``tail`` days grow."""
+    rng = random.Random(11)
+    start, level, lines = dt.date(1900, 1, 1), 7e13, ["date,count"]
+    for i in range(days):
+        if i:
+            level = (0.5 + 0.5 * rng.random()) * 1e14 if level == 0 else level * (
+                (1.05 if i >= days - tail else 0.95) + 0.1 * (rng.random() - 0.5))
+            if level < 1e5 and i < days - tail:
+                level = 0
+        lines.append(f"{start + dt.timedelta(days=i)},{round(level)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestDetectBytes:
+    """``detect`` output pinned byte for byte on a long file whose trace
+    spans several of the chunks ``cli`` writes it in."""
+
+    # sha256 of the trace, its manifest and stdout
+    PINNED = ("013af0e8ffc006279a8ada1884950f031a40ae3a3898ac57808c090e93a5cd1f",
+              "806865cb8c5a4cd25657139b9d6e0e65d2a035f8eafc88ac85ad3a02d90fc7be",
+              "db7407444a18229a569c7372b9472bd1759cd62e3e02d5453419852284bc0777")
+
+    def test_long_trace_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        long_count_file(tmp_path / "counts.csv")
+        code = main(["detect", "--input", "counts.csv", "--sigma", "0.05", "--gamma", "12",
+                     "--output", "trace.csv"])
+        assert code == EXIT_ALARM
+        trace = (tmp_path / "trace.csv").read_bytes()
+        assert trace.count(b"\n") > 2 * cli._TRACE_CHUNK + 1
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            trace, (tmp_path / "trace.csv.manifest.json").read_bytes(),
+            capsys.readouterr().out.encode()))
+        assert digests == self.PINNED
+
+    @pytest.mark.parametrize("alarm", [None, 1, "last", "first"])
+    def test_chunks_match_row_by_row(self, alarm):
+        chunk = cli._TRACE_CHUNK
+        n = 2 * chunk + 5
+        alarm = {"last": chunk, "first": chunk + 1}.get(alarm, alarm)
+        days = np.datetime64("2001-02-03") + np.arange(n)
+        # floats whose repr is in exponent form, integral or 17 digits long
+        odd = [1e-05, 1e+16, 2.5e-300, 1.7976931348623157e+308, 0.0, 3.0, 0.1 + 0.2]
+        values = np.resize(np.array(odd + [1.0 / 3.0]), n)
+        path = np.resize(np.array([0.0, 1e-07, 12345678901234567.0] + odd), n).tolist()
+        rows = enumerate(zip(np.datetime_as_string(days).tolist(), values.tolist(), path), 1)
+        expect = "".join(f"{i},{day},{x!r},{s!r},{int(i == alarm)}\n" for i, (day, x, s) in rows)
+        chunks = list(cli._trace_chunks(days, values, path, alarm))
+        assert len(chunks) == 3
+        assert "".join(chunks) == expect
+        if alarm is not None:
+            assert chunks[(alarm - 1) // chunk].count(",1\n") == 1
+
+
 class TestSimulate:
     def test_zero_threshold_delay_about_one(self, capsys):
         code = main(
@@ -528,6 +587,21 @@ class TestCurve:
         monkeypatch.setattr(simulation, "estimate_pf", unreachable)
         code = main(["curve", "--scenario", "1", "--detectors", "page", "--trials", "100",
                      "--seed", "1", "--gamma-grid", "inf,1,2", "--extrapolate-grid", "none"])
+        assert code == EXIT_ERROR
+        assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
+
+    def test_later_detectors_grid_checked_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # JSON Infinity passes --config as a number; page's grid must fail
+        # before the packaged mast curve is simulated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before every grid was checked")
+
+        monkeypatch.setattr(simulation, "estimate_delay", unreachable)
+        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        config = tmp_path / "grid.json"
+        config.write_text('{"grids": {"scenario1": {"page": {"measure": [1, 2, Infinity]}}}}')
+        code = main(["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "100",
+                     "--seed", "1", "--config", str(config)])
         assert code == EXIT_ERROR
         assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
 

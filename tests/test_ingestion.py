@@ -111,6 +111,11 @@ class TestParseCounts:
             parse_counts("2020-10-01,1\n2020-10-02," + "9" * 400)
         assert err.value.line == 2
 
+    def test_csv_error_in_a_later_row_comes_before_a_bad_header(self):
+        # every row is read before the header is judged, as in the row loop
+        with pytest.raises(csv.Error):
+            parse_counts("when,count\n2020-10-01,5\r,x\n")
+
     def test_file_object(self):
         parsed = parse_counts(io.StringIO("2020-10-01,1\n2020-10-02,2"))
         assert len(parsed) == 2
@@ -238,6 +243,15 @@ class TestParseEquivalence:
     # a row whose first cell is empty but which is not blank
     @example(text="count,region,date\n5,,2020-01-01\n , ,\n,north,2020-01-02\n")
     @example(text="date,count\n\n")
+    # the text-level ISO path: line ends, count widths, trailing blank lines,
+    # padding and column order
+    @example(text="date,count\r\n2020-01-05,1\r\n2020-01-06,2\r\n")
+    @example(text="2020-01-05,1\n2020-01-06,1234567890123456\n")
+    @example(text="2020-01-05,999999999999999\n2020-01-06,000000000000007\n")
+    @example(text="2020-01-05,1\n2020-01-06,2")
+    @example(text="2020-01-05,1\n2020-01-06,2\n,\n , ,\r\n\n,,")
+    @example(text="date\tcount\n 2020-01-05 \t 1 \n2020-01-06\t2 \n\t\n")
+    @example(text="count,region,date\n1,north,2020-01-05\n2,,2020-01-06\n")
     def test_matches_reference_loop(self, text):
         assert outcome(parse_counts, text) == outcome(reference_parse_counts, text)
 
