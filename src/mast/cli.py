@@ -148,8 +148,8 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     ``--change-time`` of every mode (1 when not given) and the types of
     ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here, wherever
     they came from, so that an error names the flag.  Each command checks
-    that ``--change-time`` comes with ``--run-in``, the only flag that
-    reads it, so the recorded change time is the one the delay trials use."""
+    that ``--change-time`` and ``--run-in`` come together (``_check_run_in``),
+    so the recorded change time is the one the delay trials use."""
     defaults = load_defaults(args.config)
     settings = {
         name: defaults[name] if getattr(args, name) is None else getattr(args, name)
@@ -168,6 +168,16 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be a real number, got {settings[name]!r}")
     return defaults, settings
+
+
+def _check_run_in(args) -> None:
+    """``--change-time`` and ``--run-in`` come together: a change time
+    without the run-in is never read, and the run-in of the default change
+    time 1 is empty."""
+    if args.change_time is not None and not args.run_in:
+        raise ValueError("--change-time is not read without --run-in")
+    if args.run_in and args.change_time is None:
+        raise ValueError("--run-in has no effect without --change-time")
 
 
 def _csv_line(cells: Iterable) -> str:
@@ -318,8 +328,7 @@ def cmd_simulate(args) -> int:
         unread = [flag for flag, is_given in given if is_given]
         if unread:
             raise ValueError(f"{', '.join(unread)} not read by --mode pf (delay trials only)")
-    if args.change_time is not None and not args.run_in:
-        raise ValueError("--change-time is not read without --run-in")
+    _check_run_in(args)
 
     rows = []
     if args.mode in ("delay", "both"):
@@ -373,8 +382,7 @@ def cmd_curve(args) -> int:
     defaults, settings = _experiment_settings(args, *names)
     alpha, sigma, trials, seed, r2_floor = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
-    if args.change_time is not None and not args.run_in:
-        raise ValueError("--change-time is not read without --run-in")
+    _check_run_in(args)
 
     given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid, "--gamma-grid")
     if given_grid == []:

@@ -22,16 +22,23 @@ directly measured points and extrapolating them into false-alarm regimes
 far beyond Monte Carlo reach.
 
 Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
-consecutive indices.  Each lane owns its generators, derived from
+consecutive indices.  Each lane owns its PCG64 generators, derived from
 ``(seed, lane)``: the noise comes from spawn key ``(lane, 0)`` and, in
-scenario 2 only, the daily means from ``(lane, 1)``.  A lane draws
-time-major: a step of ``cols`` samples fills a ``(cols, _LANE)`` block
+scenario 2 only, the daily means from ``(lane, 1)``.  The words that seed
+them are ``SeedSequence(seed, spawn_key=(lane, stream))``'s, bit for bit,
+but computed for every lane at once by one vectorised pass
+(``_seed_words``) and handed to each PCG64 directly; ``numpy.random`` is
+imported only when the first generator is built.  A lane draws
+time-major: a step of ``cols`` samples fills a ``(cols, _LANE)`` slice
 whose row ``t`` is time and whose column ``r`` belongs to trial
 ``lane * _LANE + r``.  Sample ``t`` of that trial is then element
 ``t * _LANE + r`` of each of its lane's streams, whatever the step sizes,
 so results are a deterministic function of the seed and the trial count
-and do not depend on the chunk schedule.  A seed is an int or a sequence
-of ints.
+and do not depend on the chunk schedule.  The live lanes' slices make up
+one ``(lanes, cols, _LANE)`` block: each lane's generators fill only its
+slice, and the affine steps (the scale by ``sigma``, the mean, scenario
+2's mean plus noise) then run once over the whole block.  A seed is an
+int or a sequence of ints.
 
 Every chain runs the recursion of ``run_stream``,
 ``T_n = max(0, T_{n-1} + increment(x_n))``, with the same float
@@ -42,7 +49,9 @@ call, and the recursion then steps one column at a time across every
 chain.  A crossing in the controlled regime (a false alarm, or one in a
 delay trial's run-in) restarts the statistic at 0; one in the critical
 regime is an alarm and ends the trial.  A lane with no trial left running
-is not drawn again.
+is not drawn again, and in the critical regime blocks are kept short so
+that this happens soon: after ``c`` critical columns a block is at most
+``max(2, c // 2)`` columns long.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
 samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
@@ -54,6 +63,7 @@ and checks its target only between these whole steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,73 +134,152 @@ class ScenarioSpec:
 
 def _seed_entropy(seed, *tags: int) -> list[int]:
     """``SeedSequence`` entropy: ``seed`` (an int or a sequence of ints),
-    then ``tags``.  Any other seed, a ``SeedSequence`` too, raises TypeError."""
-    head = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    return [int(s) for s in head + list(tags)]
+    then ``tags``.  Any other entry, a bool, float or string too, raises
+    TypeError (so does a ``SeedSequence``); a negative one, ValueError."""
+    entropy = list(seed) if isinstance(seed, Iterable) else [seed]
+    # type() rather than isinstance(): a bool is an int to Python
+    if not all(type(s) is int or isinstance(s, np.integer) for s in entropy):
+        raise TypeError(f"a seed is an int or a sequence of ints, got {seed!r}")
+    if any(s < 0 for s in entropy):
+        raise ValueError(f"a seed must be >= 0, got {seed!r}")
+    return [int(s) for s in entropy + list(tags)]
 
 
-def _lane_rngs(seed, lane: int, scenario: int) -> tuple[np.random.Generator, ...]:
-    """The generators of lane ``lane`` (trials ``lane * _LANE`` onward): the
-    noise, from spawn key ``(lane, 0)``, then for scenario 2 the daily means,
-    from ``(lane, 1)``."""
-    entropy = _seed_entropy(seed)
-    streams = (0, 1) if scenario == 2 else (0,)
-    return tuple(
-        np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(lane, stream)))
-        for stream in streams
-    )
+_MASK32 = 0xFFFFFFFF
+# SeedSequence's hash constants and pool size (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _powers(init: int, mult: int, n: int) -> list[int]:
+    """``init * mult**k`` modulo 2**32 for ``k < n``."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hash(value, xor, mult):
+    """``SeedSequence``'s hash of 32-bit words, given the multiplier before
+    and after its update.  A product of two words fits in 64 bits, so the
+    same arithmetic serves Python ints and uint64 arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of a pool word ``x`` with a hashed word ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(entropy: list[int], lanes: int, streams: int) -> np.ndarray:
+    """The C-contiguous ``(lanes, streams, 4)`` uint64 array whose
+    ``[lane, stream]`` row is
+    ``SeedSequence(entropy, spawn_key=(lane, stream)).generate_state(4, np.uint64)``,
+    bit for bit, for non-negative ints ``entropy`` and lanes below 2**32.
+
+    This is ``SeedSequence``'s own mixing.  The pool is shared by every
+    lane until the first word past the pool size, so it is built in Python
+    ints; each later word is mixed into the four pool words at once, and
+    the lane and stream words make the pool a ``(4, lanes, streams)`` array.
+    """
+    words = []
+    for value in entropy:
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    # a spawn key pads the run entropy to the pool size
+    words += [0] * (_POOL - len(words))
+    keys = [np.arange(lanes, dtype=np.uint64)[:, None], np.arange(streams, dtype=np.uint64)]
+    # hashmix call k hashes with multipliers a[k] and a[k + 1]
+    a = _powers(_INIT_A, _MULT_A, _POOL * (len(words) + 2) + 1)
+    pool = [_hash(word, a[k], a[k + 1]) for k, word in enumerate(words[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], a[k], a[k + 1]))
+                k += 1
+    pool = np.array(pool, dtype=np.uint64)[:, None, None]
+    a = np.array(a, dtype=np.uint64)[:, None, None]
+    for word in words[_POOL:] + keys:
+        pool = _mix(pool, _hash(word, a[k : k + _POOL], a[k + 1 : k + _POOL + 1]))
+        k += _POOL
+    # generate_state(4, np.uint64): eight 32-bit words, from the pool in
+    # turn, paired little-endian
+    b = np.array(_powers(_INIT_B, _MULT_B, 9), dtype=np.uint64)[:, None, None]
+    state = np.moveaxis(_hash(pool[np.arange(8) % _POOL], b[:8], b[1:]), 0, -1)
+    return np.ascontiguousarray(state[..., ::2] | state[..., 1::2] << 32)
+
+
+@functools.cache
+def _generator_factory():
+    """``words -> Generator(PCG64(...))`` seeded with the four uint64 words of
+    a ``_seed_words`` row.  ``numpy.random`` is imported here, at first
+    use, because it costs more than the rest of ``import mast.cli``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 the ``generate_state(4, np.uint64)`` words it seeds from."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds generate_state(4, np.uint64) only")
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
+def _lane_rngs(seed, lanes: int, scenario: int) -> list[tuple[np.random.Generator, ...]]:
+    """The generators of lanes ``0 .. lanes - 1``, one tuple per lane (lane
+    ``i`` holds trials ``i * _LANE`` onward): the noise, from spawn key
+    ``(i, 0)``, then for scenario 2 the daily means, from ``(i, 1)``."""
+    words = _seed_words(_seed_entropy(seed), lanes, 2 if scenario == 2 else 1)
+    generator = _generator_factory()
+    return [tuple(map(generator, lane)) for lane in words]
 
 
 def _draw(
     spec: ScenarioSpec,
-    rngs: tuple[np.random.Generator, ...],
+    rngs: Sequence[tuple[np.random.Generator, ...]],
     critical: bool,
     out: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Fill ``out``, a time-major ``(cols, _LANE)`` block, with the next
-    ``cols`` samples of one regime for every trial of a lane, from the
-    lane's generators ``rngs`` (see ``_lane_rngs``).  Scenario 2 draws its
-    means into ``out`` and its noise into ``noise``, a buffer of the same
-    shape.  Returns ``out``.
+    """Fill ``out``, a ``(lanes, cols, _LANE)`` block, with the next ``cols``
+    samples of one regime for every trial of each lane, lane ``i`` being
+    drawn time-major from its generators ``rngs[i]`` (see ``_lane_rngs``).
+    Scenario 2 draws its means into ``out`` and its noise into ``noise``, a
+    buffer of the same shape.  Returns ``out``.
 
-    Each generator fills the block in its memory order, so drawing ``a``
-    rows and then ``b`` gives the same samples as drawing ``a + b`` at once.
-    The in-place arithmetic is that of ``means + sigma * z`` with the means
+    Each generator fills its lane's slice in memory order, so drawing ``a``
+    columns and then ``b`` gives the same samples as drawing ``a + b`` at
+    once.  The affine steps then run once over the whole block; their
+    in-place arithmetic is that of ``means + sigma * z`` with the means
     from ``rng.uniform(low, high, shape)``, bit for bit.
     """
     if spec.scenario == 1:
-        (rng,) = rngs
-        rng.standard_normal(out=out)
+        for (rng,), lane in zip(rngs, out):
+            rng.standard_normal(out=lane)
         out *= spec.sigma
         out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
         return out
-    noise_rng, mean_rng = rngs
+    for (noise_rng, mean_rng), lane, scratch in zip(rngs, out, noise):
+        mean_rng.random(out=lane)
+        noise_rng.standard_normal(out=scratch)
     low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
-    mean_rng.random(out=out)
     out *= high - low
     out += low
-    noise_rng.standard_normal(out=noise)
     noise *= spec.sigma
     out += noise
     return out
-
-
-def trial_samples(
-    spec: ScenarioSpec, seed, index: int, n: int, *, critical: bool = True
-) -> np.ndarray:
-    """First ``n`` samples of the exact stream trial ``index`` consumes.
-
-    Draws the lane's first ``n`` time rows as one ``(n, _LANE)`` block and
-    keeps the trial's column: the engine's draws do not depend on how they
-    are cut into steps, so this is what it scores.  Intended for tests that
-    replay a trial through the reference single-stream detector.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    block, noise = np.empty((2, n, _LANE))
-    _draw(spec, _lane_rngs(seed, index // _LANE, spec.scenario), critical, block, noise)
-    return block[:, index % _LANE].copy()
 
 
 class _Lanes:
@@ -201,7 +290,8 @@ class _Lanes:
     chain of it.  ``limit`` is ``gamma``, or inf for an alarmed chain and
     for the padding past ``n`` in the last lane, which is drawn and scored
     with its lane but never crosses.  ``lanes`` holds the indices of the
-    live lanes and ``rngs`` their generators.  Every block is drawn into
+    live lanes and ``rngs`` their generators, and ``critical_cols`` counts
+    the critical-regime columns run so far.  Every block is drawn into
     ``buf``, two rows of floats for the samples and scenario 2's noise, and
     its crossings are marked in ``hits``.
     """
@@ -210,8 +300,9 @@ class _Lanes:
         count = -(-n // _LANE)
         self.spec = spec
         self.config = config
-        self.rngs = [_lane_rngs(seed, lane, spec.scenario) for lane in range(count)]
+        self.rngs = _lane_rngs(seed, count, spec.scenario)
         self.lanes = np.arange(count)
+        self.critical_cols = 0
         self.stat = np.zeros((count, _LANE))
         self.limit = np.full((count, _LANE), gamma)
         self.limit.reshape(-1)[n:] = np.inf
@@ -229,16 +320,21 @@ class _Lanes:
         The live lanes' next columns are drawn into one block of at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
         than that), scored by one ``config.increment`` call, and run
-        through the recursion one column at a time across all chains.
+        through the recursion one column at a time across all chains.  In
+        the critical regime a block after ``c`` critical columns is also
+        at most ``max(2, c // 2)`` columns long, so a lane runs fewer
+        columns than that past its last alarm.
         """
         chains, offsets = [np.arange(0)], [np.arange(0)]
         done = 0
         while done < cols and self.lanes.size:
             k = min(cols - done, max(1, _BLOCK // (self.lanes.size * _LANE)))
+            if critical:
+                k = min(k, max(2, self.critical_cols // 2))
+                self.critical_cols += k
             size = self.lanes.size * k * _LANE
             block, noise = self.buf[:, :size].reshape(2, self.lanes.size, k, _LANE)
-            for rngs, out, scratch in zip(self.rngs, block, noise):
-                _draw(self.spec, rngs, critical, out, scratch)
+            _draw(self.spec, self.rngs, critical, block, noise)
             inc = self.config.increment(block, out=block)
             stat, limit = self.stat, self.limit
             hits = self.hits[:size].reshape(k, *stat.shape)
@@ -309,10 +405,18 @@ def estimate_delay(
     sample is delay 1.  The default ``change_time=1`` starts the statistic
     at zero at the change: the worst-case convention.
 
-    The run-in draws exactly ``change_time - 1`` samples per trial.  The
+    Lane ``i``'s generators are seeded like
+    ``SeedSequence(seed, spawn_key=(i, stream))``, from words computed for
+    all lanes at once; each lane draws its own slice of a block, and the
+    affine steps run once over the block (see the module docstring).  The
+    run-in draws exactly ``change_time - 1`` samples per trial.  The
     post-change steps start at ``_DELAY_FIRST_STEP`` samples and double
-    while trials run, up to ``_DELAY_CHUNK``; a trial's samples, and so the
-    estimate, do not depend on these step sizes.
+    while trials run, up to ``_DELAY_CHUNK``, and the horizon is checked
+    only between them.  Within a step, a block after ``c`` post-change
+    columns is at most ``max(2, c // 2)`` columns long, so a lane whose
+    trials have all alarmed is dropped soon after the last alarm.  A
+    trial's samples, and so the estimate, depend neither on the steps nor
+    on the blocks.
 
     Trials still running at the horizon are counted at the horizon value
     and reported in ``n_censored`` with a warning.  ``horizon=None`` grows

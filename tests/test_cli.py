@@ -444,6 +444,22 @@ class TestSimulate:
         assert "error: --change-time is not read without --run-in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--scenario", "1", "--gamma", "2", "--mode", "delay"],
+         ["simulate", "--scenario", "1", "--gamma", "2", "--mode", "both"],
+         ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,2,3"]],
+        ids=["delay", "both", "curve"],
+    )
+    def test_run_in_needs_change_time(self, capsys, tmp_path, args):
+        # the default change time 1 leaves the run-in empty, so --run-in
+        # alone would be recorded but change nothing
+        out = tmp_path / "out.csv"
+        code = main(args + ["--trials", "100", "--seed", "1", "--run-in", "--output", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: --run-in has no effect without --change-time" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_delay_flags_read_in_both_mode(self, tmp_path):
         args = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "100", "--seed", "1",
                 "--mode", "both"]
@@ -692,8 +708,19 @@ def test_version_flag(capsys):
     assert "mast" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_out():
+def _imported_with_cli(module: str) -> bool:
+    """Whether a fresh ``import mast.cli`` loads ``module``."""
     src = str(Path(mast.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, mast.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = f"import sys, mast.cli; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode != 0
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not _imported_with_cli("scipy")
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # numpy.random costs more to import than the rest of mast.cli; the
+    # Monte Carlo engine imports it when it builds its first generator
+    assert not _imported_with_cli("numpy.random")

@@ -24,11 +24,13 @@ from mast.simulation import (
     ScenarioSpec,
     _Lanes,
     _draw,
+    _lane_rngs,
+    _seed_entropy,
+    _seed_words,
     estimate_delay,
     estimate_pf,
     fit_linear,
     operational_curve,
-    trial_samples,
 )
 
 S1 = ScenarioSpec(1, 0.05, 0.05)
@@ -36,6 +38,19 @@ S2 = ScenarioSpec(2, 0.05, 0.05)
 MAST = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.0, 1.0))
 PAGE = DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)
 PAIR = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.99, 1.02))
+
+
+def trial_samples(spec, seed, index, n, *, critical=True):
+    """First ``n`` samples of the exact stream trial ``index`` consumes.
+
+    Draws the lane's first ``n`` time rows as one ``(1, n, _LANE)`` block and
+    keeps the trial's column: the engine's draws do not depend on how they
+    are cut into steps, so this is what it scores.
+    """
+    lane = index // _LANE
+    block, noise = np.empty((2, 1, n, _LANE))
+    _draw(spec, _lane_rngs(seed, lane + 1, spec.scenario)[lane:], critical, block, noise)
+    return block[0, :, index % _LANE].copy()
 
 
 def advance_crossings(lanes, steps, critical=False):
@@ -95,20 +110,16 @@ class TestTrialSamples:
     def test_scenario2_controlled_mean(self):
         # controlled means are uniform on (1 - alpha, 1): expectation 0.975
         rngs = (np.random.default_rng(77), np.random.default_rng(177))
-        xs = _draw(S2, rngs, False, *np.empty((2, 4096, _LANE)))
+        xs = _draw(S2, [rngs], False, *np.empty((2, 1, 4096, _LANE)))
         se = np.sqrt(0.05**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 0.975) < 3 * se
 
     def test_scenario2_critical_mean(self):
         # critical means are uniform on (1, 1 + 10 alpha): expectation 1.25
         rngs = (np.random.default_rng(78), np.random.default_rng(178))
-        xs = _draw(S2, rngs, True, *np.empty((2, 4096, _LANE)))
+        xs = _draw(S2, [rngs], True, *np.empty((2, 1, 4096, _LANE)))
         se = np.sqrt(0.5**2 / 12 + 0.05**2) / 1024.0
         assert abs(xs.mean() - 1.25) < 3 * se
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            trial_samples(S1, 1, 0, 0)
 
 
 class TestSeeds:
@@ -122,6 +133,53 @@ class TestSeeds:
             estimate_pf(S1, MAST, 1.0, seed=seed)
         with pytest.raises(TypeError):
             trial_samples(S1, seed, 0, 10)
+
+    # a bool is an int to Python, and a float or string converted by int()
+    # would run as some other seed
+    @pytest.mark.parametrize(
+        "seed", [True, 2.5, "2", None, [2.5], ["2"], [1, True], [np.float64(2)]]
+    )
+    def test_non_int_seed_entries_rejected(self, seed):
+        with pytest.raises(TypeError, match="a seed is an int or a sequence of ints"):
+            _seed_entropy(seed)
+        with pytest.raises(TypeError):
+            estimate_delay(S1, MAST, 4.0, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1]])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="a seed must be >= 0"):
+            estimate_delay(S1, MAST, 4.0, 10, seed=seed)
+
+    def test_numpy_int_seeds_accepted(self):
+        assert _seed_entropy(np.int64(5), 1) == [5, 1]
+        assert _seed_entropy([np.uint32(5), 2]) == [5, 2]
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [[0], [2**32], [2**64 + 1], [1, 2, 3, 4, 5], [2**64 + 1, 7, 2**40], [9, 1, 0]],
+        ids=["zero", "two-words", "three-words", "five-words", "long-multiword", "tagged"],
+    )
+    def test_seed_words_match_seed_sequence(self, entropy):
+        # the vectorised words are SeedSequence's own, for every lane and stream
+        words = _seed_words(entropy, 501, 2)
+        assert words.shape == (501, 2, 4) and words.dtype == np.uint64
+        for lane in range(501):
+            for stream in range(2):
+                seq = np.random.SeedSequence(entropy, spawn_key=(lane, stream))
+                expected = seq.generate_state(4, np.uint64)
+                np.testing.assert_array_equal(words[lane, stream], expected)
+
+    def test_lane_generators_match_default_rng(self):
+        # the generators seeded from those words draw what numpy's own do
+        rngs = _lane_rngs([7, 3], 5, 2)
+        assert len(rngs) == 5 and all(len(lane) == 2 for lane in rngs)
+        for lane in (0, 4):
+            for stream in range(2):
+                seq = np.random.SeedSequence([7, 3], spawn_key=(lane, stream))
+                np.testing.assert_array_equal(
+                    rngs[lane][stream].standard_normal(9),
+                    np.random.default_rng(seq).standard_normal(9),
+                )
 
     def test_pinned_estimates(self):
         # exact outputs of the draw layout at fixed seeds: a change to the
@@ -164,18 +222,32 @@ class TestEstimateDelay:
         assert one == two
 
     @pytest.mark.parametrize("change_time", [1, 100], ids=["zero-start", "run-in"])
-    @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
-    def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg, change_time):
+    @pytest.mark.parametrize(
+        "spec, cfg, far_gamma", [(S1, PAGE, 20.0), (S2, MAST, 100.0)], ids=["s1", "s2"]
+    )
+    def test_chunk_schedule_leaves_estimate_alone(
+        self, monkeypatch, spec, cfg, far_gamma, change_time
+    ):
         # change time 100: the run-in ends inside a step under either
         # schedule (64 + 35 samples, or 14 x 7 + 1); 300 trials make a
-        # whole lane and a partial one
-        def run():
-            return repr(estimate_delay(spec, cfg, 4.0, 300, seed=31, change_time=change_time))
+        # whole lane and a partial one.  The explicit horizon 11 ends
+        # inside a step under either schedule (4 + 7, or 1 + 2 + 4 + 4)
+        # and inside a block, and censors some trials at far_gamma.
+        def run(gamma=4.0, horizon=None):
+            return estimate_delay(
+                spec, cfg, gamma, 300, seed=31, change_time=change_time, horizon=horizon
+            )
 
-        packaged = run()
+        def censored():
+            with pytest.warns(UserWarning, match="counted at the horizon"):
+                return run(far_gamma, horizon=11)
+
+        packaged, packaged_censored = run(), censored()
+        assert 0 < packaged_censored.n_censored < 300
         monkeypatch.setattr(simulation, "_DELAY_FIRST_STEP", 1)
         monkeypatch.setattr(simulation, "_DELAY_CHUNK", 7)
-        assert run() == packaged
+        assert repr(run()) == repr(packaged)
+        assert repr(censored()) == repr(packaged_censored)
 
     def test_matches_reference_detector(self):
         # engine delays averaged over trials == replaying each trial's own
@@ -225,8 +297,8 @@ class TestEstimateDelay:
                     np.random.default_rng(np.random.SeedSequence([61], spawn_key=key))
                     for key in keys
                 )
-                pre = _draw(spec, rngs, False, *np.empty((2, nu - 1, _LANE))).T
-                post = _draw(spec, rngs, True, *np.empty((2, 3200, _LANE))).T
+                pre = _draw(spec, [rngs], False, *np.empty((2, 1, nu - 1, _LANE)))[0].T
+                post = _draw(spec, [rngs], True, *np.empty((2, 1, 3200, _LANE)))[0].T
                 reference = []
                 for trial in range(n_trials):
                     t = 0.0
@@ -450,13 +522,18 @@ def monitor_runs(draw):
     return 1.0 + np.array(ks) / 8.0, block, steps, draw(st.integers(0, 24)) / 8.0
 
 
-def block_ends(steps, block):
+def block_ends(steps, block, critical):
     """Sample counts at which one lane's blocks end over ``advance`` calls
-    of ``steps`` columns, each cut into blocks of ``block`` columns."""
+    of ``steps`` columns, each cut into blocks of at most ``block`` columns,
+    and in the critical regime of at most ``max(2, c // 2)`` columns after
+    ``c`` columns."""
     ends, done = [], 0
     for cols in steps:
-        ends += [done + k for k in range(block, cols, block)] + [done + cols]
-        done += cols
+        stop = done + cols
+        while done < stop:
+            k = min(stop - done, block)
+            done += min(k, max(2, done // 2)) if critical else k
+            ends.append(done)
     return ends
 
 
@@ -496,11 +573,12 @@ class TestMonitorKernel:
 
                 def draw(spec, rngs, critical, out, noise):
                     nonlocal drawn
-                    assert critical == retire and out.shape == noise.shape == (len(out), _LANE)
-                    assert drawn + len(out) in block_ends(steps, block)
-                    out[...] = lane[drawn : drawn + len(out)]
+                    cols = out.shape[1]
+                    assert critical == retire and out.shape == noise.shape == (1, cols, _LANE)
+                    assert drawn + cols in block_ends(steps, block, retire)
+                    out[0] = lane[drawn : drawn + cols]
                     noise[...] = np.nan  # scratch: nothing may read it after the draw
-                    drawn += len(out)
+                    drawn += cols
                     return out
 
                 lanes = _Lanes(S1, self.PAGE_EXACT, gamma, 0, n_trials)
@@ -521,7 +599,8 @@ class TestMonitorKernel:
                         assert lanes.stat[0, i] == report.final_state.statistic
                 if retire and None not in alarms:
                     # a lane with no live trial is not drawn again
-                    assert drawn == min(e for e in block_ends(steps, block) if e >= max(alarms))
+                    ends = block_ends(steps, block, retire)
+                    assert drawn == min(e for e in ends if e >= max(alarms))
                     assert lanes.lanes.size == 0
                 else:
                     assert drawn == total
