@@ -46,19 +46,28 @@ operations, so a chain crosses where ``run_stream`` replaying its samples
 does.  All lanes advance together: the live lanes' next columns are drawn
 into one block of at most ``_BLOCK`` samples, scored by one increment
 call, and the recursion then steps one column at a time across every
-chain.  A crossing in the controlled regime (a false alarm, or one in a
-delay trial's run-in) restarts the statistic at 0; one in the critical
-regime is an alarm and ends the trial.  A lane with no trial left running
-is not drawn again, and in the critical regime blocks are kept short so
-that this happens soon: after ``c`` critical columns a block is at most
-``max(2, c // 2)`` columns long.
+chain.  The chains can run for several thresholds at once, one row each:
+every row adds the same scored column to its own statistic.  A crossing in
+the controlled regime (a false alarm, or one in a delay trial's run-in)
+restarts the statistic at 0; one in the critical regime is an alarm and
+ends the trial.  A lane with no trial left running is not drawn again,
+and in the critical regime blocks are kept short so that this happens
+soon: after ``c`` critical columns a block is at most ``max(2, c // 2)``
+columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
+samples over all of them make more columns; a call may always run those.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
 samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
 doubles while trials run, up to ``_DELAY_CHUNK``, so that short delays are
 not scored over whole chunks.
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
-and checks its target only between these whole steps.
+and checks its target only between these whole steps.  An operational
+curve estimates the false-alarm rates of its whole grid on one set of
+chains, one row per threshold (``_estimate_pf_grid``), and drops each row
+at the first step boundary where it has met its target.  Each point's
+estimate is exactly that of a lone ``estimate_pf`` on the curve's
+false-alarm seed; the points' errors are correlated, and a repeated
+threshold repeats its estimate.
 """
 
 from __future__ import annotations
@@ -102,6 +111,9 @@ _DELAY_MAX_STEPS = 1_000_000
 _PF_CHUNK = 512
 # samples one engine block draws across all live lanes: one lane's pf step
 _BLOCK = _LANE * _PF_CHUNK
+# samples over all of a call's lanes that a critical-regime block may always
+# span: a shorter block's fixed cost outweighs the columns it saves
+_CRITICAL_BLOCK = 8192
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -284,81 +296,102 @@ def _draw(
 
 class _Lanes:
     """Chains ``0 .. n - 1`` in lanes of ``_LANE``, advancing in lockstep
-    on one sample clock by ``run_stream``'s recursion.
+    on one sample clock by ``run_stream``'s recursion, once for each
+    threshold of ``gammas`` (a float or a sequence of them).
 
-    ``stat`` and ``limit`` hold one row per live lane and one column per
-    chain of it.  ``limit`` is ``gamma``, or inf for an alarmed chain and
-    for the padding past ``n`` in the last lane, which is drawn and scored
-    with its lane but never crosses.  ``lanes`` holds the indices of the
-    live lanes and ``rngs`` their generators, and ``critical_cols`` counts
-    the critical-regime columns run so far.  Every block is drawn into
-    ``buf``, two rows of floats for the samples and scenario 2's noise, and
-    its crossings are marked in ``hits``.
+    ``stat`` and ``limit`` are ``(rows, lanes, _LANE)`` arrays: one row per
+    threshold still running, one lane per live lane and one column per
+    chain of it.  Every row scores the same samples.  ``limit`` is the
+    row's threshold, or inf for an alarmed chain and for the padding past
+    ``n`` in the last lane, which is drawn and scored with its lane but
+    never crosses.  ``rows`` holds the indices into ``gammas`` of the rows
+    still running, ``lanes`` those of the live lanes and ``rngs`` their
+    generators, and ``critical_cols`` counts the critical-regime columns
+    run so far.  Every block is drawn into ``buf``, two rows of floats for
+    the samples and scenario 2's noise, and its crossings are marked in
+    ``hits``.
     """
 
-    def __init__(self, spec, config, gamma, seed, n):
+    def __init__(self, spec, config, gammas, seed, n):
         count = -(-n // _LANE)
+        gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
         self.spec = spec
         self.config = config
         self.rngs = _lane_rngs(seed, count, spec.scenario)
+        self.rows = np.arange(gammas.size)
         self.lanes = np.arange(count)
+        # a critical block may always run this many columns
+        self.min_critical_cols = _CRITICAL_BLOCK // (count * _LANE)
         self.critical_cols = 0
-        self.stat = np.zeros((count, _LANE))
-        self.limit = np.full((count, _LANE), gamma)
-        self.limit.reshape(-1)[n:] = np.inf
+        self.stat = np.zeros((gammas.size, count, _LANE))
+        self.limit = np.empty_like(self.stat)
+        self.limit[...] = gammas[:, None, None]
+        self.limit.reshape(gammas.size, -1)[:, n:] = np.inf
         size = max(_BLOCK, count * _LANE)
         self.buf = np.empty((2, size))
-        self.hits = np.empty(size, bool)
+        self.hits = np.empty(gammas.size * size, bool)
 
-    def advance(self, critical: bool, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every live chain ``cols`` samples of one regime; return
-        the chain and the offset (1-based within the call) of every
-        crossing.  A crossed chain restarts at 0 in the controlled regime;
-        in the critical regime it has alarmed, and its limit becomes inf.
-        A lane left with no live chain is dropped and not drawn again.
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Keep only the rows where the bool array ``keep`` is true."""
+        self.rows, self.stat, self.limit = self.rows[keep], self.stat[keep], self.limit[keep]
+
+    def advance(self, critical: bool, cols: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Advance every live chain of every row ``cols`` samples of one
+        regime; return, for each row in ``rows``, the chain and the offset
+        (1-based within the call) of every crossing.  A crossed chain
+        restarts at 0 in the controlled regime; in the critical regime it
+        has alarmed, and its limit becomes inf.  A lane left with no live
+        chain in any row is dropped and not drawn again.
 
         The live lanes' next columns are drawn into one block of at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
         than that), scored by one ``config.increment`` call, and run
-        through the recursion one column at a time across all chains.  In
-        the critical regime a block after ``c`` critical columns is also
-        at most ``max(2, c // 2)`` columns long, so a lane runs fewer
-        columns than that past its last alarm.
+        through the recursion one column at a time across all chains of
+        all rows.  In the critical regime a block after ``c`` critical
+        columns is also at most ``max(2, c // 2, min_critical_cols)``
+        columns long, so a lane runs few columns past its last alarm;
+        ``min_critical_cols`` is the columns that ``_CRITICAL_BLOCK``
+        samples make over all the call's lanes.
         """
-        chains, offsets = [np.arange(0)], [np.arange(0)]
+        found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         done = 0
-        while done < cols and self.lanes.size:
-            k = min(cols - done, max(1, _BLOCK // (self.lanes.size * _LANE)))
+        while done < cols and self.lanes.size and self.rows.size:
+            width = self.lanes.size * _LANE
+            k = min(cols - done, max(1, _BLOCK // width))
             if critical:
-                k = min(k, max(2, self.critical_cols // 2))
+                k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
                 self.critical_cols += k
-            size = self.lanes.size * k * _LANE
-            block, noise = self.buf[:, :size].reshape(2, self.lanes.size, k, _LANE)
+            block, noise = self.buf[:, : k * width].reshape(2, self.lanes.size, k, _LANE)
             _draw(self.spec, self.rngs, critical, block, noise)
             inc = self.config.increment(block, out=block)
             stat, limit = self.stat, self.limit
-            hits = self.hits[:size].reshape(k, *stat.shape)
+            hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
             reset, value = (limit, np.inf) if critical else (stat, 0.0)
             add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
             for t in range(k):
+                # each lane's column of scores serves every row
                 add(stat, inc[:, t], out=stat)
                 maximum(stat, 0.0, out=stat)
-                greater(stat, limit, out=hits[t])
-                copyto(reset, value, where=hits[t])
-            # flat indices in C order: by column, then lane, then chain
-            t, chain = np.divmod(np.flatnonzero(hits), stat.size)
+                greater(stat, limit, out=hits[:, t])
+                copyto(reset, value, where=hits[:, t])
+            # flat indices in C order: by row, then column, lane and chain;
+            # row r's crossings have r * k + (column) in `at`
+            at, chain = np.divmod(np.flatnonzero(hits), width)
             lane, col = np.divmod(chain, _LANE)
-            chains.append(self.lanes[lane] * _LANE + col)
-            offsets.append(done + t + 1)
+            chain = self.lanes[lane] * _LANE + col
+            bounds = np.searchsorted(at, np.arange(len(stat) + 1) * k)
+            for r, (chains, offsets) in enumerate(found):
+                chains.append(chain[bounds[r] : bounds[r + 1]])
+                offsets.append(at[bounds[r] : bounds[r + 1]] + (done + 1 - r * k))
             done += k
-            if critical and t.size:
+            if critical and at.size:
                 # only a finite gamma crosses, so an inf limit marks no live chain
-                live = (self.limit < np.inf).any(axis=1)
+                live = (self.limit < np.inf).any(axis=(0, 2))
                 self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
                 self.lanes, self.stat, self.limit = (
-                    self.lanes[live], self.stat[live], self.limit[live]
+                    self.lanes[live], self.stat[:, live], self.limit[:, live]
                 )
-        return np.concatenate(chains), np.concatenate(offsets)
+        return [(np.concatenate(chains), np.concatenate(offsets)) for chains, offsets in found]
 
 
 @dataclass(frozen=True)
@@ -414,7 +447,10 @@ def estimate_delay(
     while trials run, up to ``_DELAY_CHUNK``, and the horizon is checked
     only between them.  Within a step, a block after ``c`` post-change
     columns is at most ``max(2, c // 2)`` columns long, so a lane whose
-    trials have all alarmed is dropped soon after the last alarm.  A
+    trials have all alarmed is dropped soon after the last alarm.  But a
+    block may always span ``_CRITICAL_BLOCK`` samples over all the call's
+    lanes, which is more than two columns only for a call of few lanes:
+    shorter blocks would cost more than the columns they save.  A
     trial's samples, and so the estimate, depend neither on the steps nor
     on the blocks.
 
@@ -443,7 +479,7 @@ def estimate_delay(
     step = _DELAY_FIRST_STEP
     while steps_done < cap and lanes.lanes.size:
         cols = min(step, cap - steps_done)
-        trials, offsets = lanes.advance(True, cols)
+        ((trials, offsets),) = lanes.advance(True, cols)
         delays[trials] = steps_done + offsets
         steps_done += cols
         step = min(2 * step, _DELAY_CHUNK)
@@ -502,28 +538,75 @@ def estimate_pf(
     ``InsufficientEventsError`` -- direct estimation is then out of reach
     and the threshold belongs on an extrapolated operational curve
     instead.
+
+    This is the one-threshold case of ``_estimate_pf_grid``, which
+    ``operational_curve`` runs over its whole grid on one set of chains;
+    each of its points is this function's estimate on the same seed.
     """
-    gamma = check_gamma(gamma)
+    (est,) = _estimate_pf_grid(
+        spec, config, [gamma], seed, n_chains=n_chains, target_crossings=target_crossings,
+        min_crossings=min_crossings, max_steps=max_steps,
+    )
+    return est
+
+
+def _estimate_pf_grid(
+    spec: ScenarioSpec,
+    config: DetectorConfig,
+    gammas: Sequence[float],
+    seed,
+    *,
+    n_chains: int = 2048,
+    target_crossings: int = 10_000,
+    min_crossings: int = 100,
+    max_steps: int = 200_000_000,
+) -> list[PerformanceEstimate]:
+    """``estimate_pf`` at every threshold of ``gammas``, on one set of chains.
+
+    Every threshold is a row of the same ``_Lanes``: each sample is drawn
+    and scored once, and each row runs the recursion on it with its own
+    statistic.  A row is dropped at the first step boundary where it has
+    seen ``target_crossings`` crossings; the others run on.  So each row's
+    chains, crossings and stopping step are exactly those of a lone
+    ``estimate_pf`` at its threshold on ``seed``, and so is its estimate;
+    only the estimates' joint distribution differs, since the rows share
+    their samples.  The first threshold, in grid order, with fewer than
+    ``min_crossings`` crossings raises ``InsufficientEventsError``.
+    """
+    gammas = [check_gamma(g) for g in gammas]
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
 
-    lanes = _Lanes(spec, config, gamma, seed, n_chains)
-    chains, times = [], []
-    crossings = 0
+    lanes = _Lanes(spec, config, gammas, seed, n_chains)
+    # per row: the chain and time of its crossings, step by step
+    found = [[(np.arange(0), np.arange(0))] for _ in gammas]
+    crossings = np.zeros(len(gammas), dtype=np.int64)
+    # samples per chain each row has run
+    steps = np.zeros(len(gammas), dtype=np.int64)
     per_chain_cap = -(-max_steps // n_chains)
-    steps = 0
-    while steps < per_chain_cap and crossings < target_crossings:
-        cols = min(_PF_CHUNK, per_chain_cap - steps)
-        trials, offsets = lanes.advance(False, cols)
-        chains.append(trials)
-        times.append(steps + offsets)
-        crossings += trials.size
-        steps += cols
+    done = 0
+    while done < per_chain_cap and lanes.rows.size:
+        cols = min(_PF_CHUNK, per_chain_cap - done)
+        for row, (chains, offsets) in zip(lanes.rows, lanes.advance(False, cols)):
+            found[row].append((chains, done + offsets))
+            crossings[row] += chains.size
+        done += cols
+        steps[lanes.rows] = done
+        lanes.keep_rows(crossings[lanes.rows] < target_crossings)
 
-    observed = steps * n_chains
+    return [
+        _pf_estimate(gamma, *map(np.concatenate, zip(*row)), int(n) * n_chains, min_crossings)
+        for gamma, row, n in zip(gammas, found, steps)
+    ]
+
+
+def _pf_estimate(gamma, chains, times, observed, min_crossings) -> PerformanceEstimate:
+    """The estimate from one threshold's crossings, given by chain and time,
+    over ``observed`` samples."""
+    crossings = chains.size
     if crossings < min_crossings:
         raise InsufficientEventsError(
             f"only {crossings} crossings in {observed} controlled samples at gamma={gamma} "
@@ -533,7 +616,6 @@ def estimate_pf(
     if crossings > 1:
         # completed intervals, ordered by chain then time so that pf_se
         # does not depend on the grouping
-        chains, times = np.concatenate(chains), np.concatenate(times)
         order = np.lexsort((times, chains))
         chains, times = chains[order], times[order]
         intervals = np.diff(times, prepend=0)
@@ -641,7 +723,14 @@ def operational_curve(
 
     Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
     delay trials with the regime change at ``change_time`` (see
-    ``estimate_delay``) and false alarms.  Straight lines are fitted to
+    ``estimate_delay``), on the point's own seed, and false alarms.  The
+    false-alarm chains are shared: every point runs on the same controlled
+    samples (``_estimate_pf_grid``), each drawn and scored once, and stops
+    at its own crossing target.  Each point's ``log10_pf`` and ``pf_se``
+    are exactly those of a lone ``estimate_pf`` at its threshold on the
+    curve's false-alarm seed, but the points' errors are correlated: the
+    log10 pf fit's r-squared does not come from independent points, and a
+    repeated threshold repeats its estimate.  Straight lines are fitted to
     ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated on
     ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
     number in [0, 1].  Both grids are checked by ``check_grids`` before
@@ -649,9 +738,8 @@ def operational_curve(
     """
     gammas, extra_gammas = check_grids(gamma_grid, extrapolation_grid, r2_floor)
 
-    measured: list[CurvePoint] = []
-    for i, gamma in enumerate(gammas):
-        delay = estimate_delay(
+    delays = [
+        estimate_delay(
             spec,
             config,
             gamma,
@@ -659,13 +747,13 @@ def operational_curve(
             seed=_seed_entropy(seed, DELAY_SEED_TAG, i),
             change_time=change_time,
         )
-        pf = estimate_pf(
-            spec,
-            config,
-            gamma,
-            seed=_seed_entropy(seed, PF_SEED_TAG, i),
-            target_crossings=n_trials,
-        )
+        for i, gamma in enumerate(gammas)
+    ]
+    pfs = _estimate_pf_grid(
+        spec, config, gammas, _seed_entropy(seed, PF_SEED_TAG, 0), target_crossings=n_trials
+    )
+    measured: list[CurvePoint] = []
+    for gamma, delay, pf in zip(gammas, delays, pfs):
         measured.append(
             CurvePoint(
                 gamma=gamma,

@@ -272,18 +272,18 @@ class TestBarrierPair:
 PINNED_CSV = [
     (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
-     "15d3bb46dea6a566fd2746e49c3722ae96a1b318a0aaaf0c453bd4bd25133bd0"),
+     "1bf5e455b1ed591606f04dbe3155a457fa1d3ba5d0b608e14e358744a5cb0fec"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
      "d053379923f7749b0f7540861eac358c7d2c102bdb8e9307d99c240705748558"),
     # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--run-in", "--change-time", "50"],
-     "279c8c3e28a120b8aec54be880dd3186c28ffc883aa096b7f73862898b9acf6c"),
+     "0e16dc0f7dfd28d4185c32e493206c04c61856aec56538b57c37223f55084443"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
       "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
       "--extrapolate-grid", "none"],
-     "a3b9c7b6efaa314c4ad6b7ae83ccd30aca711866ac951e02b281bfa410a93242"),
+     "4edb7f1ad393bd87aec65266e8c9d09cf9d989fa9f3bf19d6f95a97f6a0117a4"),
 ]
 
 

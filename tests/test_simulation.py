@@ -1,5 +1,6 @@
 """Tests for the scenario generators and the Monte Carlo harness."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -24,6 +25,7 @@ from mast.simulation import (
     ScenarioSpec,
     _Lanes,
     _draw,
+    _estimate_pf_grid,
     _lane_rngs,
     _seed_entropy,
     _seed_words,
@@ -55,10 +57,10 @@ def trial_samples(spec, seed, index, n, *, critical=True):
 
 def advance_crossings(lanes, steps, critical=False):
     """Chain and 1-based time of every crossing over ``lanes.advance`` calls
-    of ``steps`` columns each."""
+    of ``steps`` columns each, for lanes of one threshold."""
     trials, times, done = [], [], 0
     for cols in steps:
-        chain_of, offsets = lanes.advance(critical, cols)
+        ((chain_of, offsets),) = lanes.advance(critical, cols)
         assert ((offsets >= 1) & (offsets <= cols)).all()
         trials.append(chain_of)
         times.append(done + offsets)
@@ -270,7 +272,7 @@ class TestEstimateDelay:
         lanes = _Lanes(spec, MAST, gamma, 123, n_trials)
         done = 0
         while lanes.lanes.size:
-            trials, offsets = lanes.advance(True, _DELAY_CHUNK)
+            ((trials, offsets),) = lanes.advance(True, _DELAY_CHUNK)
             assert not delays[trials].any()
             delays[trials] = done + offsets
             done += _DELAY_CHUNK
@@ -426,7 +428,7 @@ class TestEstimatePf:
             xs = trial_samples(S2, 55, chain, per_chain, critical=False)
             report = run_stream(xs, MAST, gamma, monitor=True)
             assert sorted(times[trials == chain].tolist()) == report.crossings
-            assert lanes.stat[0, chain] == report.final_state.statistic
+            assert lanes.stat[0, 0, chain] == report.final_state.statistic
             intervals.extend(np.diff(report.crossings, prepend=0).tolist())
         crossings = len(intervals)
         assert est.n_trials == crossings
@@ -504,6 +506,68 @@ class TestEstimatePf:
         assert est.observed_steps == 4096
 
 
+class TestEstimatePfGrid:
+    """One set of chains for a whole grid: every row is the lone estimate."""
+
+    @pytest.mark.parametrize(
+        "spec, cfg, gammas, kwargs",
+        [
+            # the packaged S1 Page grid: the rows stop after 1, 3 and 5 steps
+            (S1, PAGE, [2.0, 2.8, 3.6, 4.4, 5.2, 6.0, 6.8, 7.6], {"target_crossings": 500}),
+            (S2, MAST, [2.0, 3.0, 4.0, 3.0], {"target_crossings": 400}),
+            (S1, PAIR, [1.0, 2.0, 3.0], {"target_crossings": 300}),
+            # max_steps binds the higher rows, 1500 samples a chain (512 x 2 + 476)
+            (S1, MAST, [0.5, 2.0, 3.0, 4.0], {
+                "n_chains": 300, "target_crossings": 2000, "min_crossings": 1,
+                "max_steps": 300 * 1500,
+            }),
+        ],
+        ids=["s1-page-packaged", "s2-mast", "s1-pair", "max-steps"],
+    )
+    def test_rows_match_lone_estimates(self, spec, cfg, gammas, kwargs):
+        grid = _estimate_pf_grid(spec, cfg, gammas, [5, 2], **kwargs)
+        assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for g in gammas]
+        n_chains = kwargs.get("n_chains", 2048)
+        steps = {-(-est.observed_steps // (n_chains * _PF_CHUNK)) for est in grid}
+        if spec is S1 and cfg is PAGE:
+            assert {1, 3, 5} <= steps
+        if "max_steps" in kwargs:
+            assert [est.observed_steps for est in grid][-2:] == [300 * 1500] * 2
+            assert grid[0].observed_steps < 300 * 1500
+
+    def test_first_short_gamma_raises_lone_message(self):
+        kwargs = {"n_chains": 8, "max_steps": 20_000}
+        with pytest.raises(InsufficientEventsError) as lone:
+            estimate_pf(S1, MAST, 50.0, seed=1, **kwargs)
+        with pytest.raises(InsufficientEventsError) as grid:
+            _estimate_pf_grid(S1, MAST, [0.5, 50.0, 60.0], 1, **kwargs)
+        assert str(grid.value) == str(lone.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gammas=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=5).map(sorted),
+        seed=st.integers(0, 2**40),
+        n_chains=st.integers(1, 300),
+        per_chain=st.integers(1, 1200),
+    )
+    @pytest.mark.parametrize(
+        "spec, cfg", [(S1, MAST), (S1, PAGE), (S2, PAIR)], ids=["s1-mast", "s1-page", "s2-pair"]
+    )
+    def test_crossings_fall_with_gamma(self, spec, cfg, gammas, seed, n_chains, per_chain):
+        # on shared samples, each interval from a reset of the statistic for
+        # a higher threshold b to its crossing holds a crossing of a lower
+        # one a: the statistic for a starts it at or above that for b and
+        # follows the same monotone recursion.  Independent streams per
+        # threshold would break this.
+        grid = _estimate_pf_grid(
+            spec, cfg, gammas, seed, n_chains=n_chains, target_crossings=10**9,
+            min_crossings=0, max_steps=n_chains * per_chain,
+        )
+        counts = [est.n_trials for est in grid]
+        assert counts == sorted(counts, reverse=True)
+        assert {est.observed_steps for est in grid} == {n_chains * per_chain}
+
+
 @st.composite
 def monitor_runs(draw):
     """Rows of samples ``1 + k/8``, the lane columns of one engine block,
@@ -522,17 +586,17 @@ def monitor_runs(draw):
     return 1.0 + np.array(ks) / 8.0, block, steps, draw(st.integers(0, 24)) / 8.0
 
 
-def block_ends(steps, block, critical):
+def block_ends(steps, block, critical, floor):
     """Sample counts at which one lane's blocks end over ``advance`` calls
     of ``steps`` columns, each cut into blocks of at most ``block`` columns,
-    and in the critical regime of at most ``max(2, c // 2)`` columns after
-    ``c`` columns."""
+    and in the critical regime of at most ``max(2, c // 2, floor)`` columns
+    after ``c`` columns."""
     ends, done = [], 0
     for cols in steps:
         stop = done + cols
         while done < stop:
             k = min(stop - done, block)
-            done += min(k, max(2, done // 2)) if critical else k
+            done += min(k, max(2, done // 2, floor)) if critical else k
             ends.append(done)
     return ends
 
@@ -567,43 +631,46 @@ class TestMonitorKernel:
         lane = np.full((total, _LANE), self.FILLER)
         lane[:, :n_rows] = samples.T
         filler = np.full(total, self.FILLER)
-        for retire in (False, True):
-            for n_trials in (n_rows, _LANE):
-                drawn = 0
+        # a one-lane call's critical blocks may always run `floor` columns
+        for retire, n_trials, floor in itertools.product(
+            (False, True), (n_rows, _LANE), (0, 3)
+        ):
+            drawn = 0
 
-                def draw(spec, rngs, critical, out, noise):
-                    nonlocal drawn
-                    cols = out.shape[1]
-                    assert critical == retire and out.shape == noise.shape == (1, cols, _LANE)
-                    assert drawn + cols in block_ends(steps, block, retire)
-                    out[0] = lane[drawn : drawn + cols]
-                    noise[...] = np.nan  # scratch: nothing may read it after the draw
-                    drawn += cols
-                    return out
+            def draw(spec, rngs, critical, out, noise):
+                nonlocal drawn
+                cols = out.shape[1]
+                assert critical == retire and out.shape == noise.shape == (1, cols, _LANE)
+                assert drawn + cols in block_ends(steps, block, retire, floor)
+                out[0] = lane[drawn : drawn + cols]
+                noise[...] = np.nan  # scratch: nothing may read it after the draw
+                drawn += cols
+                return out
 
+            with mock.patch.object(simulation, "_CRITICAL_BLOCK", floor * _LANE):
                 lanes = _Lanes(S1, self.PAGE_EXACT, gamma, 0, n_trials)
-                with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
-                    trials, times = advance_crossings(lanes, steps, critical=retire)
-                # padding never crosses
-                assert not np.isin(trials, np.arange(n_trials, _LANE)).any()
-                rows = list(samples) + [filler] * (n_trials - n_rows)
-                alarms = []
-                for i, row in enumerate(rows):
-                    report = run_stream(row, self.PAGE_EXACT, gamma, monitor=not retire)
-                    crossings = times[trials == i].tolist()
-                    if retire:
-                        alarms.append(report.alarm_index)
-                        assert crossings == [a for a in alarms[-1:] if a is not None]
-                    else:
-                        assert sorted(crossings) == report.crossings
-                        assert lanes.stat[0, i] == report.final_state.statistic
-                if retire and None not in alarms:
-                    # a lane with no live trial is not drawn again
-                    ends = block_ends(steps, block, retire)
-                    assert drawn == min(e for e in ends if e >= max(alarms))
-                    assert lanes.lanes.size == 0
+            with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
+                trials, times = advance_crossings(lanes, steps, critical=retire)
+            # padding never crosses
+            assert not np.isin(trials, np.arange(n_trials, _LANE)).any()
+            rows = list(samples) + [filler] * (n_trials - n_rows)
+            alarms = []
+            for i, row in enumerate(rows):
+                report = run_stream(row, self.PAGE_EXACT, gamma, monitor=not retire)
+                crossings = times[trials == i].tolist()
+                if retire:
+                    alarms.append(report.alarm_index)
+                    assert crossings == [a for a in alarms[-1:] if a is not None]
                 else:
-                    assert drawn == total
+                    assert sorted(crossings) == report.crossings
+                    assert lanes.stat[0, 0, i] == report.final_state.statistic
+            if retire and None not in alarms:
+                # a lane with no live trial is not drawn again
+                ends = block_ends(steps, block, retire, floor)
+                assert drawn == min(e for e in ends if e >= max(alarms))
+                assert lanes.lanes.size == 0
+            else:
+                assert drawn == total
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -705,6 +772,20 @@ class TestOperationalCurve:
         assert small_curve.delay_fit.slope > 0
         assert small_curve.logpf_fit.slope < 0
 
+    def test_points_share_false_alarm_chains(self, small_curve):
+        # every point's pf is the lone estimate on the grid's one pf seed,
+        # and its delay the lone estimate on the point's own seed
+        for i, point in enumerate(small_curve.points[:4]):
+            pf = estimate_pf(
+                S1, PAGE, point.gamma, seed=_seed_entropy(31, simulation.PF_SEED_TAG, 0),
+                target_crossings=500,
+            )
+            delay = estimate_delay(
+                S1, PAGE, point.gamma, 500, seed=_seed_entropy(31, simulation.DELAY_SEED_TAG, i)
+            )
+            assert (point.log10_pf, point.pf_se) == (math.log10(pf.pf), pf.pf_se)
+            assert (point.delay, point.delay_se) == (delay.mean_delay, delay.delay_se)
+
     def test_empty_extrapolation_grid(self):
         curve = operational_curve(
             S1,
@@ -748,6 +829,7 @@ class TestOperationalCurve:
 
         monkeypatch.setattr(simulation, "estimate_delay", unreachable)
         monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        monkeypatch.setattr(simulation, "_estimate_pf_grid", unreachable)
         with pytest.raises(ValueError, match=message):
             operational_curve(S1, PAGE, [1.0, 2.0, point], n_trials=200)
 
