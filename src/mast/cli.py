@@ -53,9 +53,6 @@ EXIT_ALARM = 2
 
 _TRACE_CHUNK = 8192  # trace rows per string written
 
-# fixed per-kind seed tags so detector order on the command line is irrelevant
-_KIND_SEED_TAG = {DetectorKind.MAST: 10, DetectorKind.PAGE: 13}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the input-error code."""
@@ -411,20 +408,18 @@ def cmd_curve(args) -> int:
         else:
             extra_grid = preset[1] if preset else []
         check_grids(gamma_grid, extra_grid, r2_floor)
-        runs.append((kind, config, gamma_grid, extra_grid))
+        runs.append((config, gamma_grid, extra_grid))
 
+    curves = operational_curve(
+        spec,
+        runs,
+        n_trials=trials,
+        seed=seed,
+        change_time=settings["change_time"],
+        r2_floor=r2_floor,
+    )
     table: list[list] = []
-    for kind, config, gamma_grid, extra_grid in runs:
-        curve = operational_curve(
-            spec,
-            config,
-            gamma_grid,
-            extra_grid,
-            n_trials=trials,
-            seed=[seed, _KIND_SEED_TAG[kind]],
-            change_time=settings["change_time"],
-            r2_floor=r2_floor,
-        )
+    for kind, curve in zip(kinds, curves):
         if curve.delay_fit is not None:
             print(
                 f"{kind.value}: delay fit r2 {curve.delay_fit.r_squared:.4f} "

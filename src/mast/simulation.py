@@ -45,9 +45,10 @@ Every chain runs the recursion of ``run_stream``,
 operations, so a chain crosses where ``run_stream`` replaying its samples
 does.  All lanes advance together: the live lanes' next columns are drawn
 into one block of at most ``_BLOCK`` samples, scored by one increment
-call, and the recursion then steps one column at a time across every
-chain.  The chains can run for several thresholds at once, one row each:
-every row adds the same scored column to its own statistic.  A crossing in
+call per detector, and the recursion then steps one column at a time across every
+chain.  The chains can run for several rows at once, each a detector and
+a threshold: a block is scored once per detector, and every row adds its
+detector's scored column to its own statistic.  A crossing in
 the controlled regime (a false alarm, or one in a delay trial's run-in)
 restarts the statistic at 0; one in the critical regime is an alarm and
 ends the trial.  A lane with no trial left running is not drawn again,
@@ -62,12 +63,14 @@ doubles while trials run, up to ``_DELAY_CHUNK``, so that short delays are
 not scored over whole chunks.
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
 and checks its target only between these whole steps.  An operational
-curve estimates the false-alarm rates of its whole grid on one set of
-chains, one row per threshold (``_estimate_pf_grid``), and drops each row
-at the first step boundary where it has met its target.  Each point's
-estimate is exactly that of a lone ``estimate_pf`` on the curve's
-false-alarm seed; the points' errors are correlated, and a repeated
-threshold repeats its estimate.
+curve estimates the false-alarm rates of every detector's whole grid on
+one set of chains, one row per (detector, threshold)
+(``_estimate_pf_grid``), and drops each row at the first step boundary
+where it has met its target.  Each point's estimate is exactly that of a
+lone ``estimate_pf`` on the curve's false-alarm seed, the seed of
+``mast simulate --mode pf``, whatever the other rows are; the points'
+errors are correlated, across detectors too, and a repeated threshold
+repeats its estimate.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import check_gamma, check_sigma
-from .detectors import DetectorConfig
+from .detectors import DetectorConfig, DetectorKind
 
 __all__ = [
     "DELAY_SEED_TAG",
@@ -117,6 +120,8 @@ _CRITICAL_BLOCK = 8192
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
+# fixed per-kind tags of a curve's delay seeds, so that detector order is irrelevant
+_KIND_SEED_TAG = {DetectorKind.MAST: 10, DetectorKind.PAGE: 13}
 
 
 class InsufficientEventsError(RuntimeError):
@@ -296,44 +301,53 @@ def _draw(
 
 class _Lanes:
     """Chains ``0 .. n - 1`` in lanes of ``_LANE``, advancing in lockstep
-    on one sample clock by ``run_stream``'s recursion, once for each
-    threshold of ``gammas`` (a float or a sequence of them).
+    on one sample clock by ``run_stream``'s recursion, once for each row of
+    ``rows``: a ``(config, gamma)`` pair, a detector and its threshold.
 
     ``stat`` and ``limit`` are ``(rows, lanes, _LANE)`` arrays: one row per
-    threshold still running, one lane per live lane and one column per
-    chain of it.  Every row scores the same samples.  ``limit`` is the
-    row's threshold, or inf for an alarmed chain and for the padding past
-    ``n`` in the last lane, which is drawn and scored with its lane but
-    never crosses.  ``rows`` holds the indices into ``gammas`` of the rows
-    still running, ``lanes`` those of the live lanes and ``rngs`` their
-    generators, and ``critical_cols`` counts the critical-regime columns
-    run so far.  Every block is drawn into ``buf``, two rows of floats for
-    the samples and scenario 2's noise, and its crossings are marked in
-    ``hits``.
+    ``(config, gamma)`` still running, one lane per live lane and one
+    column per chain of it.  Every row scores the same samples with its
+    own config.  ``limit`` is the row's threshold, or inf for an alarmed
+    chain and for the padding past ``n`` in the last lane, which is drawn
+    and scored with its lane but never crosses.  The attribute ``rows``
+    holds the indices of the rows still running, ``lanes`` those of the
+    live lanes and ``rngs`` their generators, and ``critical_cols`` counts
+    the critical-regime columns run so far.  Consecutive rows with equal
+    configs make one group, scored once per block; ``group`` holds each
+    running row's group and ``configs`` each group's config.  Every block
+    is drawn into row 0 of ``buf`` and scenario 2's noise into row 1; a
+    group other than the last scores the block into row 1 onward, the last
+    in place.  So ``buf`` holds two rows of floats for up to two groups.
+    The crossings of a block are marked in ``hits``.
     """
 
-    def __init__(self, spec, config, gammas, seed, n):
+    def __init__(self, spec, rows, seed, n):
         count = -(-n // _LANE)
-        gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+        configs = [config for config, _ in rows]
+        gammas = np.array([gamma for _, gamma in rows], dtype=float)
+        # a row whose config differs from the one before it starts a group
+        starts = [i == 0 or config != configs[i - 1] for i, config in enumerate(configs)]
         self.spec = spec
-        self.config = config
+        self.configs = [config for config, start in zip(configs, starts) if start]
+        self.group = np.cumsum(starts) - 1
         self.rngs = _lane_rngs(seed, count, spec.scenario)
-        self.rows = np.arange(gammas.size)
+        self.rows = np.arange(len(rows))
         self.lanes = np.arange(count)
         # a critical block may always run this many columns
         self.min_critical_cols = _CRITICAL_BLOCK // (count * _LANE)
         self.critical_cols = 0
-        self.stat = np.zeros((gammas.size, count, _LANE))
+        self.stat = np.zeros((len(rows), count, _LANE))
         self.limit = np.empty_like(self.stat)
         self.limit[...] = gammas[:, None, None]
-        self.limit.reshape(gammas.size, -1)[:, n:] = np.inf
+        self.limit.reshape(len(rows), -1)[:, n:] = np.inf
         size = max(_BLOCK, count * _LANE)
-        self.buf = np.empty((2, size))
-        self.hits = np.empty(gammas.size * size, bool)
+        self.buf = np.empty((max(2, len(self.configs)), size))
+        self.hits = np.empty(len(rows) * size, bool)
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Keep only the rows where the bool array ``keep`` is true."""
-        self.rows, self.stat, self.limit = self.rows[keep], self.stat[keep], self.limit[keep]
+        self.rows, self.group = self.rows[keep], self.group[keep]
+        self.stat, self.limit = self.stat[keep], self.limit[keep]
 
     def advance(self, critical: bool, cols: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Advance every live chain of every row ``cols`` samples of one
@@ -345,15 +359,20 @@ class _Lanes:
 
         The live lanes' next columns are drawn into one block of at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
-        than that), scored by one ``config.increment`` call, and run
-        through the recursion one column at a time across all chains of
-        all rows.  In the critical regime a block after ``c`` critical
-        columns is also at most ``max(2, c // 2, min_critical_cols)``
-        columns long, so a lane runs few columns past its last alarm;
-        ``min_critical_cols`` is the columns that ``_CRITICAL_BLOCK``
-        samples make over all the call's lanes.
+        than that), scored by one ``config.increment`` call for each group
+        with a running row, and run through the recursion one column at a
+        time across all chains of all rows: one ``add`` per group, then
+        the rest of the step once over every row.  In the critical regime
+        a block after ``c`` critical columns is also at most
+        ``max(2, c // 2, min_critical_cols)`` columns long, so a lane runs
+        few columns past its last alarm; ``min_critical_cols`` is the
+        columns that ``_CRITICAL_BLOCK`` samples make over all the call's
+        lanes.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
+        # the running groups and their first rows; rows stay put in a call
+        groups, firsts = np.unique(self.group, return_index=True)
+        bounds = [*firsts.tolist(), len(self.rows)]
         done = 0
         while done < cols and self.lanes.size and self.rows.size:
             width = self.lanes.size * _LANE
@@ -361,16 +380,21 @@ class _Lanes:
             if critical:
                 k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
                 self.critical_cols += k
-            block, noise = self.buf[:, : k * width].reshape(2, self.lanes.size, k, _LANE)
-            _draw(self.spec, self.rngs, critical, block, noise)
-            inc = self.config.increment(block, out=block)
+            buf = self.buf[:, : k * width].reshape(len(self.buf), self.lanes.size, k, _LANE)
+            block = _draw(self.spec, self.rngs, critical, buf[0], buf[1])
             stat, limit = self.stat, self.limit
+            # each running group's rows and their scores; the last group
+            # scores the block in place, once the others have read it
+            parts = []
+            for j, (g, lo, hi) in enumerate(zip(groups, bounds, bounds[1:])):
+                out = block if j == len(groups) - 1 else buf[j + 1]
+                parts.append((stat[lo:hi], self.configs[g].increment(block, out=out)))
             hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
             reset, value = (limit, np.inf) if critical else (stat, 0.0)
             add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
             for t in range(k):
-                # each lane's column of scores serves every row
-                add(stat, inc[:, t], out=stat)
+                for part, inc in parts:
+                    add(part, inc[:, t], out=part)
                 maximum(stat, 0.0, out=stat)
                 greater(stat, limit, out=hits[:, t])
                 copyto(reset, value, where=hits[:, t])
@@ -379,10 +403,10 @@ class _Lanes:
             at, chain = np.divmod(np.flatnonzero(hits), width)
             lane, col = np.divmod(chain, _LANE)
             chain = self.lanes[lane] * _LANE + col
-            bounds = np.searchsorted(at, np.arange(len(stat) + 1) * k)
+            edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
             for r, (chains, offsets) in enumerate(found):
-                chains.append(chain[bounds[r] : bounds[r + 1]])
-                offsets.append(at[bounds[r] : bounds[r + 1]] + (done + 1 - r * k))
+                chains.append(chain[edges[r] : edges[r + 1]])
+                offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
             done += k
             if critical and at.size:
                 # only a finite gamma crosses, so an inf limit marks no live chain
@@ -468,7 +492,7 @@ def estimate_delay(
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    lanes = _Lanes(spec, config, gamma, seed, n_trials)
+    lanes = _Lanes(spec, [(config, gamma)], seed, n_trials)
     lanes.advance(False, change_time - 1)
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
@@ -539,12 +563,12 @@ def estimate_pf(
     and the threshold belongs on an extrapolated operational curve
     instead.
 
-    This is the one-threshold case of ``_estimate_pf_grid``, which
-    ``operational_curve`` runs over its whole grid on one set of chains;
-    each of its points is this function's estimate on the same seed.
+    This is the one-row case of ``_estimate_pf_grid``, which
+    ``operational_curve`` runs over every detector's grid on one set of
+    chains; each of its rows is this function's estimate on the same seed.
     """
     (est,) = _estimate_pf_grid(
-        spec, config, [gamma], seed, n_chains=n_chains, target_crossings=target_crossings,
+        spec, [(config, gamma)], seed, n_chains=n_chains, target_crossings=target_crossings,
         min_crossings=min_crossings, max_steps=max_steps,
     )
     return est
@@ -552,8 +576,7 @@ def estimate_pf(
 
 def _estimate_pf_grid(
     spec: ScenarioSpec,
-    config: DetectorConfig,
-    gammas: Sequence[float],
+    rows: Sequence[tuple[DetectorConfig, float]],
     seed,
     *,
     n_chains: int = 2048,
@@ -561,57 +584,66 @@ def _estimate_pf_grid(
     min_crossings: int = 100,
     max_steps: int = 200_000_000,
 ) -> list[PerformanceEstimate]:
-    """``estimate_pf`` at every threshold of ``gammas``, on one set of chains.
+    """``estimate_pf`` at every ``(config, gamma)`` of ``rows``, on one set
+    of chains.
 
-    Every threshold is a row of the same ``_Lanes``: each sample is drawn
-    and scored once, and each row runs the recursion on it with its own
-    statistic.  A row is dropped at the first step boundary where it has
-    seen ``target_crossings`` crossings; the others run on.  So each row's
-    chains, crossings and stopping step are exactly those of a lone
-    ``estimate_pf`` at its threshold on ``seed``, and so is its estimate;
-    only the estimates' joint distribution differs, since the rows share
-    their samples.  The first threshold, in grid order, with fewer than
+    Every pair is a row of the same ``_Lanes``: each sample is drawn once
+    and scored once per config, and each row runs the recursion on it with
+    its own statistic.  Rows of one config should be consecutive, so that
+    a block is scored once for each config; the rows of two detectors then
+    fit ``_Lanes``'s two buffer rows.  A row is dropped at the first step
+    boundary where it has seen ``target_crossings`` crossings; the others
+    run on.  So each row's chains, crossings and stopping step are exactly
+    those of a lone ``estimate_pf`` at its config and threshold on
+    ``seed``, and so is its estimate, whatever the other rows are; only
+    the estimates' joint distribution differs, since the rows share their
+    samples.  The first row, in the order given, with fewer than
     ``min_crossings`` crossings raises ``InsufficientEventsError``.
     """
-    gammas = [check_gamma(g) for g in gammas]
+    rows = [(config, check_gamma(gamma)) for config, gamma in rows]
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    lanes = _Lanes(spec, config, gammas, seed, n_chains)
-    # per row: the chain and time of its crossings, step by step
-    found = [[(np.arange(0), np.arange(0))] for _ in gammas]
-    crossings = np.zeros(len(gammas), dtype=np.int64)
-    # samples per chain each row has run
-    steps = np.zeros(len(gammas), dtype=np.int64)
+    lanes = _Lanes(spec, rows, seed, n_chains)
+    # per running row: the chain and time of its crossings, step by step
+    found = {row: [(np.arange(0), np.arange(0))] for row in range(len(rows))}
+    crossings = np.zeros(len(rows), dtype=np.int64)
+    estimates: list = [None] * len(rows)
     per_chain_cap = -(-max_steps // n_chains)
     done = 0
-    while done < per_chain_cap and lanes.rows.size:
+    while lanes.rows.size:
         cols = min(_PF_CHUNK, per_chain_cap - done)
         for row, (chains, offsets) in zip(lanes.rows, lanes.advance(False, cols)):
             found[row].append((chains, done + offsets))
             crossings[row] += chains.size
         done += cols
-        steps[lanes.rows] = done
-        lanes.keep_rows(crossings[lanes.rows] < target_crossings)
+        # a row that has met its target, or reached the cap, is estimated
+        # at once, and its crossings are let go
+        keep = (crossings[lanes.rows] < target_crossings) & (done < per_chain_cap)
+        for row in lanes.rows[~keep].tolist():
+            chains, times = map(np.concatenate, zip(*found.pop(row)))
+            estimates[row] = _pf_estimate(rows[row][1], chains, times, done * n_chains)
+        lanes.keep_rows(keep)
 
-    return [
-        _pf_estimate(gamma, *map(np.concatenate, zip(*row)), int(n) * n_chains, min_crossings)
-        for gamma, row, n in zip(gammas, found, steps)
-    ]
+    for (config, gamma), est in zip(rows, estimates):
+        if est.n_trials < min_crossings:
+            raise InsufficientEventsError(
+                f"only {est.n_trials} crossings in {est.observed_steps} controlled samples at "
+                f"gamma={gamma} for {config.kind.value} (need >= {min_crossings}); lower gamma "
+                "or rely on curve extrapolation"
+            )
+    return estimates
 
 
-def _pf_estimate(gamma, chains, times, observed, min_crossings) -> PerformanceEstimate:
-    """The estimate from one threshold's crossings, given by chain and time,
-    over ``observed`` samples."""
+def _pf_estimate(gamma, chains, times, observed) -> PerformanceEstimate:
+    """The estimate from one row's crossings, given by chain and time, over
+    ``observed`` samples."""
     crossings = chains.size
-    if crossings < min_crossings:
-        raise InsufficientEventsError(
-            f"only {crossings} crossings in {observed} controlled samples at gamma={gamma} "
-            f"(need >= {min_crossings}); lower gamma or rely on curve extrapolation"
-        )
     pf = crossings / observed
     if crossings > 1:
         # completed intervals, ordered by chain then time so that pf_se
@@ -710,60 +742,92 @@ def check_grids(
 
 def operational_curve(
     spec: ScenarioSpec,
-    config: DetectorConfig,
-    gamma_grid: Sequence[float],
-    extrapolation_grid: Sequence[float] = (),
+    curves: Sequence[tuple[DetectorConfig, Sequence[float], Sequence[float]]],
     n_trials: int = 10_000,
     seed=0,
     *,
     change_time: int = 1,
     r2_floor: float = 0.95,
-) -> OperationalCurve:
-    """Measure (delay, pf) on ``gamma_grid`` and extend by linear fits.
+) -> list[OperationalCurve]:
+    """Measure (delay, pf) on each detector's grid and extend by linear fits.
+
+    ``curves`` holds one ``(config, gamma_grid, extrapolation_grid)`` per
+    detector; one ``OperationalCurve`` comes back for each, in order.
+    Every grid is checked by ``check_grids`` before anything runs.
 
     Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
     delay trials with the regime change at ``change_time`` (see
-    ``estimate_delay``), on the point's own seed, and false alarms.  The
-    false-alarm chains are shared: every point runs on the same controlled
-    samples (``_estimate_pf_grid``), each drawn and scored once, and stops
-    at its own crossing target.  Each point's ``log10_pf`` and ``pf_se``
-    are exactly those of a lone ``estimate_pf`` at its threshold on the
-    curve's false-alarm seed, but the points' errors are correlated: the
-    log10 pf fit's r-squared does not come from independent points, and a
-    repeated threshold repeats its estimate.  Straight lines are fitted to
+    ``estimate_delay``), on the point's own seed
+    ``[seed, _KIND_SEED_TAG[kind], DELAY_SEED_TAG, i]``, and false alarms.
+    The false-alarm chains are shared by every point of every detector:
+    one ``_estimate_pf_grid`` on seed ``[seed, PF_SEED_TAG, 0]`` draws each
+    controlled sample once, scores it once per detector, and stops each
+    point at its own crossing target.  Each point's ``log10_pf`` and
+    ``pf_se`` are exactly those of a lone ``estimate_pf`` at its config and
+    threshold on that seed, which is ``mast simulate --mode pf``'s, so no
+    point depends on the other detectors named.  But the points' errors
+    are correlated, within a detector and across detectors: the log10 pf
+    fit's r-squared does not come from independent points, and a repeated
+    threshold repeats its estimate.  Straight lines are fitted to
     ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated on
     ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
-    number in [0, 1].  Both grids are checked by ``check_grids`` before
-    anything runs.
+    number in [0, 1].
     """
-    gammas, extra_gammas = check_grids(gamma_grid, extrapolation_grid, r2_floor)
+    grids = [check_grids(gamma_grid, extra_grid, r2_floor) for _, gamma_grid, extra_grid in curves]
+    configs = [config for config, _, _ in curves]
 
     delays = [
-        estimate_delay(
-            spec,
-            config,
-            gamma,
-            n_trials,
-            seed=_seed_entropy(seed, DELAY_SEED_TAG, i),
-            change_time=change_time,
-        )
-        for i, gamma in enumerate(gammas)
-    ]
-    pfs = _estimate_pf_grid(
-        spec, config, gammas, _seed_entropy(seed, PF_SEED_TAG, 0), target_crossings=n_trials
-    )
-    measured: list[CurvePoint] = []
-    for gamma, delay, pf in zip(gammas, delays, pfs):
-        measured.append(
-            CurvePoint(
-                gamma=gamma,
-                delay=delay.mean_delay,
-                delay_se=delay.delay_se,
-                log10_pf=math.log10(pf.pf),
-                pf_se=pf.pf_se,
-                measured=True,
+        [
+            estimate_delay(
+                spec,
+                config,
+                gamma,
+                n_trials,
+                seed=_seed_entropy(seed, _KIND_SEED_TAG[config.kind], DELAY_SEED_TAG, i),
+                change_time=change_time,
             )
+            for i, gamma in enumerate(gammas)
+        ]
+        for config, (gammas, _) in zip(configs, grids)
+    ]
+    # the pf estimates come back detector by detector, as their rows went in
+    pfs = iter(
+        _estimate_pf_grid(
+            spec,
+            [(config, gamma) for config, (gammas, _) in zip(configs, grids) for gamma in gammas],
+            _seed_entropy(seed, PF_SEED_TAG, 0),
+            target_crossings=n_trials,
         )
+    )
+    return [
+        _fit_curve(
+            config, gammas, extra_gammas, [(delay, next(pfs)) for delay in curve_delays], r2_floor
+        )
+        for config, (gammas, extra_gammas), curve_delays in zip(configs, grids, delays)
+    ]
+
+
+def _fit_curve(
+    config: DetectorConfig,
+    gammas: list[float],
+    extra_gammas: list[float],
+    estimates: list[tuple[PerformanceEstimate, PerformanceEstimate]],
+    r2_floor: float,
+) -> OperationalCurve:
+    """The curve of the detector ``config`` from its (delay, pf) estimate at
+    each measured threshold: the measured points, the fits, and the
+    extrapolated points.  A refused extrapolation names the detector."""
+    measured = [
+        CurvePoint(
+            gamma=gamma,
+            delay=delay.mean_delay,
+            delay_se=delay.delay_se,
+            log10_pf=math.log10(pf.pf),
+            pf_se=pf.pf_se,
+            measured=True,
+        )
+        for gamma, (delay, pf) in zip(gammas, estimates)
+    ]
 
     delay_fit = logpf_fit = None
     if len(set(gammas)) >= 3:
@@ -773,10 +837,12 @@ def operational_curve(
     extrapolated: list[CurvePoint] = []
     if extra_gammas:
         if delay_fit is None or logpf_fit is None:
-            raise ExtrapolationError("extrapolation needs >= 3 distinct measured gammas")
+            raise ExtrapolationError(
+                f"extrapolation of {config.kind.value} needs >= 3 distinct measured gammas"
+            )
         if delay_fit.r_squared < r2_floor or logpf_fit.r_squared < r2_floor:
             raise ExtrapolationError(
-                "refusing to extrapolate: fit r^2 "
+                f"refusing to extrapolate {config.kind.value}: fit r^2 "
                 f"(delay {delay_fit.r_squared:.4f}, log10 pf {logpf_fit.r_squared:.4f}) "
                 f"below floor {r2_floor}"
             )

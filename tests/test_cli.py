@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -272,18 +274,18 @@ class TestBarrierPair:
 PINNED_CSV = [
     (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
-     "1bf5e455b1ed591606f04dbe3155a457fa1d3ba5d0b608e14e358744a5cb0fec"),
+     "e34d66c16d990e3ff1189f9c4369db47e8294eb05ec1c8a07984af7ec961310e"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
      "d053379923f7749b0f7540861eac358c7d2c102bdb8e9307d99c240705748558"),
     # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--run-in", "--change-time", "50"],
-     "0e16dc0f7dfd28d4185c32e493206c04c61856aec56538b57c37223f55084443"),
+     "db6f6d20ad1bb76b181395c7b8e2f3a9e1d0f0da5a0e34014c58b453ef95e295"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
       "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
       "--extrapolate-grid", "none"],
-     "4edb7f1ad393bd87aec65266e8c9d09cf9d989fa9f3bf19d6f95a97f6a0117a4"),
+     "d2ed18a7109fa655bdd38bde1864093efe2c6f9bbd7ba586d4d5572f46c5a9eb"),
 ]
 
 
@@ -676,6 +678,39 @@ class TestCurve:
         err = capsys.readouterr().err
         assert f"--gamma-grid {grid!r} is empty" in err
         assert "no default gamma grid" not in err
+
+    def test_pf_cells_are_simulate_pf(self, tmp_path):
+        # a curve's pf runs on the seed of `simulate --mode pf`, and each of
+        # its cells is that run's estimate at the same gamma and trials
+        out = tmp_path / "curve.csv"
+        base = ["--scenario", "1", "--trials", "200", "--seed", "6"]
+        assert main(["curve", *base, "--detectors", "mast,page", "--gamma-grid", "1,2,3",
+                     "--extrapolate-grid", "none", "--output", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 6
+        for row in rows:
+            sim = tmp_path / "pf.csv"
+            assert main(["simulate", *base, "--detector", row["detector"], "--gamma",
+                         row["gamma"], "--mode", "pf", "--output", str(sim)]) == EXIT_OK
+            (pf,) = csv.DictReader(sim.open())
+            assert row["log10_pf"] == repr(math.log10(float(pf["value"])))
+            assert row["pf_se"] == pf["std_error"]
+
+    def test_page_rows_independent_of_other_detectors(self, capsys):
+        # per-kind delay seeds and per-row pf estimates: naming mast too,
+        # before or after page, leaves every page byte alone
+        outputs = []
+        for detectors in ("page", "mast,page", "page,mast"):
+            code = main(["curve", "--scenario", "1", "--detectors", detectors, "--trials",
+                         "200", "--seed", "6"])
+            assert code == EXIT_OK
+            out, err = capsys.readouterr()
+            outputs.append((
+                [line for line in out.splitlines() if line.startswith("page,")],
+                [line for line in err.splitlines() if line.startswith("page:")],
+            ))
+        assert len(outputs[0][0]) == 16 and len(outputs[0][1]) == 1
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_stdout_output(self, capsys):
         code = main(

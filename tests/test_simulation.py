@@ -40,6 +40,11 @@ S2 = ScenarioSpec(2, 0.05, 0.05)
 MAST = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.0, 1.0))
 PAGE = DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)
 PAIR = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.99, 1.02))
+# the packaged scenario 1 grids
+S1_MAST_GRID = [1.2, 1.6, 2.0, 2.4, 2.8, 3.2, 3.6, 4.0]
+S1_PAGE_GRID = [2.0, 2.8, 3.6, 4.4, 5.2, 6.0, 6.8, 7.6]
+# max_steps binds the higher rows, 1500 samples a chain (512 x 2 + 476)
+CAPPED = {"n_chains": 300, "target_crossings": 2000, "min_crossings": 1, "max_steps": 300 * 1500}
 
 
 def trial_samples(spec, seed, index, n, *, critical=True):
@@ -269,7 +274,7 @@ class TestEstimateDelay:
         spec, n_trials, gamma = S2, 300, 4.0
         est = estimate_delay(spec, MAST, gamma, n_trials, seed=123)
         delays = np.zeros(n_trials, dtype=int)
-        lanes = _Lanes(spec, MAST, gamma, 123, n_trials)
+        lanes = _Lanes(spec, [(MAST, gamma)], 123, n_trials)
         done = 0
         while lanes.lanes.size:
             ((trials, offsets),) = lanes.advance(True, _DELAY_CHUNK)
@@ -420,7 +425,7 @@ class TestEstimatePf:
             S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        lanes = _Lanes(S2, MAST, gamma, 55, n_chains)
+        lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
         steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
         trials, times = advance_crossings(lanes, steps)
         intervals = []
@@ -443,7 +448,7 @@ class TestEstimatePf:
             S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * per_chain,
         )
-        lanes = _Lanes(S2, MAST, gamma, 55, n_chains)
+        lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
         trials, times = advance_crossings(lanes, [_PF_CHUNK, per_chain - _PF_CHUNK])
         assert est.n_trials == trials.size
         for chain in (0, _LANE - 1, _LANE, n_chains - 1):
@@ -485,6 +490,22 @@ class TestEstimatePf:
         assert est.n_trials >= 500
         assert peak <= 6 * lane_block
 
+    def test_two_detector_grid_memory_within_eight_lane_blocks(self):
+        # a curve's 16 pf rows on one set of chains: two blocks of floats,
+        # the samples and the first detector's scores, and a bool block of
+        # crossings for every eight rows; the rest is the statistic, its
+        # limits and the running rows' crossings
+        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        rows = [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID]
+        tracemalloc.start()
+        try:
+            grid = _estimate_pf_grid(S1, rows, 1, n_chains=2048, target_crossings=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert min(est.n_trials for est in grid) >= 500
+        assert peak <= 8 * lane_block
+
     def test_delay_memory_within_eight_lane_blocks(self):
         # the benchmark's delay-s2 call: 196 lanes draw a 2-column block
         # of at most _BLOCK samples per step, not a whole 64-sample chunk
@@ -510,38 +531,64 @@ class TestEstimatePfGrid:
     """One set of chains for a whole grid: every row is the lone estimate."""
 
     @pytest.mark.parametrize(
-        "spec, cfg, gammas, kwargs",
+        "spec, rows, kwargs",
         [
             # the packaged S1 Page grid: the rows stop after 1, 3 and 5 steps
-            (S1, PAGE, [2.0, 2.8, 3.6, 4.4, 5.2, 6.0, 6.8, 7.6], {"target_crossings": 500}),
-            (S2, MAST, [2.0, 3.0, 4.0, 3.0], {"target_crossings": 400}),
-            (S1, PAIR, [1.0, 2.0, 3.0], {"target_crossings": 300}),
-            # max_steps binds the higher rows, 1500 samples a chain (512 x 2 + 476)
-            (S1, MAST, [0.5, 2.0, 3.0, 4.0], {
-                "n_chains": 300, "target_crossings": 2000, "min_crossings": 1,
-                "max_steps": 300 * 1500,
-            }),
+            (S1, [(PAGE, g) for g in S1_PAGE_GRID], {"target_crossings": 500}),
+            (S2, [(MAST, g) for g in (2.0, 3.0, 4.0, 3.0)], {"target_crossings": 400}),
+            (S1, [(PAIR, g) for g in (1.0, 2.0, 3.0)], {"target_crossings": 300}),
+            (S1, [(MAST, g) for g in (0.5, 2.0, 3.0, 4.0)], CAPPED),
+            # both detectors of a packaged curve, each block scored twice
+            (S1, [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID],
+             {"target_crossings": 500}),
+            # gamma 2 and 3 in both detectors' lists
+            (S2, [(PAIR, g) for g in (1.0, 2.0, 3.0)] + [(PAGE, g) for g in (2.0, 3.0, 5.0)],
+             {"target_crossings": 300}),
+            (S1, [(MAST, g) for g in (0.5, 4.0)] + [(PAGE, g) for g in (0.5, 2.0, 8.0)], CAPPED),
+            (S1, [(PAGE, g) for g in (0.5, 2.0, 8.0)] + [(MAST, g) for g in (0.5, 4.0)], CAPPED),
         ],
-        ids=["s1-page-packaged", "s2-mast", "s1-pair", "max-steps"],
+        ids=["s1-page-packaged", "s2-mast", "s1-pair", "max-steps", "s1-mast-page-packaged",
+             "s2-pair-page", "max-steps-mast-page", "max-steps-page-mast"],
     )
-    def test_rows_match_lone_estimates(self, spec, cfg, gammas, kwargs):
-        grid = _estimate_pf_grid(spec, cfg, gammas, [5, 2], **kwargs)
-        assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for g in gammas]
+    def test_rows_match_lone_estimates(self, spec, rows, kwargs):
+        grid = _estimate_pf_grid(spec, rows, [5, 2], **kwargs)
+        assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for cfg, g in rows]
         n_chains = kwargs.get("n_chains", 2048)
         steps = {-(-est.observed_steps // (n_chains * _PF_CHUNK)) for est in grid}
-        if spec is S1 and cfg is PAGE:
+        if spec is S1 and rows[0][0] is PAGE and "max_steps" not in kwargs:
             assert {1, 3, 5} <= steps
         if "max_steps" in kwargs:
-            assert [est.observed_steps for est in grid][-2:] == [300 * 1500] * 2
-            assert grid[0].observed_steps < 300 * 1500
+            # the cap binds each detector's top row, and its first row
+            # meets the target before it
+            for cfg in {cfg for cfg, _ in rows}:
+                observed = [est.observed_steps for (c, _), est in zip(rows, grid) if c is cfg]
+                assert observed[0] < 300 * 1500 == observed[-1]
 
     def test_first_short_gamma_raises_lone_message(self):
         kwargs = {"n_chains": 8, "max_steps": 20_000}
         with pytest.raises(InsufficientEventsError) as lone:
             estimate_pf(S1, MAST, 50.0, seed=1, **kwargs)
         with pytest.raises(InsufficientEventsError) as grid:
-            _estimate_pf_grid(S1, MAST, [0.5, 50.0, 60.0], 1, **kwargs)
+            _estimate_pf_grid(S1, [(MAST, g) for g in (0.5, 50.0, 60.0)], 1, **kwargs)
         assert str(grid.value) == str(lone.value)
+
+    @pytest.mark.parametrize(
+        "rows, short",
+        [([(MAST, 0.5), (MAST, 50.0), (PAGE, 0.5), (PAGE, 60.0)], (MAST, 50.0)),
+         ([(PAGE, 0.5), (PAGE, 60.0), (MAST, 0.5), (MAST, 50.0)], (PAGE, 60.0)),
+         ([(MAST, 0.5), (MAST, 1.0), (PAGE, 0.5), (PAGE, 60.0)], (PAGE, 60.0))],
+        ids=["mast-first", "page-first", "second-detector"],
+    )
+    def test_first_short_row_named_with_its_detector(self, rows, short):
+        # the first short row in detector-then-grid order raises, and its
+        # message is the lone estimate's, naming the detector
+        kwargs = {"n_chains": 8, "max_steps": 20_000}
+        with pytest.raises(InsufficientEventsError) as lone:
+            estimate_pf(S1, *short, seed=1, **kwargs)
+        with pytest.raises(InsufficientEventsError) as grid:
+            _estimate_pf_grid(S1, rows, 1, **kwargs)
+        assert str(grid.value) == str(lone.value)
+        assert f"at gamma={short[1]} for {short[0].kind.value} (need" in str(grid.value)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -560,7 +607,7 @@ class TestEstimatePfGrid:
         # follows the same monotone recursion.  Independent streams per
         # threshold would break this.
         grid = _estimate_pf_grid(
-            spec, cfg, gammas, seed, n_chains=n_chains, target_crossings=10**9,
+            spec, [(cfg, g) for g in gammas], seed, n_chains=n_chains, target_crossings=10**9,
             min_crossings=0, max_steps=n_chains * per_chain,
         )
         counts = [est.n_trials for est in grid]
@@ -648,7 +695,7 @@ class TestMonitorKernel:
                 return out
 
             with mock.patch.object(simulation, "_CRITICAL_BLOCK", floor * _LANE):
-                lanes = _Lanes(S1, self.PAGE_EXACT, gamma, 0, n_trials)
+                lanes = _Lanes(S1, [(self.PAGE_EXACT, gamma)], 0, n_trials)
             with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
                 trials, times = advance_crossings(lanes, steps, critical=retire)
             # padding never crosses
@@ -689,7 +736,7 @@ class TestMonitorKernel:
         # 300 chains make two lanes, and the chains at their edges are
         # replayed
         total = sum(steps)
-        lanes = _Lanes(spec, cfg, gamma, 7, 300)
+        lanes = _Lanes(spec, [(cfg, gamma)], 7, 300)
         with mock.patch.object(simulation, "_BLOCK", block * _LANE):
             trials, times = advance_crossings(lanes, steps, critical=retire)
         for chain in (0, _LANE - 1, _LANE, 299):
@@ -749,62 +796,59 @@ class TestFitLinear:
 
 
 @pytest.fixture(scope="module")
-def small_curve():
+def small_curves():
     return operational_curve(
         S1,
-        PAGE,
-        gamma_grid=[1.0, 2.0, 3.0, 4.0],
-        extrapolation_grid=[6.0, 8.0],
+        [(MAST, [1.2, 1.6, 2.0, 2.4], []), (PAGE, [1.0, 2.0, 3.0, 4.0], [6.0, 8.0])],
         n_trials=500,
         seed=31,
     )
 
 
+@pytest.fixture(scope="module")
+def small_curve(small_curves):
+    return small_curves[1]
+
+
 class TestOperationalCurve:
-    def test_point_layout(self, small_curve):
+    def test_point_layout(self, small_curves, small_curve):
         measured = [p for p in small_curve.points if p.measured]
         extrapolated = [p for p in small_curve.points if not p.measured]
         assert [p.gamma for p in measured] == [1.0, 2.0, 3.0, 4.0]
         assert [p.gamma for p in extrapolated] == [6.0, 8.0]
         assert all(p.pf_se is None for p in extrapolated)
+        assert [p.gamma for p in small_curves[0].points] == [1.2, 1.6, 2.0, 2.4]
 
-    def test_fit_slopes_have_expected_signs(self, small_curve):
-        assert small_curve.delay_fit.slope > 0
-        assert small_curve.logpf_fit.slope < 0
+    def test_fit_slopes_have_expected_signs(self, small_curves):
+        for curve in small_curves:
+            assert curve.delay_fit.slope > 0
+            assert curve.logpf_fit.slope < 0
 
-    def test_points_share_false_alarm_chains(self, small_curve):
-        # every point's pf is the lone estimate on the grid's one pf seed,
-        # and its delay the lone estimate on the point's own seed
-        for i, point in enumerate(small_curve.points[:4]):
-            pf = estimate_pf(
-                S1, PAGE, point.gamma, seed=_seed_entropy(31, simulation.PF_SEED_TAG, 0),
-                target_crossings=500,
-            )
-            delay = estimate_delay(
-                S1, PAGE, point.gamma, 500, seed=_seed_entropy(31, simulation.DELAY_SEED_TAG, i)
-            )
-            assert (point.log10_pf, point.pf_se) == (math.log10(pf.pf), pf.pf_se)
-            assert (point.delay, point.delay_se) == (delay.mean_delay, delay.delay_se)
+    def test_points_share_false_alarm_chains(self, small_curves):
+        # every point of both detectors has the lone pf estimate on the
+        # curve's one pf seed [seed, PF_SEED_TAG, 0], that of `simulate
+        # --mode pf`, and the lone delay estimate on its own seed
+        # [seed, kind tag, DELAY_SEED_TAG, i], mast's tag 10 and page's 13
+        for cfg, tag, curve in ((MAST, 10, small_curves[0]), (PAGE, 13, small_curves[1])):
+            measured = [p for p in curve.points if p.measured]
+            for i, point in enumerate(measured):
+                pf = estimate_pf(S1, cfg, point.gamma, seed=[31, 2, 0], target_crossings=500)
+                delay = estimate_delay(S1, cfg, point.gamma, 500, seed=[31, tag, 1, i])
+                assert (point.log10_pf, point.pf_se) == (math.log10(pf.pf), pf.pf_se)
+                assert (point.delay, point.delay_se) == (delay.mean_delay, delay.delay_se)
+        assert (simulation.PF_SEED_TAG, simulation.DELAY_SEED_TAG) == (2, 1)
 
     def test_empty_extrapolation_grid(self):
-        curve = operational_curve(
-            S1,
-            PAGE,
-            gamma_grid=[1.0, 2.0, 3.0],
-            extrapolation_grid=[],
-            n_trials=300,
-            seed=32,
-        )
+        (curve,) = operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], n_trials=300, seed=32)
         assert len(curve.points) == 3
         assert all(p.measured for p in curve.points)
 
     def test_refuses_extrapolation_below_floor(self):
-        with pytest.raises(ExtrapolationError, match="refusing to extrapolate"):
+        # the refusal names its detector, since one call runs several
+        with pytest.raises(ExtrapolationError, match="refusing to extrapolate page: fit r"):
             operational_curve(
                 S1,
-                PAGE,
-                gamma_grid=[1.0, 2.0, 3.0],
-                extrapolation_grid=[10.0],
+                [(MAST, [1.0, 2.0, 3.0], []), (PAGE, [1.0, 2.0, 3.0], [10.0])],
                 n_trials=300,
                 seed=33,
                 r2_floor=0.999999,
@@ -812,9 +856,9 @@ class TestOperationalCurve:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="change_time"):
-            operational_curve(S1, PAGE, [1.0, 2.0, 3.0], change_time=0)
+            operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], change_time=0)
         with pytest.raises(ValueError):
-            operational_curve(S1, PAGE, [])
+            operational_curve(S1, [(PAGE, [], [])])
 
     # the whole grid is checked before any point is simulated, so a bad
     # point fails at once even after good ones
@@ -831,26 +875,39 @@ class TestOperationalCurve:
         monkeypatch.setattr(simulation, "estimate_pf", unreachable)
         monkeypatch.setattr(simulation, "_estimate_pf_grid", unreachable)
         with pytest.raises(ValueError, match=message):
-            operational_curve(S1, PAGE, [1.0, 2.0, point], n_trials=200)
+            operational_curve(S1, [(PAGE, [1.0, 2.0, point], [])], n_trials=200)
+
+    @pytest.mark.parametrize(
+        "grids, message",
+        [(([1.0, 2.0, math.inf], []), "a measured gamma must be finite, got inf"),
+         (([1.0, 2.0, 3.0], [6.0, -5.0]), "gamma must be >= 0, got -5.0")],
+        ids=["measured", "extrapolated"],
+    )
+    def test_rejects_bad_point_of_the_second_detector(self, monkeypatch, grids, message):
+        # every detector's grids are checked before the first one's points run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before every grid was checked")
+
+        monkeypatch.setattr(simulation, "estimate_delay", unreachable)
+        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        monkeypatch.setattr(simulation, "_estimate_pf_grid", unreachable)
+        with pytest.raises(ValueError, match=message):
+            operational_curve(S1, [(MAST, [1.0, 2.0, 3.0], []), (PAGE, *grids)], n_trials=200)
 
     @pytest.mark.parametrize("point", [float("nan"), -5.0])
     def test_rejects_bad_extrapolation_point(self, point):
         with pytest.raises(ValueError, match="gamma must be >= 0"):
-            operational_curve(
-                S1, PAGE, [2.0, 3.0, 4.0], [6.0, point], n_trials=200
-            )
+            operational_curve(S1, [(PAGE, [2.0, 3.0, 4.0], [6.0, point])], n_trials=200)
 
     @pytest.mark.parametrize("floor", [float("nan"), -0.1, 1.5])
     def test_rejects_bad_r2_floor(self, floor):
         with pytest.raises(ValueError, match="r2_floor"):
             operational_curve(
-                S1, PAGE, [2.0, 3.0, 4.0], [6.0], n_trials=200,
-                r2_floor=floor,
+                S1, [(PAGE, [2.0, 3.0, 4.0], [6.0])], n_trials=200, r2_floor=floor
             )
 
     def test_infinite_extrapolation_point_allowed(self):
-        curve = operational_curve(
-            S1, PAGE, [1.0, 2.0, 3.0], [float("inf")], n_trials=200,
-            seed=34, r2_floor=0.0,
+        (curve,) = operational_curve(
+            S1, [(PAGE, [1.0, 2.0, 3.0], [float("inf")])], n_trials=200, seed=34, r2_floor=0.0
         )
         assert [p.gamma for p in curve.points if not p.measured] == [float("inf")]
