@@ -41,7 +41,6 @@ from .simulation import (
     DELAY_SEED_TAG,
     PF_SEED_TAG,
     ScenarioSpec,
-    check_grids,
     estimate_delay,
     estimate_pf,
     operational_curve,
@@ -385,7 +384,6 @@ def cmd_curve(args) -> int:
     if given_grid == []:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
-    # every detector's grids are checked before any curve is simulated
     runs = []
     pair: dict = {"delta_lower": None, "delta_upper": None}
     for kind in kinds:
@@ -407,7 +405,6 @@ def cmd_curve(args) -> int:
             extra_grid = _parse_grid(args.extrapolate_grid, "--extrapolate-grid")
         else:
             extra_grid = preset[1] if preset else []
-        check_grids(gamma_grid, extra_grid, r2_floor)
         runs.append((config, gamma_grid, extra_grid))
 
     curves = operational_curve(

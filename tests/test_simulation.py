@@ -531,38 +531,42 @@ class TestEstimatePfGrid:
     """One set of chains for a whole grid: every row is the lone estimate."""
 
     @pytest.mark.parametrize(
-        "spec, rows, kwargs",
+        "spec, rows, kwargs, capped",
         [
             # the packaged S1 Page grid: the rows stop after 1, 3 and 5 steps
-            (S1, [(PAGE, g) for g in S1_PAGE_GRID], {"target_crossings": 500}),
-            (S2, [(MAST, g) for g in (2.0, 3.0, 4.0, 3.0)], {"target_crossings": 400}),
-            (S1, [(PAIR, g) for g in (1.0, 2.0, 3.0)], {"target_crossings": 300}),
-            (S1, [(MAST, g) for g in (0.5, 2.0, 3.0, 4.0)], CAPPED),
+            (S1, [(PAGE, g) for g in S1_PAGE_GRID], {"target_crossings": 500}, None),
+            (S2, [(MAST, g) for g in (2.0, 3.0, 4.0, 3.0)], {"target_crossings": 400}, None),
+            (S1, [(PAIR, g) for g in (1.0, 2.0, 3.0)], {"target_crossings": 300}, None),
+            (S1, [(MAST, g) for g in (0.5, 2.0, 3.0, 4.0)], CAPPED, {MAST: 3}),
             # both detectors of a packaged curve, each block scored twice
             (S1, [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID],
-             {"target_crossings": 500}),
+             {"target_crossings": 500}, None),
             # gamma 2 and 3 in both detectors' lists
             (S2, [(PAIR, g) for g in (1.0, 2.0, 3.0)] + [(PAGE, g) for g in (2.0, 3.0, 5.0)],
-             {"target_crossings": 300}),
-            (S1, [(MAST, g) for g in (0.5, 4.0)] + [(PAGE, g) for g in (0.5, 2.0, 8.0)], CAPPED),
-            (S1, [(PAGE, g) for g in (0.5, 2.0, 8.0)] + [(MAST, g) for g in (0.5, 4.0)], CAPPED),
+             {"target_crossings": 300}, None),
+            (S1, [(MAST, g) for g in (0.5, 4.0)] + [(PAGE, g) for g in (0.5, 2.0, 8.0)], CAPPED,
+             {MAST: 1, PAGE: 1}),
+            (S1, [(PAGE, g) for g in (0.5, 2.0, 8.0)] + [(MAST, g) for g in (0.5, 4.0)], CAPPED,
+             {MAST: 1, PAGE: 1}),
         ],
         ids=["s1-page-packaged", "s2-mast", "s1-pair", "max-steps", "s1-mast-page-packaged",
              "s2-pair-page", "max-steps-mast-page", "max-steps-page-mast"],
     )
-    def test_rows_match_lone_estimates(self, spec, rows, kwargs):
+    def test_rows_match_lone_estimates(self, spec, rows, kwargs, capped):
         grid = _estimate_pf_grid(spec, rows, [5, 2], **kwargs)
         assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for cfg, g in rows]
         n_chains = kwargs.get("n_chains", 2048)
         steps = {-(-est.observed_steps // (n_chains * _PF_CHUNK)) for est in grid}
-        if spec is S1 and rows[0][0] is PAGE and "max_steps" not in kwargs:
+        if spec is S1 and rows[0][0] is PAGE and capped is None:
             assert {1, 3, 5} <= steps
-        if "max_steps" in kwargs:
-            # the cap binds each detector's top row, and its first row
-            # meets the target before it
-            for cfg in {cfg for cfg, _ in rows}:
+        if capped is not None:
+            # the cap binds each detector's top ``capped[cfg]`` rows, and its
+            # lower rows meet the target before it
+            cap = kwargs["max_steps"]
+            for cfg, n in capped.items():
                 observed = [est.observed_steps for (c, _), est in zip(rows, grid) if c is cfg]
-                assert observed[0] < 300 * 1500 == observed[-1]
+                assert observed[-n:] == [cap] * n
+                assert max(observed[:-n]) < cap
 
     def test_first_short_gamma_raises_lone_message(self):
         kwargs = {"n_chains": 8, "max_steps": 20_000}
