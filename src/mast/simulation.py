@@ -56,6 +56,13 @@ and in the critical regime blocks are kept short so that this happens
 soon: after ``c`` critical columns a block is at most ``max(2, c // 2)``
 columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
 samples over all of them make more columns; a call may always run those.
+In the controlled regime no lane stops, so a call's blocks are known
+before it starts; they span at most ``_BLOCK // 2`` samples, and a call
+of two or more blocks draws each next block on one helper thread, into
+the other half of the block buffer, while the calling thread scores and
+steps the current one.  The helper only draws (numpy's generators and
+ufuncs release the GIL while they fill an array), and it is joined
+before the call returns; the samples are those of a serial run.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
 samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
@@ -75,8 +82,11 @@ repeats its estimate.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -299,6 +309,58 @@ def _draw(
     return out
 
 
+class _DrawAhead:
+    """The blocks of one controlled ``_Lanes.advance`` call, ``ks[i]``
+    columns for block ``i``, drawn on a helper thread one block ahead of
+    the caller.  Block ``i`` fills half ``i % 2`` of ``buf[0]``, and
+    scenario 2's noise the second half of ``buf[1]``, so the first half of
+    ``buf[1]`` stays free for the caller's scores.  ``next()`` returns the
+    next block and starts drawing the one after it into the other half,
+    which the caller has finished with.  The helper runs nothing but
+    ``_draw``; an error there is raised by ``next()``.  Used as a context
+    manager, it starts the thread on entry and joins it on exit.
+    """
+
+    def __init__(self, spec, rngs, buf, ks):
+        lanes, half = len(rngs), buf.shape[1] // 2
+        self.spec, self.rngs = spec, rngs
+        self.blocks = []
+        for i, k in enumerate(ks):
+            start, size = half * (i % 2), k * lanes * _LANE
+            self.blocks.append((
+                buf[0, start : start + size].reshape(lanes, k, _LANE),
+                buf[1, half : half + size].reshape(lanes, k, _LANE),
+            ))
+        self.given = 0
+        self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve)
+
+    def _serve(self):
+        while (i := self.todo.get()) is not None:
+            try:
+                self.done.put(_draw(self.spec, self.rngs, False, *self.blocks[i]))
+            except BaseException as exc:
+                self.done.put(exc)
+
+    def __enter__(self):
+        self.thread.start()
+        self.todo.put(0)
+        return self
+
+    def __exit__(self, *exc_info):
+        self.todo.put(None)
+        self.thread.join()
+
+    def next(self) -> np.ndarray:
+        block = self.done.get()
+        if isinstance(block, BaseException):
+            raise block
+        self.given += 1
+        if self.given < len(self.blocks):
+            self.todo.put(self.given)
+        return block
+
+
 class _Lanes:
     """Chains ``0 .. n - 1`` in lanes of ``_LANE``, advancing in lockstep
     on one sample clock by ``run_stream``'s recursion, once for each row of
@@ -314,11 +376,15 @@ class _Lanes:
     live lanes and ``rngs`` their generators, and ``critical_cols`` counts
     the critical-regime columns run so far.  Consecutive rows with equal
     configs make one group, scored once per block; ``group`` holds each
-    running row's group and ``configs`` each group's config.  Every block
-    is drawn into row 0 of ``buf`` and scenario 2's noise into row 1; a
-    group other than the last scores the block into row 1 onward, the last
-    in place.  So ``buf`` holds two rows of floats for up to two groups.
-    The crossings of a block are marked in ``hits``.
+    running row's group and ``configs`` each group's config.  A block is
+    drawn into row 0 of ``buf``: a critical one, or a controlled call's
+    only block, at its start, with scenario 2's noise at the start of
+    row 1; a controlled call's blocks of two or more into the two halves
+    of row 0 in turn, with the noise in the second half of row 1 (see
+    ``_DrawAhead``).  A group other than the last scores the block into
+    the start of row 1 onward, the last in place.  So ``buf`` holds two
+    rows of floats for up to two groups.  The crossings of a block are
+    marked in ``hits``.
     """
 
     def __init__(self, spec, rows, seed, n):
@@ -349,6 +415,28 @@ class _Lanes:
         self.rows, self.group = self.rows[keep], self.group[keep]
         self.stat, self.limit = self.stat[keep], self.limit[keep]
 
+    def _draw_ahead(self, cols: int) -> _DrawAhead | None:
+        """The ``_DrawAhead`` of a controlled call of ``cols`` columns, or
+        None if the call has fewer than two blocks, no running row, or
+        blocks too wide for two to fit one row of ``buf``.  A controlled
+        call keeps every lane live, so its blocks are known up front."""
+        width = self.lanes.size * _LANE
+        k = max(1, _BLOCK // 2 // width)
+        if cols <= k or not self.rows.size or 2 * k * width > self.buf.shape[1]:
+            return None
+        ks = [min(k, cols - done) for done in range(0, cols, k)]
+        return _DrawAhead(self.spec, self.rngs, self.buf, ks)
+
+    def _draw_here(self, critical: bool, cols: int) -> np.ndarray:
+        """Draw the next block, of at most ``cols`` columns, on this thread."""
+        width = self.lanes.size * _LANE
+        k = min(cols, max(1, (_BLOCK if critical else _BLOCK // 2) // width))
+        if critical:
+            k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
+            self.critical_cols += k
+        buf = self.buf[:2, : k * width].reshape(2, self.lanes.size, k, _LANE)
+        return _draw(self.spec, self.rngs, critical, buf[0], buf[1])
+
     def advance(self, critical: bool, cols: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Advance every live chain of every row ``cols`` samples of one
         regime; return, for each row in ``rows``, the chain and the offset
@@ -357,64 +445,67 @@ class _Lanes:
         has alarmed, and its limit becomes inf.  A lane left with no live
         chain in any row is dropped and not drawn again.
 
-        The live lanes' next columns are drawn into one block of at most
+        The live lanes' next columns are drawn into one block, scored by
+        one ``config.increment`` call for each group with a running row,
+        and run through the recursion one column at a time across all
+        chains of all rows: one ``add`` per group, then the rest of the
+        step once over every row.  A critical block spans at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
-        than that), scored by one ``config.increment`` call for each group
-        with a running row, and run through the recursion one column at a
-        time across all chains of all rows: one ``add`` per group, then
-        the rest of the step once over every row.  In the critical regime
-        a block after ``c`` critical columns is also at most
-        ``max(2, c // 2, min_critical_cols)`` columns long, so a lane runs
-        few columns past its last alarm; ``min_critical_cols`` is the
-        columns that ``_CRITICAL_BLOCK`` samples make over all the call's
-        lanes.
+        than that), and after ``c`` critical columns also at most
+        ``max(2, c // 2, min_critical_cols)`` columns, so a lane runs few
+        columns past its last alarm; ``min_critical_cols`` is the columns
+        that ``_CRITICAL_BLOCK`` samples make over all the call's lanes.
+        A controlled block spans at most ``_BLOCK // 2`` samples (or one
+        column per lane), and a controlled call of two or more blocks
+        draws each next block on a helper thread while this one scores
+        and steps the current one (``_DrawAhead``); the thread is joined
+        before the call returns.  The samples, and so the crossings, are
+        those of a serial run.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         # the running groups and their first rows; rows stay put in a call
         groups, firsts = np.unique(self.group, return_index=True)
         bounds = [*firsts.tolist(), len(self.rows)]
+        ahead = None if critical else self._draw_ahead(cols)
         done = 0
-        while done < cols and self.lanes.size and self.rows.size:
-            width = self.lanes.size * _LANE
-            k = min(cols - done, max(1, _BLOCK // width))
-            if critical:
-                k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
-                self.critical_cols += k
-            buf = self.buf[:, : k * width].reshape(len(self.buf), self.lanes.size, k, _LANE)
-            block = _draw(self.spec, self.rngs, critical, buf[0], buf[1])
-            stat, limit = self.stat, self.limit
-            # each running group's rows and their scores; the last group
-            # scores the block in place, once the others have read it
-            parts = []
-            for j, (g, lo, hi) in enumerate(zip(groups, bounds, bounds[1:])):
-                out = block if j == len(groups) - 1 else buf[j + 1]
-                parts.append((stat[lo:hi], self.configs[g].increment(block, out=out)))
-            hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
-            reset, value = (limit, np.inf) if critical else (stat, 0.0)
-            add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
-            for t in range(k):
-                for part, inc in parts:
-                    add(part, inc[:, t], out=part)
-                maximum(stat, 0.0, out=stat)
-                greater(stat, limit, out=hits[:, t])
-                copyto(reset, value, where=hits[:, t])
-            # flat indices in C order: by row, then column, lane and chain;
-            # row r's crossings have r * k + (column) in `at`
-            at, chain = np.divmod(np.flatnonzero(hits), width)
-            lane, col = np.divmod(chain, _LANE)
-            chain = self.lanes[lane] * _LANE + col
-            edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
-            for r, (chains, offsets) in enumerate(found):
-                chains.append(chain[edges[r] : edges[r + 1]])
-                offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
-            done += k
-            if critical and at.size:
-                # only a finite gamma crosses, so an inf limit marks no live chain
-                live = (self.limit < np.inf).any(axis=(0, 2))
-                self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
-                self.lanes, self.stat, self.limit = (
-                    self.lanes[live], self.stat[:, live], self.limit[:, live]
-                )
+        with ahead or contextlib.nullcontext():
+            while done < cols and self.lanes.size and self.rows.size:
+                block = ahead.next() if ahead else self._draw_here(critical, cols - done)
+                k, width = block.shape[1], self.lanes.size * _LANE
+                scores = self.buf[1:, : k * width].reshape(-1, self.lanes.size, k, _LANE)
+                stat, limit = self.stat, self.limit
+                # each running group's rows and their scores; the last group
+                # scores the block in place, once the others have read it
+                parts = []
+                for j, (g, lo, hi) in enumerate(zip(groups, bounds, bounds[1:])):
+                    out = block if j == len(groups) - 1 else scores[j]
+                    parts.append((stat[lo:hi], self.configs[g].increment(block, out=out)))
+                hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
+                reset, value = (limit, np.inf) if critical else (stat, 0.0)
+                add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
+                for t in range(k):
+                    for part, inc in parts:
+                        add(part, inc[:, t], out=part)
+                    maximum(stat, 0.0, out=stat)
+                    greater(stat, limit, out=hits[:, t])
+                    copyto(reset, value, where=hits[:, t])
+                # flat indices in C order: by row, then column, lane and chain;
+                # row r's crossings have r * k + (column) in `at`
+                at, chain = np.divmod(np.flatnonzero(hits), width)
+                lane, col = np.divmod(chain, _LANE)
+                chain = self.lanes[lane] * _LANE + col
+                edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
+                for r, (chains, offsets) in enumerate(found):
+                    chains.append(chain[edges[r] : edges[r + 1]])
+                    offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
+                done += k
+                if critical and at.size:
+                    # only a finite gamma crosses, so an inf limit marks no live chain
+                    live = (self.limit < np.inf).any(axis=(0, 2))
+                    self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
+                    self.lanes, self.stat, self.limit = (
+                        self.lanes[live], self.stat[:, live], self.limit[:, live]
+                    )
         return [(np.concatenate(chains), np.concatenate(offsets)) for chains, offsets in found]
 
 
@@ -555,8 +646,11 @@ def estimate_pf(
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  A chain's samples and crossings
-    depend neither on these steps nor on how a step is cut into blocks.
+    shorter, at the ``max_steps`` cap).  A step is cut into blocks of at
+    most ``_BLOCK // 2`` samples, and while the chains step through one
+    block, a helper thread draws the next (see ``_Lanes.advance``).  A
+    chain's samples and crossings depend neither on these steps nor on
+    how a step is cut into blocks, nor on the thread.
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach
@@ -686,10 +780,11 @@ def fit_linear(points: Iterable[tuple[float, float]]) -> LinearFit:
     Requires at least three distinct gamma values.
     """
     pts = [(float(g), float(y)) for g, y in points]
+    # a set rather than np.unique, whose first call on floats imports numpy.ma
+    if len({g for g, _ in pts}) < 3:
+        raise ValueError("linear fit needs at least 3 distinct gamma values")
     gammas = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    if np.unique(gammas).size < 3:
-        raise ValueError("linear fit needs at least 3 distinct gamma values")
     # the arithmetic of scipy.stats.linregress, which it matches bit for bit
     sxx, sxy, _, syy = np.cov(gammas, ys, bias=1).flat
     slope = sxy / sxx

@@ -759,3 +759,23 @@ def test_cli_import_leaves_numpy_random_out():
     # numpy.random costs more to import than the rest of mast.cli; the
     # Monte Carlo engine imports it when it builds its first generator
     assert not _imported_with_cli("numpy.random")
+
+
+def test_curve_leaves_numpy_ma_and_concurrent_futures_out():
+    # np.unique on floats imports numpy.ma at its first call, for a share of
+    # a small curve's time; the draw-ahead thread needs threading alone
+    src = str(Path(mast.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "200",
+            "--seed", "1", "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"]
+    code = (
+        f"import sys; from mast.cli import main; main({argv!r}); "
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 + 6 + 1  # the header, three points per detector
+    assert lines[-1] == "[]"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -639,15 +640,18 @@ def monitor_runs(draw):
 
 def block_ends(steps, block, critical, floor):
     """Sample counts at which one lane's blocks end over ``advance`` calls
-    of ``steps`` columns, each cut into blocks of at most ``block`` columns,
-    and in the critical regime of at most ``max(2, c // 2, floor)`` columns
-    after ``c`` columns."""
+    of ``steps`` columns.  The critical regime cuts a call into blocks of
+    at most ``block`` columns, and of at most ``max(2, c // 2, floor)``
+    after ``c`` columns; the controlled regime into blocks of at most
+    ``max(1, block // 2)`` columns, half a full block."""
     ends, done = [], 0
     for cols in steps:
         stop = done + cols
         while done < stop:
-            k = min(stop - done, block)
-            done += min(k, max(2, done // 2, floor)) if critical else k
+            if critical:
+                done += min(stop - done, block, max(2, done // 2, floor))
+            else:
+                done += min(stop - done, max(1, block // 2))
             ends.append(done)
     return ends
 
@@ -752,6 +756,98 @@ class TestMonitorKernel:
             else:
                 assert sorted(crossings) == report.crossings
                 assert lanes.stat.reshape(-1)[chain] == report.final_state.statistic
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """A list that grows by one for every ``threading.Thread`` built."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return starts
+
+
+class TestDrawAhead:
+    """A controlled call of two or more blocks draws each next block on a
+    helper thread; the samples and crossings stay those of a serial run."""
+
+    def test_error_in_the_helper_is_raised_and_the_thread_joined(self, thread_starts):
+        # 2048 chains make 32-column controlled blocks, 16 to a pf step
+        error = RuntimeError("third block")
+        draws = []
+
+        def draw(spec, rngs, critical, out, noise):
+            draws.append(critical)
+            if draws.count(False) == 3:
+                raise error
+            return _draw(spec, rngs, critical, out, noise)
+
+        before = threading.active_count()
+        with mock.patch.object(simulation, "_draw", draw):
+            with pytest.raises(RuntimeError) as raised:
+                estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500)
+        assert raised.value is error
+        assert draws == [False] * 3 and thread_starts == [1]
+        assert threading.active_count() == before
+
+    def test_error_in_the_caller_joins_the_thread(self, thread_starts):
+        # the third block's score raises while the helper draws the fourth
+        error = RuntimeError("third score")
+        scores = []
+        increment = DetectorConfig.increment
+
+        def score(config, x, out=None):
+            scores.append(x.shape)
+            if len(scores) == 3:
+                raise error
+            return increment(config, x, out=out)
+
+        before = threading.active_count()
+        with mock.patch.object(DetectorConfig, "increment", score):
+            with pytest.raises(RuntimeError) as raised:
+                estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500)
+        assert raised.value is error
+        assert len(scores) == 3 and thread_starts == [1]
+        assert threading.active_count() == before
+
+    def test_critical_and_one_block_calls_start_no_thread(self, thread_starts):
+        # the benchmark's delay-s2 call runs in the critical regime only
+        est = estimate_delay(S2, MAST, 5.0, 50_000, seed=1)
+        assert est.n_trials == 50_000
+        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 2048)
+        lanes.advance(False, 0)
+        lanes.advance(False, 32)
+        assert thread_starts == []
+        lanes.advance(False, 33)
+        assert thread_starts == [1]
+
+    def test_two_detectors_in_scenario_2_match_run_stream(self, thread_starts):
+        # two lanes make 128-column controlled blocks, so the calls run 4
+        # and 3 blocks; the first detector's scores share buf's second row
+        # with the noise of the block drawn meanwhile
+        rows, steps = [(PAIR, 1.0), (PAGE, 2.0)], [_PF_CHUNK, 300]
+        lanes = _Lanes(S2, rows, 9, 300)
+        found = [([], []) for _ in rows]
+        done = 0
+        for cols in steps:
+            for (chains, times), (chain_of, offsets) in zip(found, lanes.advance(False, cols)):
+                chains.append(chain_of)
+                times.append(done + offsets)
+            done += cols
+        assert thread_starts == [1, 1]
+        for chain in (0, _LANE - 1, _LANE, 299):
+            xs = trial_samples(S2, 9, chain, done, critical=False)
+            for r, ((cfg, gamma), (chains, times)) in enumerate(zip(rows, found)):
+                chains, times = np.concatenate(chains), np.concatenate(times)
+                report = run_stream(xs, cfg, gamma, monitor=True)
+                assert report.crossings
+                assert sorted(times[chains == chain].tolist()) == report.crossings
+                assert lanes.stat[r].reshape(-1)[chain] == report.final_state.statistic
 
 
 class TestFitLinear:
