@@ -235,6 +235,17 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file overriding packaged experiment defaults")
 
 
+def _iso_days(days: np.ndarray) -> list[str]:
+    """The ``YYYY-MM-DD`` text of each day of ``days``, a ``datetime64[D]``
+    array of years 1 to 9999, as ``np.datetime_as_string`` writes it.  The
+    ten ASCII bytes of each day and a newline make one row of a buffer that
+    is decoded and split once."""
+    text = np.empty((len(days), 11), np.uint8)
+    text[:, :10] = days.astype("S10")[:, None].view(np.uint8)
+    text[:, 10] = ord("\n")
+    return text.tobytes().decode("ascii").splitlines()
+
+
 def _trace_chunks(days, values, path: list[float], alarm: int | None) -> Iterator[str]:
     """The ``detect`` trace rows ``n,date,x,statistic,alarmed`` for each
     scored sample, ``_TRACE_CHUNK`` lines per string, so that a long trace
@@ -248,7 +259,7 @@ def _trace_chunks(days, values, path: list[float], alarm: int | None) -> Iterato
         if alarm is not None and start < alarm <= stop:
             alarmed[alarm - 1 - start] = "1"
         rows = zip(map(str, range(start + 1, stop + 1)),
-                   np.datetime_as_string(days[start:stop]).tolist(), x, statistic, alarmed)
+                   _iso_days(days[start:stop]), x, statistic, alarmed)
         yield "\n".join(map(",".join, rows)) + "\n"
 
 

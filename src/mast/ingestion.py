@@ -270,8 +270,18 @@ def _sniff_delimiter(text: str) -> str:
 
 
 def _looks_like_date(text: str, date_format: str) -> bool:
+    cell = text.strip()
+    iso = date_format == _ISO_FORMAT
     try:
-        dt.datetime.strptime(text.strip(), date_format)
+        # the default format is answered without strptime, whose first call
+        # costs milliseconds of set-up: a YYYY-MM-DD cell means the same day
+        # to fromisoformat, and %Y needs a decimal digit first
+        if iso and _ISO_DATE.fullmatch(cell):
+            dt.date.fromisoformat(cell)
+        elif iso and not cell[:1].isdecimal():
+            return False
+        else:
+            dt.datetime.strptime(cell, date_format)
         return True
     except ValueError:
         return False

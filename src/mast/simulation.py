@@ -37,8 +37,9 @@ so results are a deterministic function of the seed and the trial count
 and do not depend on the chunk schedule.  The live lanes' slices make up
 one ``(lanes, cols, _LANE)`` block: each lane's generators fill only its
 slice, and the affine steps (the scale by ``sigma``, the mean, scenario
-2's mean plus noise) then run once over the whole block.  A seed is an
-int or a sequence of ints.
+2's mean plus noise) then run once over the whole block, or once over
+each run of lanes that one thread draws; being elementwise, they give
+the same bits either way.  A seed is an int or a sequence of ints.
 
 Every chain runs the recursion of ``run_stream``,
 ``T_n = max(0, T_{n-1} + increment(x_n))``, with the same float
@@ -58,11 +59,15 @@ columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
 samples over all of them make more columns; a call may always run those.
 In the controlled regime no lane stops, so a call's blocks are known
 before it starts; they span at most ``_BLOCK // 2`` samples, and a call
-of two or more blocks draws each next block on one helper thread, into
-the other half of the block buffer, while the calling thread scores and
-steps the current one.  The helper only draws (numpy's generators and
-ufuncs release the GIL while they fill an array), and it is joined
-before the call returns; the samples are those of a serial run.
+of two or more blocks draws them on two threads.  A block is cut into
+runs of consecutive lanes, one lane a run when a lane's slice is long.
+One helper thread draws the runs of the next block, into the other half
+of the block buffer, while the calling thread scores and steps the
+current one; the calling thread then draws the runs the helper has not
+reached.  The helper only draws (numpy's generators and ufuncs release
+the GIL while they fill an array), and it is joined before the call
+returns.  Each lane's generators fill its slice on one thread, so the
+samples are those of a serial run.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
 samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
@@ -82,6 +87,7 @@ repeats its estimate.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
@@ -127,6 +133,10 @@ _BLOCK = _LANE * _PF_CHUNK
 # samples over all of a call's lanes that a critical-regime block may always
 # span: a shorter block's fixed cost outweighs the columns it saves
 _CRITICAL_BLOCK = 8192
+# samples a lane's slice of a controlled block must span for the block to
+# be drawn by two threads: shorter slices would spend more on their turns
+# at the GIL than the second thread saves
+_SHARED_SLICE = 4096
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -292,15 +302,29 @@ def _draw(
     in-place arithmetic is that of ``means + sigma * z`` with the means
     from ``rng.uniform(low, high, shape)``, bit for bit.
     """
+    _fill(spec, rngs, out, noise)
+    return _affine(spec, critical, out, noise)
+
+
+def _fill(spec: ScenarioSpec, rngs, out: np.ndarray, noise: np.ndarray) -> None:
+    """``_draw``'s generator part: lane ``i`` of ``out`` (and, in scenario 2,
+    of ``noise``) from the generators ``rngs[i]``."""
     if spec.scenario == 1:
         for (rng,), lane in zip(rngs, out):
             rng.standard_normal(out=lane)
-        out *= spec.sigma
-        out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
-        return out
+        return
     for (noise_rng, mean_rng), lane, scratch in zip(rngs, out, noise):
         mean_rng.random(out=lane)
         noise_rng.standard_normal(out=scratch)
+
+
+def _affine(spec: ScenarioSpec, critical: bool, out: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``_draw``'s affine steps, elementwise over ``out`` and ``noise``;
+    returns ``out``."""
+    if spec.scenario == 1:
+        out *= spec.sigma
+        out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
+        return out
     low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
     out *= high - low
     out += low
@@ -311,54 +335,98 @@ def _draw(
 
 class _DrawAhead:
     """The blocks of one controlled ``_Lanes.advance`` call, ``ks[i]``
-    columns for block ``i``, drawn on a helper thread one block ahead of
-    the caller.  Block ``i`` fills half ``i % 2`` of ``buf[0]``, and
-    scenario 2's noise the second half of ``buf[1]``, so the first half of
-    ``buf[1]`` stays free for the caller's scores.  ``next()`` returns the
-    next block and starts drawing the one after it into the other half,
-    which the caller has finished with.  The helper runs nothing but
-    ``_draw``; an error there is raised by ``next()``.  Used as a context
-    manager, it starts the thread on entry and joins it on exit.
+    columns for block ``i``, drawn by the caller and one helper thread.
+    Block ``i`` fills half ``i % 2`` of ``buf[0]``, and scenario 2's noise
+    the second half of ``buf[1]``, so the first half of ``buf[1]`` stays
+    free for the caller's scores.
+
+    A block is cut into runs of lanes: one lane a run if a lane's slice
+    spans at least ``_SHARED_SLICE`` samples, else the whole block, which
+    the helper draws alone.  A posted block's undrawn runs wait in a
+    deque.  The helper takes them from the front while the caller scores
+    and steps the block before; ``next()`` takes the rest of a block of
+    several runs from the back.  Each thread fills the runs it takes, lane
+    by lane from their generators, and then runs the affine steps once
+    over its share, a range of lanes (``_draw_share``).  ``next()`` then
+    waits for the helper's share, posts the block after, into the other
+    half, and returns the block.  So a block is posted only once the one
+    before it is drawn, noise and all: scenario 2's noise takes the same
+    place in every block.  The helper runs nothing but the draws; an
+    error there is raised by ``next()``.  Used as a context manager, it
+    starts the thread and posts the first block on entry, and drops the
+    undrawn runs and joins the thread on exit.
     """
 
     def __init__(self, spec, rngs, buf, ks):
         lanes, half = len(rngs), buf.shape[1] // 2
         self.spec, self.rngs = spec, rngs
-        self.blocks = []
+        self.blocks, self.runs = [], []
         for i, k in enumerate(ks):
             start, size = half * (i % 2), k * lanes * _LANE
             self.blocks.append((
                 buf[0, start : start + size].reshape(lanes, k, _LANE),
                 buf[1, half : half + size].reshape(lanes, k, _LANE),
             ))
+            step = 1 if k * _LANE >= _SHARED_SLICE else lanes
+            self.runs.append([slice(lo, lo + step) for lo in range(0, lanes, step)])
         self.given = 0
+        self.undrawn = collections.deque()
         self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve)
+
+    def _draw_share(self, i: int, pop) -> None:
+        """Draw the runs of block ``i`` that ``pop`` hands this thread, then
+        the affine steps once over them: the helper's runs make a range of
+        lanes from the front of the block, the caller's one from the back.
+        A block of one run, which only the helper draws, is one ``_draw``
+        call."""
+        out, noise = self.blocks[i]
+        lo, hi = len(out), 0
+        while True:
+            try:
+                run = pop()
+            except IndexError:
+                break
+            if len(self.runs[i]) == 1:
+                _draw(self.spec, self.rngs, False, out, noise)
+                return
+            _fill(self.spec, self.rngs[run], out[run], noise[run])
+            lo, hi = min(lo, run.start), max(hi, run.stop)
+        if lo < hi:
+            _affine(self.spec, False, out[lo:hi], noise[lo:hi])
 
     def _serve(self):
         while (i := self.todo.get()) is not None:
             try:
-                self.done.put(_draw(self.spec, self.rngs, False, *self.blocks[i]))
+                self._draw_share(i, self.undrawn.popleft)
+                self.done.put(None)
             except BaseException as exc:
                 self.done.put(exc)
 
+    def _post(self, i):
+        self.undrawn.extend(self.runs[i])
+        self.todo.put(i)
+
     def __enter__(self):
         self.thread.start()
-        self.todo.put(0)
+        self._post(0)
         return self
 
     def __exit__(self, *exc_info):
+        self.undrawn.clear()
         self.todo.put(None)
         self.thread.join()
 
     def next(self) -> np.ndarray:
-        block = self.done.get()
-        if isinstance(block, BaseException):
-            raise block
+        i = self.given
+        if len(self.runs[i]) > 1:
+            self._draw_share(i, self.undrawn.pop)
+        if (error := self.done.get()) is not None:
+            raise error
         self.given += 1
         if self.given < len(self.blocks):
-            self.todo.put(self.given)
-        return block
+            self._post(self.given)
+        return self.blocks[i][0]
 
 
 class _Lanes:
@@ -457,10 +525,12 @@ class _Lanes:
         that ``_CRITICAL_BLOCK`` samples make over all the call's lanes.
         A controlled block spans at most ``_BLOCK // 2`` samples (or one
         column per lane), and a controlled call of two or more blocks
-        draws each next block on a helper thread while this one scores
-        and steps the current one (``_DrawAhead``); the thread is joined
-        before the call returns.  The samples, and so the crossings, are
-        those of a serial run.
+        draws each block on two threads (``_DrawAhead``): a helper thread
+        draws runs of lanes of the next block while this one scores and
+        steps the current one, and this one draws the runs the helper has
+        not reached when it needs the block.  The thread is joined before
+        the call returns.  The samples, and so the crossings, are those
+        of a serial run.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         # the running groups and their first rows; rows stay put in a call
@@ -647,10 +717,12 @@ def estimate_pf(
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
     shorter, at the ``max_steps`` cap).  A step is cut into blocks of at
-    most ``_BLOCK // 2`` samples, and while the chains step through one
-    block, a helper thread draws the next (see ``_Lanes.advance``).  A
-    chain's samples and crossings depend neither on these steps nor on
-    how a step is cut into blocks, nor on the thread.
+    most ``_BLOCK // 2`` samples.  While the chains step through one
+    block, a helper thread draws the next a lane at a time, and the
+    calling thread draws the lanes the helper has not reached when it
+    needs the block (see ``_Lanes.advance``).  A chain's samples and
+    crossings depend neither on these steps nor on how a step is cut
+    into blocks, nor on which thread draws which lane.
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach
@@ -721,7 +793,7 @@ def _estimate_pf_grid(
         keep = (crossings[lanes.rows] < target_crossings) & (done < per_chain_cap)
         for row in lanes.rows[~keep].tolist():
             chains, times = map(np.concatenate, zip(*found.pop(row)))
-            estimates[row] = _pf_estimate(rows[row][1], chains, times, done * n_chains)
+            estimates[row] = _pf_estimate(rows[row][1], chains, times, n_chains, done)
         lanes.keep_rows(keep)
 
     for (config, gamma), est in zip(rows, estimates):
@@ -734,15 +806,20 @@ def _estimate_pf_grid(
     return estimates
 
 
-def _pf_estimate(gamma, chains, times, observed) -> PerformanceEstimate:
+def _pf_estimate(gamma, chains, times, n_chains, per_chain) -> PerformanceEstimate:
     """The estimate from one row's crossings, given by chain and time, over
-    ``observed`` samples."""
+    ``per_chain`` samples of each of ``n_chains`` chains.  Each chain's
+    crossings come in increasing time, as ``_estimate_pf_grid`` gathers
+    them step by step."""
     crossings = chains.size
+    observed = n_chains * per_chain
     pf = crossings / observed
     if crossings > 1:
         # completed intervals, ordered by chain then time so that pf_se
-        # does not depend on the grouping
-        order = np.lexsort((times, chains))
+        # does not depend on the grouping: a stable sort by chain keeps
+        # each chain's times in order, and on a key of at most 16 bits
+        # numpy sorts by radix
+        order = np.argsort(chains.astype(np.min_scalar_type(n_chains - 1)), kind="stable")
         chains, times = chains[order], times[order]
         intervals = np.diff(times, prepend=0)
         first_of_chain = np.diff(chains, prepend=-1) != 0

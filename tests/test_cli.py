@@ -779,3 +779,40 @@ def test_curve_leaves_numpy_ma_and_concurrent_futures_out():
     lines = result.stdout.splitlines()
     assert len(lines) == 1 + 6 + 1  # the header, three points per detector
     assert lines[-1] == "[]"
+
+
+def test_iso_detect_leaves_strptime_out(tmp_path):
+    # strptime's first call costs milliseconds of set-up; a header-first
+    # YYYY-MM-DD file and its trace need none of it
+    path, trace = tmp_path / "counts.csv", tmp_path / "trace.csv"
+    counts = [1000] * 10 + [1000 * 2**k for k in range(1, 7)]
+    path.write_text("date,count\n" + "".join(
+        f"2020-10-{day:02d},{count}\n" for day, count in enumerate(counts, 1)
+    ))
+    src = str(Path(mast.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["detect", "--input", str(path), "--gamma", "5.0", "--sigma", "0.1",
+            "--output", str(trace)]
+    code = (
+        f"import sys; from mast.cli import main; code = main({argv!r}); "
+        "print(code, '_strptime' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{EXIT_ALARM} False"
+    assert trace.read_text().splitlines()[1].startswith("1,2020-10-02,1.0,")
+
+
+def test_trace_dates_match_datetime_as_string():
+    # every year from 1 to 9999 is written with four digits; a spread of
+    # days over that range, its ends and the leap days near 1900 and 2000
+    first, last = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
+    days = np.concatenate([
+        np.arange(first, last, 997),
+        [first, last, np.datetime64("1900-02-28"), np.datetime64("1900-03-01"),
+         np.datetime64("2000-02-29"), np.datetime64("1970-01-01")],
+    ])
+    assert cli._iso_days(days) == np.datetime_as_string(days).tolist()
+    assert cli._iso_days(days[:0]) == []

@@ -19,6 +19,7 @@ from mast.ingestion import (
     InsufficientDataError,
     ParseError,
     RatioSeries,
+    _looks_like_date,
     _sniff_delimiter,
     estimate_sigma,
     parse_counts,
@@ -78,6 +79,23 @@ class TestParseCounts:
         first_line = next((ln for ln in text.splitlines() if ln.strip()), "")
         expect = "\t" if "\t" in first_line and "," not in first_line else ","
         assert _sniff_delimiter(text) == expect
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["date", " Date ", "", "  ", "2020-10-01", " 2020-10-01\t", "2020-02-30", "0000-01-01",
+         "2020-1-5", "20201001", "2020-W40-1", "\u0662\u0660\u0662\u0660-10-01",
+         "\uff12\uff10\uff12\uff10-10-01", "\u00b2020-10-01", "1st", "x2020-10-01"],
+    )
+    @pytest.mark.parametrize("date_format", ["%Y-%m-%d", "%d/%m/%Y"])
+    def test_header_check_matches_strptime(self, cell, date_format):
+        # the default format is answered without strptime, and must agree
+        # with it: Unicode decimal digits are digits to %Y too
+        try:
+            dt.datetime.strptime(cell.strip(), date_format)
+            expect = True
+        except ValueError:
+            expect = False
+        assert _looks_like_date(cell, date_format) is expect
 
     def test_out_of_order_dates_name_the_line(self):
         with pytest.raises(ParseError, match="line 3") as err:
@@ -239,6 +257,10 @@ class TestParseEquivalence:
     @example(text="2020-01-05,1\n2020-W02-1,2\n")  # fromisoformat reads this, strptime does not
     @example(text="2020-01-05,1\n20200106,2\n")
     @example(text="2020-01-05,1\n0000-01-01,2\n")
+    # first cells that strptime reads as a date, or not, though not YYYY-MM-DD
+    @example(text="\u0662\u0660\u0662\u0660-01-05,1\n2020-01-06,2\n")
+    @example(text="2020-02-30,1\n2020-03-01,2\n")
+    @example(text="1date,count\n2020-01-05,1\n")
     @example(text="\t\n 2020-01-05 \t3\n2020-01-06\t4")
     # a row whose first cell is empty but which is not blank
     @example(text="count,region,date\n5,,2020-01-01\n , ,\n,north,2020-01-02\n")

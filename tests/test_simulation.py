@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -24,6 +25,7 @@ from mast.simulation import (
     LinearFit,
     PerformanceEstimate,
     ScenarioSpec,
+    _DrawAhead,
     _Lanes,
     _draw,
     _estimate_pf_grid,
@@ -520,6 +522,33 @@ class TestEstimatePf:
         assert est.n_trials == 50_000 and est.n_censored == 0
         assert peak <= 8 * lane_block
 
+    @pytest.mark.parametrize("n_chains", [300, 65_536, 65_537])
+    def test_chain_sort_keeps_each_chains_times_in_order(self, monkeypatch, n_chains):
+        # _pf_estimate orders a row's crossings by a stable sort on the
+        # chain alone, 16 bits wide up to 65,536 chains: each chain's come
+        # in increasing time, so that is their (chain, time) order, and the
+        # estimate is that of the crossings given in that order
+        seen = []
+        estimate = simulation._pf_estimate
+
+        def spy(gamma, chains, times, *observed):
+            seen.append((gamma, chains, times, observed))
+            return estimate(gamma, chains, times, *observed)
+
+        monkeypatch.setattr(simulation, "_pf_estimate", spy)
+        monkeypatch.setattr(simulation, "_PF_CHUNK", 16)
+        grid = _estimate_pf_grid(
+            S1, [(PAGE, 0.0), (MAST, 1.0)], 3, n_chains=n_chains, target_crossings=10**9,
+            min_crossings=1, max_steps=n_chains * 40,
+        )
+        for (gamma, chains, times, observed), est in zip(seen, grid):
+            assert np.unique(chains).size < chains.size
+            order = np.lexsort((times, chains))
+            key = chains.astype(np.min_scalar_type(n_chains - 1))
+            assert key.itemsize == (2 if n_chains <= 65_536 else 4)
+            assert np.array_equal(np.argsort(key, kind="stable"), order)
+            assert estimate(gamma, chains[order], times[order], *observed) == est
+
     def test_explicit_horizon_observed_steps(self):
         est = estimate_pf(
             S1, MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
@@ -772,48 +801,247 @@ def thread_starts(monkeypatch):
     return starts
 
 
-class TestDrawAhead:
-    """A controlled call of two or more blocks draws each next block on a
-    helper thread; the samples and crossings stay those of a serial run."""
+class Schedule:
+    """Forces which thread draws the runs of controlled calls of two or
+    more blocks, and records who drew each run and the blocks as scored.
 
-    def test_error_in_the_helper_is_raised_and_the_thread_joined(self, thread_starts):
-        # 2048 chains make 32-column controlled blocks, 16 to a pf step
-        error = RuntimeError("third block")
-        draws = []
+    ``"helper"`` holds each score until every posted run is filled from
+    its generators, so the helper draws every run of every block after a
+    call's first.  ``"caller"`` holds the helper's draw of each block of
+    several runs until the caller has drawn that block, or the call
+    exits, so the caller draws every run of such blocks.  ``fail_draw`` raises its error in the last
+    run of the third block to be drawn; ``fail_score`` in the third
+    block's score, at once.
+    """
 
-        def draw(spec, rngs, critical, out, noise):
-            draws.append(critical)
-            if draws.count(False) == 3:
-                raise error
-            return _draw(spec, rngs, critical, out, noise)
+    WAIT = 30.0  # seconds a held thread waits before the test fails
 
-        before = threading.active_count()
-        with mock.patch.object(simulation, "_draw", draw):
-            with pytest.raises(RuntimeError) as raised:
-                estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500)
-        assert raised.value is error
-        assert draws == [False] * 3 and thread_starts == [1]
-        assert threading.active_count() == before
+    def __init__(self, monkeypatch, who, *, fail_draw=None, fail_score=None):
+        self.who = who
+        self.posted = self.drawn = 0
+        self.block = -1  # the block posted last in the running call
+        self.runs = 0  # the runs of that block
+        self.caller_done = -1  # the block the caller drew last in that call
+        self.draws = []  # (block, drawn on the main thread) per run
+        self.failed = None  # the entry of draws whose run raised
+        self.scored = []  # a copy of each block, as scored
+        self.changed = threading.Condition()
+        post, share, leave = _DrawAhead._post, _DrawAhead._draw_share, _DrawAhead.__exit__
+        fill, increment = simulation._fill, DetectorConfig.increment
 
-    def test_error_in_the_caller_joins_the_thread(self, thread_starts):
-        # the third block's score raises while the helper draws the fourth
-        error = RuntimeError("third score")
-        scores = []
-        increment = DetectorConfig.increment
+        def posting(ahead, i):
+            with self.changed:
+                self.block, self.runs = i, len(ahead.runs[i])
+                self.posted += self.runs
+                if i == 0:
+                    self.caller_done = -1
+            post(ahead, i)
 
-        def score(config, x, out=None):
-            scores.append(x.shape)
-            if len(scores) == 3:
-                raise error
+        def sharing(ahead, i, pop):
+            if threading.current_thread() is threading.main_thread():
+                share(ahead, i, pop)
+                with self.changed:
+                    self.caller_done = i
+                    self.changed.notify_all()
+                return
+            if who == "caller" and len(ahead.runs[i]) > 1:
+                with self.changed:
+                    assert self.changed.wait_for(lambda: self.caller_done >= i, self.WAIT)
+            share(ahead, i, pop)
+
+        def leaving(ahead, *exc_info):
+            with self.changed:
+                self.caller_done = math.inf
+                self.changed.notify_all()
+            leave(ahead, *exc_info)
+
+        def filling(spec, rngs, out, noise):
+            main = threading.current_thread() is threading.main_thread()
+            self.draws.append((self.block, main))
+            try:
+                if fail_draw is not None and self.draws.count((2, main)) == self.runs:
+                    self.failed = self.draws[-1]
+                    raise fail_draw
+                fill(spec, rngs, out, noise)
+            finally:
+                with self.changed:
+                    self.drawn += 1
+                    self.changed.notify_all()
+
+        def scoring(config, x, out=None):
+            # the last group scores in place, once the others have read the block
+            if out is x:
+                self.scored.append(x.copy())
+            if fail_score is not None and len(self.scored) == 3:
+                raise fail_score
+            if who == "helper":
+                with self.changed:
+                    assert self.changed.wait_for(lambda: self.drawn == self.posted, self.WAIT)
             return increment(config, x, out=out)
 
-        before = threading.active_count()
-        with mock.patch.object(DetectorConfig, "increment", score):
-            with pytest.raises(RuntimeError) as raised:
-                estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500)
+        monkeypatch.setattr(_DrawAhead, "_post", posting)
+        monkeypatch.setattr(_DrawAhead, "_draw_share", sharing)
+        monkeypatch.setattr(_DrawAhead, "__exit__", leaving)
+        monkeypatch.setattr(simulation, "_fill", filling)
+        monkeypatch.setattr(DetectorConfig, "increment", scoring)
+
+    def check(self):
+        """Assert that the forced thread drew the runs it should have."""
+        assert self.draws
+        if self.who == "caller":
+            assert all(main for _, main in self.draws)
+        else:
+            assert not any(main for block, main in self.draws if block >= 1)
+
+
+class TestDrawAhead:
+    """A controlled call of two or more blocks draws each block on two
+    threads, a run of lanes at a time; the samples and crossings stay
+    those of a serial run whichever thread draws which run."""
+
+    @pytest.mark.parametrize("who", ["helper", "caller"])
+    @pytest.mark.parametrize(
+        "spec, rows, n_chains, steps",
+        [
+            # 2048 chains make 32-column blocks, 16 to a step, of 8 one-lane runs
+            (S1, [(MAST, 0.5)], 2048, [_PF_CHUNK, 64]),
+            # two lanes make 128-column blocks, so the calls run 4 and 3
+            # blocks; the first detector's scores share buf's second row
+            # with the noise of the block drawn meanwhile
+            (S2, [(PAIR, 1.0), (PAGE, 2.0)], 300, [_PF_CHUNK, 300]),
+        ],
+        ids=["s1", "s2"],
+    )
+    def test_forced_schedules_match_serial_draws_and_run_stream(
+        self, monkeypatch, thread_starts, spec, rows, n_chains, steps, who
+    ):
+        schedule = Schedule(monkeypatch, who)
+        lanes = _Lanes(spec, rows, 9, n_chains)
+        found = [([], []) for _ in rows]
+        done = 0
+        for cols in steps:
+            for (chains, times), (chain_of, offsets) in zip(found, lanes.advance(False, cols)):
+                chains.append(chain_of)
+                times.append(done + offsets)
+            done += cols
+        assert thread_starts == [1] * len(steps)
+        schedule.check()
+        monkeypatch.undo()
+        # the blocks, end to end, are one serial draw of every column
+        count = lanes.lanes.size
+        serial, noise = np.empty((2, count, done, _LANE))
+        _draw(spec, _lane_rngs(9, count, spec.scenario), False, serial, noise)
+        assert np.array_equal(np.concatenate(schedule.scored, axis=1), serial)
+        for chain in (0, _LANE - 1, _LANE, n_chains - 1):
+            xs = serial.reshape(-1, done, _LANE)[chain // _LANE, :, chain % _LANE]
+            for r, ((cfg, gamma), (chains, times)) in enumerate(zip(rows, found)):
+                chains, times = np.concatenate(chains), np.concatenate(times)
+                report = run_stream(xs, cfg, gamma, monitor=True)
+                assert report.crossings
+                assert sorted(times[chains == chain].tolist()) == report.crossings
+                assert lanes.stat[r].reshape(-1)[chain] == report.final_state.statistic
+
+    def check_error(self, schedule, error, thread_starts, before, run):
+        with pytest.raises(RuntimeError) as raised:
+            run()
         assert raised.value is error
-        assert len(scores) == 3 and thread_starts == [1]
+        assert thread_starts == [1]
         assert threading.active_count() == before
+        schedule.check()
+
+    def test_error_in_the_helper_is_raised_and_the_thread_joined(
+        self, monkeypatch, thread_starts
+    ):
+        # the helper draws the third block's runs, and the last raises
+        error = RuntimeError("third block")
+        before = threading.active_count()
+        schedule = Schedule(monkeypatch, "helper", fail_draw=error)
+        self.check_error(
+            schedule, error, thread_starts, before,
+            lambda: estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500),
+        )
+        assert schedule.failed == (2, False)
+
+    def test_error_in_a_run_the_caller_draws_is_raised_and_the_thread_joined(
+        self, monkeypatch, thread_starts
+    ):
+        error = RuntimeError("third block")
+        before = threading.active_count()
+        schedule = Schedule(monkeypatch, "caller", fail_draw=error)
+        self.check_error(
+            schedule, error, thread_starts, before,
+            lambda: estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500),
+        )
+        assert schedule.failed == (2, True)
+
+    def test_error_in_the_caller_joins_the_thread(self, monkeypatch, thread_starts):
+        # the third block's score raises while the helper draws the fourth
+        error = RuntimeError("third score")
+        before = threading.active_count()
+        schedule = Schedule(monkeypatch, "helper", fail_score=error)
+        self.check_error(
+            schedule, error, thread_starts, before,
+            lambda: estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500),
+        )
+        assert len(schedule.scored) == 3
+
+    def test_error_in_the_caller_joins_the_held_thread(self, monkeypatch, thread_starts):
+        # the helper, held, has drawn nothing when the third score raises
+        error = RuntimeError("third score")
+        before = threading.active_count()
+        schedule = Schedule(monkeypatch, "caller", fail_score=error)
+        self.check_error(
+            schedule, error, thread_starts, before,
+            lambda: estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500),
+        )
+        assert len(schedule.scored) == 3
+        assert {block for block, _ in schedule.draws} == {0, 1, 2}
+
+    def test_concurrent_calls_under_fast_switching_match(self):
+        # three calls at once, each with its helper, switching threads every
+        # few microseconds: a run drawn twice, or skipped, by the two threads
+        # of a call would change its estimate
+        kwargs = {"n_chains": 600, "target_crossings": 10**9, "min_crossings": 1,
+                  "max_steps": 600 * 700}
+        calls = [(S1, MAST, 1.0, 1), (S2, PAIR, 1.0, 2), (S2, PAGE, 2.0, 3)]
+        serial = [estimate_pf(spec, cfg, g, seed=seed, **kwargs) for spec, cfg, g, seed in calls]
+        found = [None] * len(calls)
+
+        def run(i):
+            spec, cfg, g, seed = calls[i]
+            found[i] = estimate_pf(spec, cfg, g, seed=seed, **kwargs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == serial
+
+    def test_short_lane_slices_are_drawn_whole_by_the_helper(self, monkeypatch):
+        # a delay run-in of 50,000 trials: 196 lanes of one-column slices
+        # make each block one run, which only the helper draws, since two
+        # threads drawing such short slices contend for the GIL; 2048 chains
+        # make 32-column slices, one lane to a run
+        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 2048)
+        assert [len(runs) for runs in lanes._draw_ahead(_PF_CHUNK).runs] == [8] * 16
+        lanes = _Lanes(S2, [(MAST, 5.0)], 1, 50_000)
+        assert [len(runs) for runs in lanes._draw_ahead(29).runs] == [1] * 29
+        fill, on_main = simulation._fill, []
+
+        def filling(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            fill(*args)
+
+        monkeypatch.setattr(simulation, "_fill", filling)
+        lanes.advance(False, 29)
+        assert on_main == [False] * 29
 
     def test_critical_and_one_block_calls_start_no_thread(self, thread_starts):
         # the benchmark's delay-s2 call runs in the critical regime only
