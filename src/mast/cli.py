@@ -137,22 +137,22 @@ def _detector_params(config: DetectorConfig) -> dict:
 def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
     """Experiment defaults (packaged, overlaid by ``--config``) and the
     resolved settings a manifest records: each named flag's value, taken
-    from the defaults where the flag was not given, and the scenario,
-    change time, run-in and workers flags.
+    from the defaults where the flag was not given, the scenario and
+    workers flags, and the change time (1 when not given) with ``run_in``,
+    whether ``--change-time`` was given and so the delay trials run through
+    the samples before the change.
 
     The run sizes ``--trials``, ``--seed`` and ``--workers``, the
-    ``--change-time`` of every mode (1 when not given) and the types of
-    ``--alpha``, ``--sigma`` and ``--r2-floor`` are checked here, wherever
-    they came from, so that an error names the flag.  Each command checks
-    that ``--change-time`` and ``--run-in`` come together (``_check_run_in``),
-    so the recorded change time is the one the delay trials use."""
+    ``--change-time`` of every mode and the types of ``--alpha``,
+    ``--sigma`` and ``--r2-floor`` are checked here, wherever they came
+    from, so that an error names the flag."""
     defaults = load_defaults(args.config)
     settings = {
         name: defaults[name] if getattr(args, name) is None else getattr(args, name)
         for name in names
     }
     settings.update(
-        scenario=args.scenario, run_in=args.run_in, workers=args.workers,
+        scenario=args.scenario, run_in=args.change_time is not None, workers=args.workers,
         change_time=args.change_time if args.change_time is not None else 1,
     )
     for name, low in (("trials", 1), ("seed", 0), ("workers", 1), ("change_time", 1)):
@@ -164,16 +164,6 @@ def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be a real number, got {settings[name]!r}")
     return defaults, settings
-
-
-def _check_run_in(args) -> None:
-    """``--change-time`` and ``--run-in`` come together: a change time
-    without the run-in is never read, and the run-in of the default change
-    time 1 is empty."""
-    if args.change_time is not None and not args.run_in:
-        raise ValueError("--change-time is not read without --run-in")
-    if args.run_in and args.change_time is None:
-        raise ValueError("--run-in has no effect without --change-time")
 
 
 def _csv_line(cells: Iterable) -> str:
@@ -220,11 +210,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
     parser.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
     parser.add_argument("--seed", type=int, help="master seed (default from config)")
-    parser.add_argument("--change-time", type=int, help="regime change sample, read with --run-in")
     parser.add_argument(
-        "--run-in",
-        action="store_true",
-        help="evolve the statistic through the pre-change samples instead of starting at zero",
+        "--change-time", type=int, help="regime change sample; delay trials run in before it"
     )
     parser.add_argument(
         "--workers",
@@ -266,8 +253,8 @@ def _trace_chunks(days, values, path: list[float], alarm: int | None) -> Iterato
 def cmd_detect(args) -> int:
     (kind,) = _detector_kinds(args, alpha_read=False)
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read input: {exc}")
     series = parse_counts(
         text,
@@ -330,12 +317,11 @@ def cmd_simulate(args) -> int:
     spec = ScenarioSpec(args.scenario, alpha, sigma)
     config = _detector_config(kind, args, sigma, alpha_default=alpha)
     if args.mode == "pf":
-        given = (("--horizon", args.horizon is not None), ("--run-in", args.run_in),
+        given = (("--horizon", args.horizon is not None),
                  ("--change-time", args.change_time is not None))
         unread = [flag for flag, is_given in given if is_given]
         if unread:
             raise ValueError(f"{', '.join(unread)} not read by --mode pf (delay trials only)")
-    _check_run_in(args)
 
     rows = []
     if args.mode in ("delay", "both"):
@@ -389,7 +375,6 @@ def cmd_curve(args) -> int:
     defaults, settings = _experiment_settings(args, *names)
     alpha, sigma, trials, seed, r2_floor = (settings[name] for name in names)
     spec = ScenarioSpec(args.scenario, alpha, sigma)
-    _check_run_in(args)
 
     given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid, "--gamma-grid")
     if given_grid == []:

@@ -148,7 +148,8 @@ def parse_counts(
     headerless input is accepted when the first row already parses as
     (date, count).  Any malformed row, duplicate date, out-of-order date,
     negative count or count too large for a float raises ``ParseError``
-    naming the offending line.
+    naming the offending line.  One leading byte-order mark (U+FEFF) is
+    dropped.
 
     ``csv`` first reads the rows up to the first non-blank one.  With the
     default ``date_format``, the rest is parsed as text in bulk when every
@@ -160,6 +161,8 @@ def parse_counts(
     give the same series.
     """
     text = source if isinstance(source, str) else source.read()
+    # a spreadsheet export may start with a UTF-8 byte-order mark
+    text = text.removeprefix("\ufeff")
     delimiter = delimiter or _sniff_delimiter(text)
     # read up to the first non-blank row only: the ISO path takes the rest
     # as text, and only the row loop needs every row

@@ -17,9 +17,13 @@ time between threshold crossings when the statistic runs forever in the
 controlled regime and is reset to zero at every crossing.
 
 Both maps ``gamma -> delay`` and ``gamma -> log10(pf)`` are close to
-linear, so operational curves are produced by fitting straight lines to
-directly measured points and extrapolating them into false-alarm regimes
-far beyond Monte Carlo reach.
+linear over the measured grids, so an operational curve fits straight
+lines to directly measured points and may evaluate them at thresholds
+beyond Monte Carlo reach.  Those extrapolated points are unchecked
+straight-line fits: nothing measures or bounds their error.  For scenario
+1 MAST at ``gamma = 12`` the packaged curve's extrapolated false-alarm
+rate is about 5.4 times too optimistic against a Brook-Evans run-length
+calculation.
 
 Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
 consecutive indices.  Each lane owns its PCG64 generators, derived from
@@ -112,7 +116,6 @@ __all__ = [
     "OperationalCurve",
     "PerformanceEstimate",
     "ScenarioSpec",
-    "check_grids",
     "estimate_delay",
     "estimate_pf",
     "fit_linear",
@@ -334,45 +337,55 @@ def _affine(spec: ScenarioSpec, critical: bool, out: np.ndarray, noise: np.ndarr
 
 
 class _DrawAhead:
-    """The blocks of one controlled ``_Lanes.advance`` call, ``ks[i]``
-    columns for block ``i``, drawn by the caller and one helper thread.
-    Block ``i`` fills half ``i % 2`` of ``buf[0]``, and scenario 2's noise
-    the second half of ``buf[1]``, so the first half of ``buf[1]`` stays
-    free for the caller's scores.
+    """The blocks of one controlled ``_Lanes.advance`` call of ``cols``
+    columns, ``k`` columns each but the last, drawn by the caller and one
+    helper thread.  Block ``i`` fills half ``i % 2`` of ``buf[0]``, and
+    scenario 2's noise the second half of ``buf[1]``, so the first half of
+    ``buf[1]`` stays free for the caller's scores.  A block's views and
+    runs are built when it is posted, so a call's setup does not grow with
+    its length.
 
-    A block is cut into runs of lanes: one lane a run if a lane's slice
-    spans at least ``_SHARED_SLICE`` samples, else the whole block, which
-    the helper draws alone.  A posted block's undrawn runs wait in a
-    deque.  The helper takes them from the front while the caller scores
-    and steps the block before; ``next()`` takes the rest of a block of
-    several runs from the back.  Each thread fills the runs it takes, lane
-    by lane from their generators, and then runs the affine steps once
-    over its share, a range of lanes (``_draw_share``).  ``next()`` then
-    waits for the helper's share, posts the block after, into the other
-    half, and returns the block.  So a block is posted only once the one
-    before it is drawn, noise and all: scenario 2's noise takes the same
-    place in every block.  The helper runs nothing but the draws; an
-    error there is raised by ``next()``.  Used as a context manager, it
-    starts the thread and posts the first block on entry, and drops the
-    undrawn runs and joins the thread on exit.
+    A block is cut into runs of lanes (``block``): one lane a run if a
+    lane's slice spans at least ``_SHARED_SLICE`` samples, else the whole
+    block, which the helper draws alone.  A posted block's undrawn runs
+    wait in a deque.  The helper takes them from the front while the
+    caller scores and steps the block before; ``next()`` takes the rest of
+    a block of several runs from the back.  Each thread fills the runs it
+    takes, lane by lane from their generators, and then runs the affine
+    steps once over its share, a range of lanes (``_draw_share``).
+    ``next()`` then waits for the helper's share, posts the block after,
+    into the other half, and returns the block.  So a block is posted only
+    once the one before it is drawn, noise and all: scenario 2's noise
+    takes the same place in every block, and the block in half ``i % 2``
+    is done with before block ``i + 2`` is posted there.  The helper runs
+    nothing but the draws; an error there is raised by ``next()``.  Used
+    as a context manager, it starts the thread and posts the first block
+    on entry, and drops the undrawn runs and joins the thread on exit.
     """
 
-    def __init__(self, spec, rngs, buf, ks):
-        lanes, half = len(rngs), buf.shape[1] // 2
-        self.spec, self.rngs = spec, rngs
-        self.blocks, self.runs = [], []
-        for i, k in enumerate(ks):
-            start, size = half * (i % 2), k * lanes * _LANE
-            self.blocks.append((
-                buf[0, start : start + size].reshape(lanes, k, _LANE),
-                buf[1, half : half + size].reshape(lanes, k, _LANE),
-            ))
-            step = 1 if k * _LANE >= _SHARED_SLICE else lanes
-            self.runs.append([slice(lo, lo + step) for lo in range(0, lanes, step)])
+    def __init__(self, spec, rngs, buf, k: int, cols: int):
+        self.spec, self.rngs, self.buf = spec, rngs, buf
+        self.k, self.cols = k, cols
+        self.count = -(-cols // k)  # blocks
+        # the views and runs of the blocks posted into each half of buf
+        self.posted = [None, None]
         self.given = 0
         self.undrawn = collections.deque()
         self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve)
+
+    def block(self, i: int) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+        """Block ``i``'s views of ``buf``, for its samples and for scenario
+        2's noise, and the runs of lanes it is cut into."""
+        lanes, half = len(self.rngs), self.buf.shape[1] // 2
+        k = min(self.k, self.cols - i * self.k)
+        start, size = half * (i % 2), k * lanes * _LANE
+        step = 1 if k * _LANE >= _SHARED_SLICE else lanes
+        return (
+            self.buf[0, start : start + size].reshape(lanes, k, _LANE),
+            self.buf[1, half : half + size].reshape(lanes, k, _LANE),
+            [slice(lo, lo + step) for lo in range(0, lanes, step)],
+        )
 
     def _draw_share(self, i: int, pop) -> None:
         """Draw the runs of block ``i`` that ``pop`` hands this thread, then
@@ -380,14 +393,14 @@ class _DrawAhead:
         lanes from the front of the block, the caller's one from the back.
         A block of one run, which only the helper draws, is one ``_draw``
         call."""
-        out, noise = self.blocks[i]
+        out, noise, runs = self.posted[i % 2]
         lo, hi = len(out), 0
         while True:
             try:
                 run = pop()
             except IndexError:
                 break
-            if len(self.runs[i]) == 1:
+            if len(runs) == 1:
                 _draw(self.spec, self.rngs, False, out, noise)
                 return
             _fill(self.spec, self.rngs[run], out[run], noise[run])
@@ -404,7 +417,8 @@ class _DrawAhead:
                 self.done.put(exc)
 
     def _post(self, i):
-        self.undrawn.extend(self.runs[i])
+        self.posted[i % 2] = self.block(i)
+        self.undrawn.extend(self.posted[i % 2][2])
         self.todo.put(i)
 
     def __enter__(self):
@@ -419,14 +433,15 @@ class _DrawAhead:
 
     def next(self) -> np.ndarray:
         i = self.given
-        if len(self.runs[i]) > 1:
+        out, _, runs = self.posted[i % 2]
+        if len(runs) > 1:
             self._draw_share(i, self.undrawn.pop)
         if (error := self.done.get()) is not None:
             raise error
         self.given += 1
-        if self.given < len(self.blocks):
+        if self.given < self.count:
             self._post(self.given)
-        return self.blocks[i][0]
+        return out
 
 
 class _Lanes:
@@ -492,8 +507,7 @@ class _Lanes:
         k = max(1, _BLOCK // 2 // width)
         if cols <= k or not self.rows.size or 2 * k * width > self.buf.shape[1]:
             return None
-        ks = [min(k, cols - done) for done in range(0, cols, k)]
-        return _DrawAhead(self.spec, self.rngs, self.buf, ks)
+        return _DrawAhead(self.spec, self.rngs, self.buf, k, cols)
 
     def _draw_here(self, critical: bool, cols: int) -> np.ndarray:
         """Draw the next block, of at most ``cols`` columns, on this thread."""
@@ -894,7 +908,7 @@ class OperationalCurve:
     logpf_fit: LinearFit | None
 
 
-def check_grids(
+def _check_grids(
     gamma_grid: Sequence[float], extrapolation_grid: Sequence[float] = (), r2_floor: float = 0.95
 ) -> tuple[list[float], list[float]]:
     """The measured and extrapolated grids of ``operational_curve`` as floats,
@@ -925,7 +939,7 @@ def operational_curve(
 
     ``curves`` holds one ``(config, gamma_grid, extrapolation_grid)`` per
     detector; one ``OperationalCurve`` comes back for each, in order.
-    Every grid is checked by ``check_grids`` before anything runs.
+    Every grid is checked by ``_check_grids`` before anything runs.
 
     Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
     delay trials with the regime change at ``change_time`` (see
@@ -945,7 +959,7 @@ def operational_curve(
     ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
     number in [0, 1].
     """
-    grids = [check_grids(gamma_grid, extra_grid, r2_floor) for _, gamma_grid, extra_grid in curves]
+    grids = [_check_grids(gamma_grid, extra_grid, r2_floor) for _, gamma_grid, extra_grid in curves]
     configs = [config for config, _, _ in curves]
 
     delays = [

@@ -17,6 +17,7 @@ import pytest
 import mast
 from mast import cli, simulation
 from mast.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
+from mast.ingestion import parse_counts
 
 
 def write_counts(path, counts, start_day=1):
@@ -110,6 +111,23 @@ class TestDetect:
             assert main(args + flags) == EXIT_ALARM
             runs.append((trace.read_bytes(), capsys.readouterr().out))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("header", ["date,count\n", ""], ids=["header", "headerless"])
+    def test_byte_order_mark_is_dropped(self, doubling_series, tmp_path, capsys, header):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(header + doubling_series.read_text())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = []
+        for path in (plain, marked):
+            series = parse_counts(path.read_text(encoding="utf-8"))
+            trace = tmp_path / f"{path.stem}.trace.csv"
+            code = main(["detect", "--input", str(path), "--gamma", "5", "--sigma", "0.1",
+                         "--output", str(trace)])
+            runs.append((series.days.tolist(), series.values.tolist(), trace.read_bytes(),
+                         capsys.readouterr().out, code))
+        assert runs[0] == runs[1]
+        assert runs[0][-1] == EXIT_ALARM
 
     @pytest.mark.parametrize(
         "sep, date_format, flags",
@@ -279,7 +297,7 @@ PINNED_CSV = [
      "d053379923f7749b0f7540861eac358c7d2c102bdb8e9307d99c240705748558"),
     # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
-      "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--run-in", "--change-time", "50"],
+      "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--change-time", "50"],
      "db6f6d20ad1bb76b181395c7b8e2f3a9e1d0f0da5a0e34014c58b453ef95e295"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
@@ -417,9 +435,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--horizon", "5"], "--horizon"), (["--run-in"], "--run-in"),
+        [(["--horizon", "5"], "--horizon"), (["--change-time", "40"], "--change-time"),
          (["--change-time", "1"], "--change-time"),
-         (["--run-in", "--change-time", "40"], "--run-in, --change-time")],
+         (["--horizon", "5", "--change-time", "40"], "--horizon, --change-time")],
     )
     def test_delay_flags_rejected_in_pf_mode(self, capsys, tmp_path, flags, named):
         out = tmp_path / "out.csv"
@@ -429,37 +447,36 @@ class TestSimulate:
         assert f"error: {named} not read by --mode pf" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
+    DELAY_COMMANDS = pytest.mark.parametrize(
         "args",
         [["simulate", "--scenario", "1", "--gamma", "2", "--mode", "delay"],
          ["simulate", "--scenario", "1", "--gamma", "2", "--mode", "both"],
          ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,2,3"]],
         ids=["delay", "both", "curve"],
     )
-    def test_change_time_needs_run_in(self, capsys, tmp_path, args):
-        # without --run-in the statistic starts at 0 at the change, so a
-        # change time would be recorded but never read
-        out = tmp_path / "out.csv"
-        code = main(args + ["--trials", "100", "--seed", "1", "--change-time", "50",
-                            "--output", str(out)])
-        assert code == EXIT_ERROR
-        assert "error: --change-time is not read without --run-in" in capsys.readouterr().err
-        assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "args",
-        [["simulate", "--scenario", "1", "--gamma", "2", "--mode", "delay"],
-         ["simulate", "--scenario", "1", "--gamma", "2", "--mode", "both"],
-         ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,2,3"]],
-        ids=["delay", "both", "curve"],
-    )
-    def test_run_in_needs_change_time(self, capsys, tmp_path, args):
-        # the default change time 1 leaves the run-in empty, so --run-in
-        # alone would be recorded but change nothing
+    @DELAY_COMMANDS
+    def test_change_time_alone_runs_the_run_in(self, tmp_path, args):
+        # the delay trials run through the 49 samples before the change
+        args = args + ["--trials", "100", "--seed", "1"]
+        plain, changed = tmp_path / "plain.csv", tmp_path / "changed.csv"
+        assert main(args + ["--output", str(plain)]) == EXIT_OK
+        assert main(args + ["--change-time", "50", "--output", str(changed)]) == EXIT_OK
+        assert plain.read_text() != changed.read_text()
+        recorded = [
+            {key: json.loads(Path(f"{path}.manifest.json").read_text())["parameters"][key]
+             for key in ("run_in", "change_time")}
+            for path in (plain, changed)
+        ]
+        assert recorded == [{"run_in": False, "change_time": 1}, {"run_in": True, "change_time": 50}]
+
+    @DELAY_COMMANDS
+    def test_run_in_flag_rejected(self, capsys, tmp_path, args):
         out = tmp_path / "out.csv"
-        code = main(args + ["--trials", "100", "--seed", "1", "--run-in", "--output", str(out)])
-        assert code == EXIT_ERROR
-        assert "error: --run-in has no effect without --change-time" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--change-time", "50", "--run-in", "--output", str(out)])
+        assert err.value.code == EXIT_ERROR
+        assert "unrecognized arguments: --run-in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_delay_flags_read_in_both_mode(self, tmp_path):
@@ -468,7 +485,7 @@ class TestSimulate:
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
         assert main(args + ["--output", str(plain)]) == EXIT_OK
         with pytest.warns(UserWarning, match="within 3 samples"):
-            code = main(args + ["--horizon", "3", "--run-in", "--change-time", "40",
+            code = main(args + ["--horizon", "3", "--change-time", "40",
                                 "--output", str(flagged)])
         assert code == EXIT_OK
         (_, delay, pf), (_, delay_flagged, pf_flagged) = (

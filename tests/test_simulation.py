@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -831,7 +832,7 @@ class Schedule:
 
         def posting(ahead, i):
             with self.changed:
-                self.block, self.runs = i, len(ahead.runs[i])
+                self.block, self.runs = i, len(ahead.block(i)[2])
                 self.posted += self.runs
                 if i == 0:
                     self.caller_done = -1
@@ -844,7 +845,7 @@ class Schedule:
                     self.caller_done = i
                     self.changed.notify_all()
                 return
-            if who == "caller" and len(ahead.runs[i]) > 1:
+            if who == "caller" and len(ahead.block(i)[2]) > 1:
                 with self.changed:
                     assert self.changed.wait_for(lambda: self.caller_done >= i, self.WAIT)
             share(ahead, i, pop)
@@ -1030,9 +1031,11 @@ class TestDrawAhead:
         # threads drawing such short slices contend for the GIL; 2048 chains
         # make 32-column slices, one lane to a run
         lanes = _Lanes(S1, [(MAST, 2.0)], 1, 2048)
-        assert [len(runs) for runs in lanes._draw_ahead(_PF_CHUNK).runs] == [8] * 16
+        ahead = lanes._draw_ahead(_PF_CHUNK)
+        assert [len(ahead.block(i)[2]) for i in range(ahead.count)] == [8] * 16
         lanes = _Lanes(S2, [(MAST, 5.0)], 1, 50_000)
-        assert [len(runs) for runs in lanes._draw_ahead(29).runs] == [1] * 29
+        ahead = lanes._draw_ahead(29)
+        assert [len(ahead.block(i)[2]) for i in range(ahead.count)] == [1] * 29
         fill, on_main = simulation._fill, []
 
         def filling(*args):
@@ -1042,6 +1045,27 @@ class TestDrawAhead:
         monkeypatch.setattr(simulation, "_fill", filling)
         lanes.advance(False, 29)
         assert on_main == [False] * 29
+
+    def test_setup_does_not_grow_with_the_call(self):
+        # one lane makes 256-column blocks, so 10**12 columns are about
+        # 3.9 billion blocks; none but the first two is built before the
+        # first is returned
+        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 100)
+        peaks = []
+        for cols in (1000, 10**12):
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                with lanes._draw_ahead(cols) as ahead:
+                    ahead.next()
+                elapsed = time.perf_counter() - start
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert ahead.count == -(-10**12 // 256)
+        # built up front, blocks cost about 0.13 s and 1.9 MB per 10**6 columns
+        assert elapsed < 1.0
+        assert peaks[1] < peaks[0] + 65536
 
     def test_critical_and_one_block_calls_start_no_thread(self, thread_starts):
         # the benchmark's delay-s2 call runs in the critical regime only
