@@ -452,7 +452,8 @@ def build_parser() -> _Parser:
     sigma_group = detect.add_mutually_exclusive_group()
     sigma_group.add_argument("--sigma", type=float, help="known ratio noise level")
     sigma_group.add_argument(
-        "--sigma-window", type=int, help="trailing ratios used to estimate sigma (default 30)"
+        "--sigma-window", type=int, help="last ratios of the file used to estimate sigma "
+        "(default 30); every earlier day is scored with it, a look-ahead",
     )
     detect.add_argument("--date-column", default="date", help="date column name (default: date)")
     detect.add_argument("--count-column", default="count", help="count column name (default: count)")
@@ -460,8 +461,8 @@ def build_parser() -> _Parser:
     detect.add_argument(
         "--smooth-window",
         type=int,
-        help="odd window for centered moving-average smoothing; correlates successive "
-        "ratios, weakening the independence assumption (off by default)",
+        help="odd window for centered moving-average smoothing (off by default); reads "
+        "window // 2 later days, a look-ahead, and correlates successive ratios",
     )
     detect.add_argument("--output", help="write the statistic trace CSV here")
     detect.set_defaults(func=cmd_detect)

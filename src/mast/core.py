@@ -94,29 +94,26 @@ def mast_increment(x, barriers: Barriers, sigma: float, out=None):
     a numpy ufunc, is an array of that shape to write the scores into; it
     may be ``x`` itself.
 
-    Every sample is first scored as ``+/-(x - upper)^2 / (2 sigma^2)``, the
-    sign set by the side of ``lower`` it lies on: the first branch, and with
-    one barrier the third.  Samples above ``lower`` of a pair with a middle
-    branch are then scored again from a copy taken before ``out`` was
-    written.  Each branch is the same float arithmetic as its formula above.
+    Every sample is first scored as ``e |e| * (-1 / (2 sigma^2))`` with
+    ``e = upper - x``, which is ``+/-(x - upper)^2 / (2 sigma^2)`` bit for
+    bit, signed zero too: the first branch, and with one barrier the third.
+    Samples above ``lower`` of a pair with a middle branch are then scored
+    again from a copy taken before ``out`` was written.  Each branch is the
+    same float arithmetic as its formula above.
     """
     x = np.asarray(x, dtype=float)
     res = np.empty_like(x) if out is None else out
     lo, hi = barriers.lower, barriers.upper
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    # read x before res, which may be x, is written: the samples above the
-    # lower barrier, then -1 at or below it and +1 above it
-    sign = np.greater(x, lo, out=np.empty(x.shape, np.int8))
-    upper = x[sign.view(bool)] if hi > lo else None
-    sign *= 2
-    sign -= 1
-    np.subtract(x, hi, out=res)
-    np.square(res, out=res)
-    np.multiply(res, sign, out=res)
-    np.multiply(res, inv2s2, out=res)
+    # read x before res, which may be x, is written
+    above = np.greater(x, lo) if hi > lo else None
+    upper = None if above is None else x[above]
+    np.subtract(hi, x, out=res)
+    np.multiply(res, np.abs(res), out=res)
+    np.multiply(res, -inv2s2, out=res)
     if upper is not None:
         between = (hi - lo) * 2.0 * inv2s2 * (upper - barriers.midpoint)
-        res[sign > 0] = np.where(upper <= hi, between, (upper - lo) ** 2 * inv2s2)
+        res[above] = np.where(upper <= hi, between, (upper - lo) ** 2 * inv2s2)
     return float(res) if out is None and res.ndim == 0 else res
 
 

@@ -62,16 +62,17 @@ soon: after ``c`` critical columns a block is at most ``max(2, c // 2)``
 columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
 samples over all of them make more columns; a call may always run those.
 In the controlled regime no lane stops, so a call's blocks are known
-before it starts; they span at most ``_BLOCK // 2`` samples, and a call
-of two or more blocks draws them on two threads.  A block is cut into
-runs of consecutive lanes, one lane a run when a lane's slice is long.
-One helper thread draws the runs of the next block, into the other half
-of the block buffer, while the calling thread scores and steps the
-current one; the calling thread then draws the runs the helper has not
+before it starts.  A call of at most 16 lanes, whose slices of a half
+block span at least ``_SHARED_SLICE`` samples, draws blocks of
+``_BLOCK // 2`` samples on two threads when it has two or more of them:
+one helper thread draws the next block, a lane at a time, into the other
+half of the block buffer, while the calling thread scores and steps the
+current one; the calling thread then draws the lanes the helper has not
 reached.  The helper only draws (numpy's generators and ufuncs release
 the GIL while they fill an array), and it is joined before the call
 returns.  Each lane's generators fill its slice on one thread, so the
-samples are those of a serial run.
+samples are those of a serial run.  Any other controlled call draws its
+blocks of ``_BLOCK`` samples on the calling thread.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
 samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
@@ -341,70 +342,61 @@ class _DrawAhead:
     columns, ``k`` columns each but the last, drawn by the caller and one
     helper thread.  Block ``i`` fills half ``i % 2`` of ``buf[0]``, and
     scenario 2's noise the second half of ``buf[1]``, so the first half of
-    ``buf[1]`` stays free for the caller's scores.  A block's views and
-    runs are built when it is posted, so a call's setup does not grow with
-    its length.
+    ``buf[1]`` stays free for the caller's scores.  A block's views are
+    built when it is posted, so a call's setup does not grow with its
+    length.
 
-    A block is cut into runs of lanes (``block``): one lane a run if a
-    lane's slice spans at least ``_SHARED_SLICE`` samples, else the whole
-    block, which the helper draws alone.  A posted block's undrawn runs
-    wait in a deque.  The helper takes them from the front while the
-    caller scores and steps the block before; ``next()`` takes the rest of
-    a block of several runs from the back.  Each thread fills the runs it
-    takes, lane by lane from their generators, and then runs the affine
-    steps once over its share, a range of lanes (``_draw_share``).
-    ``next()`` then waits for the helper's share, posts the block after,
-    into the other half, and returns the block.  So a block is posted only
-    once the one before it is drawn, noise and all: scenario 2's noise
-    takes the same place in every block, and the block in half ``i % 2``
-    is done with before block ``i + 2`` is posted there.  The helper runs
-    nothing but the draws; an error there is raised by ``next()``.  Used
-    as a context manager, it starts the thread and posts the first block
-    on entry, and drops the undrawn runs and joins the thread on exit.
+    A posted block's undrawn lanes wait in a deque.  The helper takes them
+    from the front while the caller scores and steps the block before;
+    ``next()`` takes the rest from the back.  Each thread fills the lanes
+    it takes from their generators, and then runs the affine steps once
+    over its share, a range of lanes (``_draw_share``).  ``next()`` then
+    waits for the helper's share, posts the block after, into the other
+    half, and returns the block.  So a block is posted only once the one
+    before it is drawn, noise and all: scenario 2's noise takes the same
+    place in every block, and the block in half ``i % 2`` is done with
+    before block ``i + 2`` is posted there.  The helper runs nothing but
+    the draws; an error there is raised by ``next()``.  Used as a context
+    manager, it posts the first block and then starts the thread on entry,
+    and drops the undrawn lanes and joins the thread on exit.
     """
 
     def __init__(self, spec, rngs, buf, k: int, cols: int):
         self.spec, self.rngs, self.buf = spec, rngs, buf
         self.k, self.cols = k, cols
         self.count = -(-cols // k)  # blocks
-        # the views and runs of the blocks posted into each half of buf
+        # the views of the blocks posted into each half of buf
         self.posted = [None, None]
         self.given = 0
         self.undrawn = collections.deque()
         self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve)
 
-    def block(self, i: int) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    def block(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Block ``i``'s views of ``buf``, for its samples and for scenario
-        2's noise, and the runs of lanes it is cut into."""
+        2's noise."""
         lanes, half = len(self.rngs), self.buf.shape[1] // 2
         k = min(self.k, self.cols - i * self.k)
         start, size = half * (i % 2), k * lanes * _LANE
-        step = 1 if k * _LANE >= _SHARED_SLICE else lanes
         return (
             self.buf[0, start : start + size].reshape(lanes, k, _LANE),
             self.buf[1, half : half + size].reshape(lanes, k, _LANE),
-            [slice(lo, lo + step) for lo in range(0, lanes, step)],
         )
 
     def _draw_share(self, i: int, pop) -> None:
-        """Draw the runs of block ``i`` that ``pop`` hands this thread, then
-        the affine steps once over them: the helper's runs make a range of
-        lanes from the front of the block, the caller's one from the back.
-        A block of one run, which only the helper draws, is one ``_draw``
-        call."""
-        out, noise, runs = self.posted[i % 2]
+        """Draw the lanes of block ``i`` that ``pop`` hands this thread, then
+        the affine steps once over them: the helper's lanes make a range
+        from the front of the block, the caller's one from the back."""
+        out, noise = self.posted[i % 2]
         lo, hi = len(out), 0
         while True:
             try:
-                run = pop()
+                lane = pop()
             except IndexError:
                 break
-            if len(runs) == 1:
-                _draw(self.spec, self.rngs, False, out, noise)
-                return
+            run = slice(lane, lane + 1)
             _fill(self.spec, self.rngs[run], out[run], noise[run])
-            lo, hi = min(lo, run.start), max(hi, run.stop)
+            lo, hi = min(lo, lane), max(hi, lane + 1)
         if lo < hi:
             _affine(self.spec, False, out[lo:hi], noise[lo:hi])
 
@@ -418,12 +410,13 @@ class _DrawAhead:
 
     def _post(self, i):
         self.posted[i % 2] = self.block(i)
-        self.undrawn.extend(self.posted[i % 2][2])
+        self.undrawn.extend(range(len(self.rngs)))
         self.todo.put(i)
 
     def __enter__(self):
-        self.thread.start()
+        # a block that cannot be posted leaves no thread behind
         self._post(0)
+        self.thread.start()
         return self
 
     def __exit__(self, *exc_info):
@@ -433,9 +426,8 @@ class _DrawAhead:
 
     def next(self) -> np.ndarray:
         i = self.given
-        out, _, runs = self.posted[i % 2]
-        if len(runs) > 1:
-            self._draw_share(i, self.undrawn.pop)
+        out, _ = self.posted[i % 2]
+        self._draw_share(i, self.undrawn.pop)
         if (error := self.done.get()) is not None:
             raise error
         self.given += 1
@@ -460,14 +452,13 @@ class _Lanes:
     the critical-regime columns run so far.  Consecutive rows with equal
     configs make one group, scored once per block; ``group`` holds each
     running row's group and ``configs`` each group's config.  A block is
-    drawn into row 0 of ``buf``: a critical one, or a controlled call's
-    only block, at its start, with scenario 2's noise at the start of
-    row 1; a controlled call's blocks of two or more into the two halves
-    of row 0 in turn, with the noise in the second half of row 1 (see
-    ``_DrawAhead``).  A group other than the last scores the block into
-    the start of row 1 onward, the last in place.  So ``buf`` holds two
-    rows of floats for up to two groups.  The crossings of a block are
-    marked in ``hits``.
+    drawn into row 0 of ``buf``: one drawn on the calling thread at its
+    start, with scenario 2's noise at the start of row 1; those of a
+    ``_DrawAhead`` into the two halves of row 0 in turn, with the noise in
+    the second half of row 1.  A group other than the last scores the
+    block into the start of row 1 onward, the last in place.  So ``buf``
+    holds two rows of floats for up to two groups.  The crossings of a
+    block are marked in ``hits``.
     """
 
     def __init__(self, spec, rows, seed, n):
@@ -499,20 +490,20 @@ class _Lanes:
         self.stat, self.limit = self.stat[keep], self.limit[keep]
 
     def _draw_ahead(self, cols: int) -> _DrawAhead | None:
-        """The ``_DrawAhead`` of a controlled call of ``cols`` columns, or
-        None if the call has fewer than two blocks, no running row, or
-        blocks too wide for two to fit one row of ``buf``.  A controlled
+        """The ``_DrawAhead`` of a controlled call of ``cols`` columns, in
+        blocks of half ``_BLOCK`` so that two fit one row of ``buf``; or
+        None if the call has fewer than two such blocks, no running row, or
+        lane slices shorter than ``_SHARED_SLICE`` samples.  A controlled
         call keeps every lane live, so its blocks are known up front."""
-        width = self.lanes.size * _LANE
-        k = max(1, _BLOCK // 2 // width)
-        if cols <= k or not self.rows.size or 2 * k * width > self.buf.shape[1]:
+        k = max(1, _BLOCK // 2 // (self.lanes.size * _LANE))
+        if cols <= k or not self.rows.size or k * _LANE < _SHARED_SLICE:
             return None
         return _DrawAhead(self.spec, self.rngs, self.buf, k, cols)
 
     def _draw_here(self, critical: bool, cols: int) -> np.ndarray:
         """Draw the next block, of at most ``cols`` columns, on this thread."""
         width = self.lanes.size * _LANE
-        k = min(cols, max(1, (_BLOCK if critical else _BLOCK // 2) // width))
+        k = min(cols, max(1, _BLOCK // width))
         if critical:
             k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
             self.critical_cols += k
@@ -537,14 +528,18 @@ class _Lanes:
         ``max(2, c // 2, min_critical_cols)`` columns, so a lane runs few
         columns past its last alarm; ``min_critical_cols`` is the columns
         that ``_CRITICAL_BLOCK`` samples make over all the call's lanes.
-        A controlled block spans at most ``_BLOCK // 2`` samples (or one
-        column per lane), and a controlled call of two or more blocks
-        draws each block on two threads (``_DrawAhead``): a helper thread
-        draws runs of lanes of the next block while this one scores and
-        steps the current one, and this one draws the runs the helper has
-        not reached when it needs the block.  The thread is joined before
-        the call returns.  The samples, and so the crossings, are those
-        of a serial run.
+        A controlled call of lane slices of at least ``_SHARED_SLICE``
+        samples (at most 16 lanes) and two or more blocks of
+        ``_BLOCK // 2`` samples draws each block on two threads
+        (``_DrawAhead``): a helper thread draws lanes of the next block
+        while this one scores and steps the current one, and this one
+        draws the lanes the helper has not reached when it needs the
+        block.  The thread is joined before the call returns.  Any other
+        controlled call draws blocks of at most ``_BLOCK`` samples (or
+        one column per lane) here.  The samples, and so the crossings,
+        are those of a serial run.  A row's crossings are kept per block
+        only where the block has some, so a call that never crosses
+        holds nothing per block.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         # the running groups and their first rows; rows stay put in a call
@@ -580,8 +575,9 @@ class _Lanes:
                 chain = self.lanes[lane] * _LANE + col
                 edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
                 for r, (chains, offsets) in enumerate(found):
-                    chains.append(chain[edges[r] : edges[r + 1]])
-                    offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
+                    if edges[r] < edges[r + 1]:
+                        chains.append(chain[edges[r] : edges[r + 1]])
+                        offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
                 done += k
                 if critical and at.size:
                     # only a finite gamma crosses, so an inf limit marks no live chain
@@ -641,10 +637,14 @@ def estimate_delay(
     ``SeedSequence(seed, spawn_key=(i, stream))``, from words computed for
     all lanes at once; each lane draws its own slice of a block, and the
     affine steps run once over the block (see the module docstring).  The
-    run-in draws exactly ``change_time - 1`` samples per trial.  The
-    post-change steps start at ``_DELAY_FIRST_STEP`` samples and double
-    while trials run, up to ``_DELAY_CHUNK``, and the horizon is checked
-    only between them.  Within a step, a block after ``c`` post-change
+    run-in draws exactly ``change_time - 1`` samples per trial: on two
+    threads for at most 4,096 trials (16 lanes), in full blocks on this
+    thread for more (see ``_Lanes.advance``).  Its crossings are dropped,
+    and a block without one keeps nothing, so a run-in that seldom
+    crosses holds little however long it is.  The post-change steps
+    start at ``_DELAY_FIRST_STEP`` samples and double while trials run,
+    up to ``_DELAY_CHUNK``, and the horizon is checked only between
+    them.  Within a step, a block after ``c`` post-change
     columns is at most ``max(2, c // 2)`` columns long, so a lane whose
     trials have all alarmed is dropped soon after the last alarm.  But a
     block may always span ``_CRITICAL_BLOCK`` samples over all the call's
@@ -730,13 +730,15 @@ def estimate_pf(
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  A step is cut into blocks of at
-    most ``_BLOCK // 2`` samples.  While the chains step through one
-    block, a helper thread draws the next a lane at a time, and the
-    calling thread draws the lanes the helper has not reached when it
-    needs the block (see ``_Lanes.advance``).  A chain's samples and
-    crossings depend neither on these steps nor on how a step is cut
-    into blocks, nor on which thread draws which lane.
+    shorter, at the ``max_steps`` cap).  Up to 4,096 chains (16 lanes),
+    a step is cut into blocks of at most ``_BLOCK // 2`` samples: while
+    the chains step through one block, a helper thread draws the next a
+    lane at a time, and the calling thread draws the lanes the helper has
+    not reached when it needs the block.  More chains draw blocks of at
+    most ``_BLOCK`` samples on the calling thread (see
+    ``_Lanes.advance``).  A chain's samples and crossings depend neither
+    on these steps nor on how a step is cut into blocks, nor on which
+    thread draws which lane.
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach

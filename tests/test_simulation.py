@@ -338,6 +338,23 @@ class TestEstimateDelay:
         assert est == again
         assert est.mean_delay >= 1.0
 
+    def test_run_in_memory_does_not_grow_with_its_length(self):
+        # a run-in that never crosses keeps nothing per block, so ten times
+        # the columns peak within 8 KiB of each other; an untraced first
+        # call makes the allocations that happen only once in a process
+        _Lanes(S1, [(MAST, 1e9)], 1, 100).advance(False, 20_000)
+        peaks = []
+        for cols in (2_000, 20_000):
+            lanes = _Lanes(S1, [(MAST, 1e9)], 1, 100)
+            tracemalloc.start()
+            try:
+                ((chains, offsets),) = lanes.advance(False, cols)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert chains.size == offsets.size == 0
+        assert abs(peaks[1] - peaks[0]) < 8192
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_delay(S1, MAST, -1.0, 10, seed=0)
@@ -670,10 +687,10 @@ def monitor_runs(draw):
 
 def block_ends(steps, block, critical, floor):
     """Sample counts at which one lane's blocks end over ``advance`` calls
-    of ``steps`` columns.  The critical regime cuts a call into blocks of
-    at most ``block`` columns, and of at most ``max(2, c // 2, floor)``
-    after ``c`` columns; the controlled regime into blocks of at most
-    ``max(1, block // 2)`` columns, half a full block."""
+    of ``steps`` columns, for blocks of at most ``block`` columns drawn
+    serially: one lane's slices are shorter than ``_SHARED_SLICE``.  The
+    critical regime also cuts a block to at most ``max(2, c // 2, floor)``
+    columns after ``c`` columns."""
     ends, done = [], 0
     for cols in steps:
         stop = done + cols
@@ -681,7 +698,7 @@ def block_ends(steps, block, critical, floor):
             if critical:
                 done += min(stop - done, block, max(2, done // 2, floor))
             else:
-                done += min(stop - done, max(1, block // 2))
+                done += min(stop - done, block)
             ends.append(done)
     return ends
 
@@ -803,15 +820,15 @@ def thread_starts(monkeypatch):
 
 
 class Schedule:
-    """Forces which thread draws the runs of controlled calls of two or
-    more blocks, and records who drew each run and the blocks as scored.
+    """Forces which thread draws the lanes of controlled calls of two or
+    more blocks, and records who drew each lane and the blocks as scored.
 
-    ``"helper"`` holds each score until every posted run is filled from
-    its generators, so the helper draws every run of every block after a
-    call's first.  ``"caller"`` holds the helper's draw of each block of
-    several runs until the caller has drawn that block, or the call
-    exits, so the caller draws every run of such blocks.  ``fail_draw`` raises its error in the last
-    run of the third block to be drawn; ``fail_score`` in the third
+    ``"helper"`` holds each score until every posted lane is filled from
+    its generators, so the helper draws every lane of every block after a
+    call's first.  ``"caller"`` holds the helper's draw of each block
+    until the caller has drawn that block, or the call exits, so the
+    caller draws every lane.  ``fail_draw`` raises its error in the last
+    lane of the third block to be drawn; ``fail_score`` in the third
     block's score, at once.
     """
 
@@ -821,10 +838,10 @@ class Schedule:
         self.who = who
         self.posted = self.drawn = 0
         self.block = -1  # the block posted last in the running call
-        self.runs = 0  # the runs of that block
+        self.lanes = 0  # the lanes of that block
         self.caller_done = -1  # the block the caller drew last in that call
-        self.draws = []  # (block, drawn on the main thread) per run
-        self.failed = None  # the entry of draws whose run raised
+        self.draws = []  # (block, drawn on the main thread) per lane
+        self.failed = None  # the entry of draws whose lane raised
         self.scored = []  # a copy of each block, as scored
         self.changed = threading.Condition()
         post, share, leave = _DrawAhead._post, _DrawAhead._draw_share, _DrawAhead.__exit__
@@ -832,8 +849,8 @@ class Schedule:
 
         def posting(ahead, i):
             with self.changed:
-                self.block, self.runs = i, len(ahead.block(i)[2])
-                self.posted += self.runs
+                self.block, self.lanes = i, len(ahead.rngs)
+                self.posted += self.lanes
                 if i == 0:
                     self.caller_done = -1
             post(ahead, i)
@@ -845,7 +862,7 @@ class Schedule:
                     self.caller_done = i
                     self.changed.notify_all()
                 return
-            if who == "caller" and len(ahead.block(i)[2]) > 1:
+            if who == "caller":
                 with self.changed:
                     assert self.changed.wait_for(lambda: self.caller_done >= i, self.WAIT)
             share(ahead, i, pop)
@@ -860,7 +877,7 @@ class Schedule:
             main = threading.current_thread() is threading.main_thread()
             self.draws.append((self.block, main))
             try:
-                if fail_draw is not None and self.draws.count((2, main)) == self.runs:
+                if fail_draw is not None and self.draws.count((2, main)) == self.lanes:
                     self.failed = self.draws[-1]
                     raise fail_draw
                 fill(spec, rngs, out, noise)
@@ -887,7 +904,7 @@ class Schedule:
         monkeypatch.setattr(DetectorConfig, "increment", scoring)
 
     def check(self):
-        """Assert that the forced thread drew the runs it should have."""
+        """Assert that the forced thread drew the lanes it should have."""
         assert self.draws
         if self.who == "caller":
             assert all(main for _, main in self.draws)
@@ -897,14 +914,14 @@ class Schedule:
 
 class TestDrawAhead:
     """A controlled call of two or more blocks draws each block on two
-    threads, a run of lanes at a time; the samples and crossings stay
-    those of a serial run whichever thread draws which run."""
+    threads, a lane at a time; the samples and crossings stay those of a
+    serial run whichever thread draws which lane."""
 
     @pytest.mark.parametrize("who", ["helper", "caller"])
     @pytest.mark.parametrize(
         "spec, rows, n_chains, steps",
         [
-            # 2048 chains make 32-column blocks, 16 to a step, of 8 one-lane runs
+            # 2048 chains make 32-column blocks of 8 lanes, 16 to a step
             (S1, [(MAST, 0.5)], 2048, [_PF_CHUNK, 64]),
             # two lanes make 128-column blocks, so the calls run 4 and 3
             # blocks; the first detector's scores share buf's second row
@@ -953,7 +970,7 @@ class TestDrawAhead:
     def test_error_in_the_helper_is_raised_and_the_thread_joined(
         self, monkeypatch, thread_starts
     ):
-        # the helper draws the third block's runs, and the last raises
+        # the helper draws the third block's lanes, and the last raises
         error = RuntimeError("third block")
         before = threading.active_count()
         schedule = Schedule(monkeypatch, "helper", fail_draw=error)
@@ -1000,7 +1017,7 @@ class TestDrawAhead:
 
     def test_concurrent_calls_under_fast_switching_match(self):
         # three calls at once, each with its helper, switching threads every
-        # few microseconds: a run drawn twice, or skipped, by the two threads
+        # few microseconds: a lane drawn twice, or skipped, by the two threads
         # of a call would change its estimate
         kwargs = {"n_chains": 600, "target_crossings": 10**9, "min_crossings": 1,
                   "max_steps": 600 * 700}
@@ -1025,26 +1042,52 @@ class TestDrawAhead:
             sys.setswitchinterval(interval)
         assert found == serial
 
-    def test_short_lane_slices_are_drawn_whole_by_the_helper(self, monkeypatch):
-        # a delay run-in of 50,000 trials: 196 lanes of one-column slices
-        # make each block one run, which only the helper draws, since two
-        # threads drawing such short slices contend for the GIL; 2048 chains
-        # make 32-column slices, one lane to a run
-        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 2048)
-        ahead = lanes._draw_ahead(_PF_CHUNK)
-        assert [len(ahead.block(i)[2]) for i in range(ahead.count)] == [8] * 16
+    def test_short_lane_slices_are_drawn_serially_in_full_blocks(
+        self, monkeypatch, thread_starts
+    ):
+        # a delay run-in of 50,000 trials: 196 lanes of one-column slices,
+        # on which two threads would spend more at the GIL than they save,
+        # so the call starts no thread and draws blocks of _BLOCK samples,
+        # two columns each, that end to end are one serial draw
         lanes = _Lanes(S2, [(MAST, 5.0)], 1, 50_000)
-        ahead = lanes._draw_ahead(29)
-        assert [len(ahead.block(i)[2]) for i in range(ahead.count)] == [1] * 29
-        fill, on_main = simulation._fill, []
+        scored, increment = [], DetectorConfig.increment
 
-        def filling(*args):
-            on_main.append(threading.current_thread() is threading.main_thread())
-            fill(*args)
+        def scoring(config, x, out=None):
+            scored.append(x.copy())
+            return increment(config, x, out=out)
 
-        monkeypatch.setattr(simulation, "_fill", filling)
+        monkeypatch.setattr(DetectorConfig, "increment", scoring)
         lanes.advance(False, 29)
-        assert on_main == [False] * 29
+        assert thread_starts == []
+        assert [block.shape[1] for block in scored] == [2] * 14 + [1]
+        count = lanes.lanes.size
+        serial, noise = np.empty((2, count, 29, _LANE))
+        _draw(S2, _lane_rngs(1, count, 2), False, serial, noise)
+        assert np.array_equal(np.concatenate(scored, axis=1), serial)
+        # 16 lanes make 16-column slices, the shortest two threads share
+        assert _Lanes(S1, [(MAST, 2.0)], 1, 16 * _LANE)._draw_ahead(_PF_CHUNK).count == 32
+        assert _Lanes(S1, [(MAST, 2.0)], 1, 16 * _LANE + 1)._draw_ahead(_PF_CHUNK) is None
+
+    def test_a_first_block_that_cannot_be_posted_starts_no_thread(
+        self, monkeypatch, thread_starts
+    ):
+        # the thread starts only once the first block is posted, so an
+        # error there leaves no thread to block the interpreter's exit
+        error = RuntimeError("first block")
+        block = _DrawAhead.block
+
+        def failing(ahead, i):
+            if i == 0:
+                raise error
+            return block(ahead, i)
+
+        before = threading.active_count()
+        monkeypatch.setattr(_DrawAhead, "block", failing)
+        with pytest.raises(RuntimeError) as raised:
+            estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500)
+        assert raised.value is error
+        assert thread_starts == [1]
+        assert threading.active_count() == before
 
     def test_setup_does_not_grow_with_the_call(self):
         # one lane makes 256-column blocks, so 10**12 columns are about
