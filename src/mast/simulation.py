@@ -41,9 +41,8 @@ so results are a deterministic function of the seed and the trial count
 and do not depend on the chunk schedule.  The live lanes' slices make up
 one ``(lanes, cols, _LANE)`` block: each lane's generators fill only its
 slice, and the affine steps (the scale by ``sigma``, the mean, scenario
-2's mean plus noise) then run once over the whole block, or once over
-each run of lanes that one thread draws; being elementwise, they give
-the same bits either way.  A seed is an int or a sequence of ints.
+2's mean plus noise) then run once over the whole block.  A seed is an
+int or a sequence of ints.
 
 Every chain runs the recursion of ``run_stream``,
 ``T_n = max(0, T_{n-1} + increment(x_n))``, with the same float
@@ -61,23 +60,14 @@ and in the critical regime blocks are kept short so that this happens
 soon: after ``c`` critical columns a block is at most ``max(2, c // 2)``
 columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
 samples over all of them make more columns; a call may always run those.
-In the controlled regime no lane stops, so a call's blocks are known
-before it starts.  A call of at most 16 lanes, whose slices of a half
-block span at least ``_SHARED_SLICE`` samples, draws blocks of
-``_BLOCK // 2`` samples on two threads when it has two or more of them:
-one helper thread draws the next block, a lane at a time, into the other
-half of the block buffer, while the calling thread scores and steps the
-current one; the calling thread then draws the lanes the helper has not
-reached.  The helper only draws (numpy's generators and ufuncs release
-the GIL while they fill an array), and it is joined before the call
-returns.  Each lane's generators fill its slice on one thread, so the
-samples are those of a serial run.  Any other controlled call draws its
-blocks of ``_BLOCK`` samples on the calling thread.
+In the controlled regime no lane stops, so every block of a call but
+its last holds as many columns as fit in ``_BLOCK`` samples over all its
+lanes, and at least one.  Every block is drawn on the calling thread.
 
 A delay trial's run-in draws exactly ``change_time - 1`` controlled
-samples; its post-change step starts at ``_DELAY_FIRST_STEP`` samples and
-doubles while trials run, up to ``_DELAY_CHUNK``, so that short delays are
-not scored over whole chunks.
+samples, in steps of at most ``_PF_CHUNK``; its post-change step starts
+at ``_DELAY_FIRST_STEP`` samples and doubles while trials run, up to
+``_DELAY_CHUNK``, so that short delays are not scored over whole chunks.
 The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
 and checks its target only between these whole steps.  An operational
 curve estimates the false-alarm rates of every detector's whole grid on
@@ -92,12 +82,8 @@ repeats its estimate.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import functools
 import math
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -137,10 +123,6 @@ _BLOCK = _LANE * _PF_CHUNK
 # samples over all of a call's lanes that a critical-regime block may always
 # span: a shorter block's fixed cost outweighs the columns it saves
 _CRITICAL_BLOCK = 8192
-# samples a lane's slice of a controlled block must span for the block to
-# be drawn by two threads: shorter slices would spend more on their turns
-# at the GIL than the second thread saves
-_SHARED_SLICE = 4096
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -306,134 +288,21 @@ def _draw(
     in-place arithmetic is that of ``means + sigma * z`` with the means
     from ``rng.uniform(low, high, shape)``, bit for bit.
     """
-    _fill(spec, rngs, out, noise)
-    return _affine(spec, critical, out, noise)
-
-
-def _fill(spec: ScenarioSpec, rngs, out: np.ndarray, noise: np.ndarray) -> None:
-    """``_draw``'s generator part: lane ``i`` of ``out`` (and, in scenario 2,
-    of ``noise``) from the generators ``rngs[i]``."""
     if spec.scenario == 1:
         for (rng,), lane in zip(rngs, out):
             rng.standard_normal(out=lane)
-        return
-    for (noise_rng, mean_rng), lane, scratch in zip(rngs, out, noise):
-        mean_rng.random(out=lane)
-        noise_rng.standard_normal(out=scratch)
-
-
-def _affine(spec: ScenarioSpec, critical: bool, out: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """``_draw``'s affine steps, elementwise over ``out`` and ``noise``;
-    returns ``out``."""
-    if spec.scenario == 1:
         out *= spec.sigma
         out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
         return out
+    for (noise_rng, mean_rng), lane, scratch in zip(rngs, out, noise):
+        mean_rng.random(out=lane)
+        noise_rng.standard_normal(out=scratch)
     low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
     out *= high - low
     out += low
     noise *= spec.sigma
     out += noise
     return out
-
-
-class _DrawAhead:
-    """The blocks of one controlled ``_Lanes.advance`` call of ``cols``
-    columns, ``k`` columns each but the last, drawn by the caller and one
-    helper thread.  Block ``i`` fills half ``i % 2`` of ``buf[0]``, and
-    scenario 2's noise the second half of ``buf[1]``, so the first half of
-    ``buf[1]`` stays free for the caller's scores.  A block's views are
-    built when it is posted, so a call's setup does not grow with its
-    length.
-
-    A posted block's undrawn lanes wait in a deque.  The helper takes them
-    from the front while the caller scores and steps the block before;
-    ``next()`` takes the rest from the back.  Each thread fills the lanes
-    it takes from their generators, and then runs the affine steps once
-    over its share, a range of lanes (``_draw_share``).  ``next()`` then
-    waits for the helper's share, posts the block after, into the other
-    half, and returns the block.  So a block is posted only once the one
-    before it is drawn, noise and all: scenario 2's noise takes the same
-    place in every block, and the block in half ``i % 2`` is done with
-    before block ``i + 2`` is posted there.  The helper runs nothing but
-    the draws; an error there is raised by ``next()``.  Used as a context
-    manager, it posts the first block and then starts the thread on entry,
-    and drops the undrawn lanes and joins the thread on exit.
-    """
-
-    def __init__(self, spec, rngs, buf, k: int, cols: int):
-        self.spec, self.rngs, self.buf = spec, rngs, buf
-        self.k, self.cols = k, cols
-        self.count = -(-cols // k)  # blocks
-        # the views of the blocks posted into each half of buf
-        self.posted = [None, None]
-        self.given = 0
-        self.undrawn = collections.deque()
-        self.todo, self.done = queue.SimpleQueue(), queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve)
-
-    def block(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``i``'s views of ``buf``, for its samples and for scenario
-        2's noise."""
-        lanes, half = len(self.rngs), self.buf.shape[1] // 2
-        k = min(self.k, self.cols - i * self.k)
-        start, size = half * (i % 2), k * lanes * _LANE
-        return (
-            self.buf[0, start : start + size].reshape(lanes, k, _LANE),
-            self.buf[1, half : half + size].reshape(lanes, k, _LANE),
-        )
-
-    def _draw_share(self, i: int, pop) -> None:
-        """Draw the lanes of block ``i`` that ``pop`` hands this thread, then
-        the affine steps once over them: the helper's lanes make a range
-        from the front of the block, the caller's one from the back."""
-        out, noise = self.posted[i % 2]
-        lo, hi = len(out), 0
-        while True:
-            try:
-                lane = pop()
-            except IndexError:
-                break
-            run = slice(lane, lane + 1)
-            _fill(self.spec, self.rngs[run], out[run], noise[run])
-            lo, hi = min(lo, lane), max(hi, lane + 1)
-        if lo < hi:
-            _affine(self.spec, False, out[lo:hi], noise[lo:hi])
-
-    def _serve(self):
-        while (i := self.todo.get()) is not None:
-            try:
-                self._draw_share(i, self.undrawn.popleft)
-                self.done.put(None)
-            except BaseException as exc:
-                self.done.put(exc)
-
-    def _post(self, i):
-        self.posted[i % 2] = self.block(i)
-        self.undrawn.extend(range(len(self.rngs)))
-        self.todo.put(i)
-
-    def __enter__(self):
-        # a block that cannot be posted leaves no thread behind
-        self._post(0)
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.undrawn.clear()
-        self.todo.put(None)
-        self.thread.join()
-
-    def next(self) -> np.ndarray:
-        i = self.given
-        out, _ = self.posted[i % 2]
-        self._draw_share(i, self.undrawn.pop)
-        if (error := self.done.get()) is not None:
-            raise error
-        self.given += 1
-        if self.given < self.count:
-            self._post(self.given)
-        return out
 
 
 class _Lanes:
@@ -452,12 +321,10 @@ class _Lanes:
     the critical-regime columns run so far.  Consecutive rows with equal
     configs make one group, scored once per block; ``group`` holds each
     running row's group and ``configs`` each group's config.  A block is
-    drawn into row 0 of ``buf``: one drawn on the calling thread at its
-    start, with scenario 2's noise at the start of row 1; those of a
-    ``_DrawAhead`` into the two halves of row 0 in turn, with the noise in
-    the second half of row 1.  A group other than the last scores the
-    block into the start of row 1 onward, the last in place.  So ``buf``
-    holds two rows of floats for up to two groups.  The crossings of a
+    drawn into the start of row 0 of ``buf``, with scenario 2's noise at
+    the start of row 1.  A group other than the last scores the block into
+    the start of row 1 onward, once the noise is spent, and the last in
+    place.  So ``buf`` holds two rows of floats for up to two groups.  The crossings of a
     block are marked in ``hits``.
     """
 
@@ -489,19 +356,8 @@ class _Lanes:
         self.rows, self.group = self.rows[keep], self.group[keep]
         self.stat, self.limit = self.stat[keep], self.limit[keep]
 
-    def _draw_ahead(self, cols: int) -> _DrawAhead | None:
-        """The ``_DrawAhead`` of a controlled call of ``cols`` columns, in
-        blocks of half ``_BLOCK`` so that two fit one row of ``buf``; or
-        None if the call has fewer than two such blocks, no running row, or
-        lane slices shorter than ``_SHARED_SLICE`` samples.  A controlled
-        call keeps every lane live, so its blocks are known up front."""
-        k = max(1, _BLOCK // 2 // (self.lanes.size * _LANE))
-        if cols <= k or not self.rows.size or k * _LANE < _SHARED_SLICE:
-            return None
-        return _DrawAhead(self.spec, self.rngs, self.buf, k, cols)
-
-    def _draw_here(self, critical: bool, cols: int) -> np.ndarray:
-        """Draw the next block, of at most ``cols`` columns, on this thread."""
+    def _draw_block(self, critical: bool, cols: int) -> np.ndarray:
+        """Draw the live lanes' next block, of at most ``cols`` columns."""
         width = self.lanes.size * _LANE
         k = min(cols, max(1, _BLOCK // width))
         if critical:
@@ -528,64 +384,54 @@ class _Lanes:
         ``max(2, c // 2, min_critical_cols)`` columns, so a lane runs few
         columns past its last alarm; ``min_critical_cols`` is the columns
         that ``_CRITICAL_BLOCK`` samples make over all the call's lanes.
-        A controlled call of lane slices of at least ``_SHARED_SLICE``
-        samples (at most 16 lanes) and two or more blocks of
-        ``_BLOCK // 2`` samples draws each block on two threads
-        (``_DrawAhead``): a helper thread draws lanes of the next block
-        while this one scores and steps the current one, and this one
-        draws the lanes the helper has not reached when it needs the
-        block.  The thread is joined before the call returns.  Any other
-        controlled call draws blocks of at most ``_BLOCK`` samples (or
-        one column per lane) here.  The samples, and so the crossings,
-        are those of a serial run.  A row's crossings are kept per block
-        only where the block has some, so a call that never crosses
-        holds nothing per block.
+        A controlled block likewise spans at most ``_BLOCK`` samples, or
+        one column per lane.  A row's crossings are kept per block only
+        where the block has some, so a call that never crosses holds
+        nothing per block.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         # the running groups and their first rows; rows stay put in a call
         groups, firsts = np.unique(self.group, return_index=True)
         bounds = [*firsts.tolist(), len(self.rows)]
-        ahead = None if critical else self._draw_ahead(cols)
         done = 0
-        with ahead or contextlib.nullcontext():
-            while done < cols and self.lanes.size and self.rows.size:
-                block = ahead.next() if ahead else self._draw_here(critical, cols - done)
-                k, width = block.shape[1], self.lanes.size * _LANE
-                scores = self.buf[1:, : k * width].reshape(-1, self.lanes.size, k, _LANE)
-                stat, limit = self.stat, self.limit
-                # each running group's rows and their scores; the last group
-                # scores the block in place, once the others have read it
-                parts = []
-                for j, (g, lo, hi) in enumerate(zip(groups, bounds, bounds[1:])):
-                    out = block if j == len(groups) - 1 else scores[j]
-                    parts.append((stat[lo:hi], self.configs[g].increment(block, out=out)))
-                hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
-                reset, value = (limit, np.inf) if critical else (stat, 0.0)
-                add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
-                for t in range(k):
-                    for part, inc in parts:
-                        add(part, inc[:, t], out=part)
-                    maximum(stat, 0.0, out=stat)
-                    greater(stat, limit, out=hits[:, t])
-                    copyto(reset, value, where=hits[:, t])
-                # flat indices in C order: by row, then column, lane and chain;
-                # row r's crossings have r * k + (column) in `at`
-                at, chain = np.divmod(np.flatnonzero(hits), width)
-                lane, col = np.divmod(chain, _LANE)
-                chain = self.lanes[lane] * _LANE + col
-                edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
-                for r, (chains, offsets) in enumerate(found):
-                    if edges[r] < edges[r + 1]:
-                        chains.append(chain[edges[r] : edges[r + 1]])
-                        offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
-                done += k
-                if critical and at.size:
-                    # only a finite gamma crosses, so an inf limit marks no live chain
-                    live = (self.limit < np.inf).any(axis=(0, 2))
-                    self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
-                    self.lanes, self.stat, self.limit = (
-                        self.lanes[live], self.stat[:, live], self.limit[:, live]
-                    )
+        while done < cols and self.lanes.size and self.rows.size:
+            block = self._draw_block(critical, cols - done)
+            k, width = block.shape[1], self.lanes.size * _LANE
+            scores = self.buf[1:, : k * width].reshape(-1, self.lanes.size, k, _LANE)
+            stat, limit = self.stat, self.limit
+            # each running group's rows and their scores; the last group
+            # scores the block in place, once the others have read it
+            parts = []
+            for j, (g, lo, hi) in enumerate(zip(groups, bounds, bounds[1:])):
+                out = block if j == len(groups) - 1 else scores[j]
+                parts.append((stat[lo:hi], self.configs[g].increment(block, out=out)))
+            hits = self.hits[: k * stat.size].reshape(len(stat), k, *stat.shape[1:])
+            reset, value = (limit, np.inf) if critical else (stat, 0.0)
+            add, maximum, greater, copyto = np.add, np.maximum, np.greater, np.copyto
+            for t in range(k):
+                for part, inc in parts:
+                    add(part, inc[:, t], out=part)
+                maximum(stat, 0.0, out=stat)
+                greater(stat, limit, out=hits[:, t])
+                copyto(reset, value, where=hits[:, t])
+            # flat indices in C order: by row, then column, lane and chain;
+            # row r's crossings have r * k + (column) in `at`
+            at, chain = np.divmod(np.flatnonzero(hits), width)
+            lane, col = np.divmod(chain, _LANE)
+            chain = self.lanes[lane] * _LANE + col
+            edges = np.searchsorted(at, np.arange(len(stat) + 1) * k)
+            for r, (chains, offsets) in enumerate(found):
+                if edges[r] < edges[r + 1]:
+                    chains.append(chain[edges[r] : edges[r + 1]])
+                    offsets.append(at[edges[r] : edges[r + 1]] + (done + 1 - r * k))
+            done += k
+            if critical and at.size:
+                # only a finite gamma crosses, so an inf limit marks no live chain
+                live = (self.limit < np.inf).any(axis=(0, 2))
+                self.rngs = [r for r, keep in zip(self.rngs, live) if keep]
+                self.lanes, self.stat, self.limit = (
+                    self.lanes[live], self.stat[:, live], self.limit[:, live]
+                )
         return [(np.concatenate(chains), np.concatenate(offsets)) for chains, offsets in found]
 
 
@@ -637,11 +483,9 @@ def estimate_delay(
     ``SeedSequence(seed, spawn_key=(i, stream))``, from words computed for
     all lanes at once; each lane draws its own slice of a block, and the
     affine steps run once over the block (see the module docstring).  The
-    run-in draws exactly ``change_time - 1`` samples per trial: on two
-    threads for at most 4,096 trials (16 lanes), in full blocks on this
-    thread for more (see ``_Lanes.advance``).  Its crossings are dropped,
-    and a block without one keeps nothing, so a run-in that seldom
-    crosses holds little however long it is.  The post-change steps
+    run-in draws exactly ``change_time - 1`` samples per trial, in steps
+    of at most ``_PF_CHUNK`` whose crossings are dropped, so it holds no
+    more memory however long it is.  The post-change steps
     start at ``_DELAY_FIRST_STEP`` samples and double while trials run,
     up to ``_DELAY_CHUNK``, and the horizon is checked only between
     them.  Within a step, a block after ``c`` post-change
@@ -668,7 +512,8 @@ def estimate_delay(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     lanes = _Lanes(spec, [(config, gamma)], seed, n_trials)
-    lanes.advance(False, change_time - 1)
+    for done in range(0, change_time - 1, _PF_CHUNK):
+        lanes.advance(False, min(_PF_CHUNK, change_time - 1 - done))
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
@@ -730,15 +575,10 @@ def estimate_pf(
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  Up to 4,096 chains (16 lanes),
-    a step is cut into blocks of at most ``_BLOCK // 2`` samples: while
-    the chains step through one block, a helper thread draws the next a
-    lane at a time, and the calling thread draws the lanes the helper has
-    not reached when it needs the block.  More chains draw blocks of at
-    most ``_BLOCK`` samples on the calling thread (see
-    ``_Lanes.advance``).  A chain's samples and crossings depend neither
-    on these steps nor on how a step is cut into blocks, nor on which
-    thread draws which lane.
+    shorter, at the ``max_steps`` cap).  A step is cut into blocks of at
+    most ``_BLOCK`` samples over all chains (see ``_Lanes.advance``).  A
+    chain's samples and crossings depend neither on these steps nor on
+    how a step is cut into blocks.
 
     Fewer than ``min_crossings`` crossings raises
     ``InsufficientEventsError`` -- direct estimation is then out of reach

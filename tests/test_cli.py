@@ -780,7 +780,7 @@ def test_cli_import_leaves_numpy_random_out():
 
 def test_curve_leaves_numpy_ma_and_concurrent_futures_out():
     # np.unique on floats imports numpy.ma at its first call, for a share of
-    # a small curve's time; the draw-ahead thread needs threading alone
+    # a small curve's time; a curve runs on one thread, with no executor
     src = str(Path(mast.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "200",

@@ -4,7 +4,6 @@ import itertools
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from unittest import mock
 
@@ -26,7 +25,6 @@ from mast.simulation import (
     LinearFit,
     PerformanceEstimate,
     ScenarioSpec,
-    _DrawAhead,
     _Lanes,
     _draw,
     _estimate_pf_grid,
@@ -355,6 +353,21 @@ class TestEstimateDelay:
             assert chains.size == offsets.size == 0
         assert abs(peaks[1] - peaks[0]) < 8192
 
+    def test_crossing_run_in_memory_does_not_grow_with_its_length(self):
+        # at gamma 2 a chain crosses about once in 600 controlled samples;
+        # the run-in drops its crossings after every step of _PF_CHUNK
+        # columns, so ten times the change time peaks within 64 KiB
+        estimate_delay(S1, MAST, 2.0, 100, seed=1, change_time=5_000)
+        peaks = []
+        for change_time in (5_000, 50_000):
+            tracemalloc.start()
+            try:
+                estimate_delay(S1, MAST, 2.0, 100, seed=1, change_time=change_time)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 65536
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_delay(S1, MAST, -1.0, 10, seed=0)
@@ -387,6 +400,33 @@ class TestEstimatePf:
         one = estimate_pf(S2, MAST, 1.0, seed=4, target_crossings=2000)
         two = estimate_pf(S2, MAST, 1.0, seed=4, target_crossings=2000)
         assert one == two
+
+    def test_concurrent_calls_under_fast_switching_match(self):
+        # three calls at once, switching threads every few microseconds:
+        # they share _generator_factory's cache, and each must still draw
+        # what it draws alone
+        kwargs = {"n_chains": 600, "target_crossings": 10**9, "min_crossings": 1,
+                  "max_steps": 600 * 700}
+        calls = [(S1, MAST, 1.0, 1), (S2, PAIR, 1.0, 2), (S2, PAGE, 2.0, 3)]
+        serial = [estimate_pf(spec, cfg, g, seed=seed, **kwargs) for spec, cfg, g, seed in calls]
+        found = [None] * len(calls)
+
+        def run(i):
+            spec, cfg, g, seed = calls[i]
+            found[i] = estimate_pf(spec, cfg, g, seed=seed, **kwargs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == serial
 
     @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
     def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg):
@@ -687,8 +727,7 @@ def monitor_runs(draw):
 
 def block_ends(steps, block, critical, floor):
     """Sample counts at which one lane's blocks end over ``advance`` calls
-    of ``steps`` columns, for blocks of at most ``block`` columns drawn
-    serially: one lane's slices are shorter than ``_SHARED_SLICE``.  The
+    of ``steps`` columns, for blocks of at most ``block`` columns.  The
     critical regime also cuts a block to at most ``max(2, c // 2, floor)``
     columns after ``c`` columns."""
     ends, done = [], 0
@@ -805,250 +844,9 @@ class TestMonitorKernel:
                 assert lanes.stat.reshape(-1)[chain] == report.final_state.statistic
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """A list that grows by one for every ``threading.Thread`` built."""
-    starts = []
-
-    class Counted(threading.Thread):
-        def __init__(self, *args, **kwargs):
-            starts.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return starts
-
-
-class Schedule:
-    """Forces which thread draws the lanes of controlled calls of two or
-    more blocks, and records who drew each lane and the blocks as scored.
-
-    ``"helper"`` holds each score until every posted lane is filled from
-    its generators, so the helper draws every lane of every block after a
-    call's first.  ``"caller"`` holds the helper's draw of each block
-    until the caller has drawn that block, or the call exits, so the
-    caller draws every lane.  ``fail_draw`` raises its error in the last
-    lane of the third block to be drawn; ``fail_score`` in the third
-    block's score, at once.
-    """
-
-    WAIT = 30.0  # seconds a held thread waits before the test fails
-
-    def __init__(self, monkeypatch, who, *, fail_draw=None, fail_score=None):
-        self.who = who
-        self.posted = self.drawn = 0
-        self.block = -1  # the block posted last in the running call
-        self.lanes = 0  # the lanes of that block
-        self.caller_done = -1  # the block the caller drew last in that call
-        self.draws = []  # (block, drawn on the main thread) per lane
-        self.failed = None  # the entry of draws whose lane raised
-        self.scored = []  # a copy of each block, as scored
-        self.changed = threading.Condition()
-        post, share, leave = _DrawAhead._post, _DrawAhead._draw_share, _DrawAhead.__exit__
-        fill, increment = simulation._fill, DetectorConfig.increment
-
-        def posting(ahead, i):
-            with self.changed:
-                self.block, self.lanes = i, len(ahead.rngs)
-                self.posted += self.lanes
-                if i == 0:
-                    self.caller_done = -1
-            post(ahead, i)
-
-        def sharing(ahead, i, pop):
-            if threading.current_thread() is threading.main_thread():
-                share(ahead, i, pop)
-                with self.changed:
-                    self.caller_done = i
-                    self.changed.notify_all()
-                return
-            if who == "caller":
-                with self.changed:
-                    assert self.changed.wait_for(lambda: self.caller_done >= i, self.WAIT)
-            share(ahead, i, pop)
-
-        def leaving(ahead, *exc_info):
-            with self.changed:
-                self.caller_done = math.inf
-                self.changed.notify_all()
-            leave(ahead, *exc_info)
-
-        def filling(spec, rngs, out, noise):
-            main = threading.current_thread() is threading.main_thread()
-            self.draws.append((self.block, main))
-            try:
-                if fail_draw is not None and self.draws.count((2, main)) == self.lanes:
-                    self.failed = self.draws[-1]
-                    raise fail_draw
-                fill(spec, rngs, out, noise)
-            finally:
-                with self.changed:
-                    self.drawn += 1
-                    self.changed.notify_all()
-
-        def scoring(config, x, out=None):
-            # the last group scores in place, once the others have read the block
-            if out is x:
-                self.scored.append(x.copy())
-            if fail_score is not None and len(self.scored) == 3:
-                raise fail_score
-            if who == "helper":
-                with self.changed:
-                    assert self.changed.wait_for(lambda: self.drawn == self.posted, self.WAIT)
-            return increment(config, x, out=out)
-
-        monkeypatch.setattr(_DrawAhead, "_post", posting)
-        monkeypatch.setattr(_DrawAhead, "_draw_share", sharing)
-        monkeypatch.setattr(_DrawAhead, "__exit__", leaving)
-        monkeypatch.setattr(simulation, "_fill", filling)
-        monkeypatch.setattr(DetectorConfig, "increment", scoring)
-
-    def check(self):
-        """Assert that the forced thread drew the lanes it should have."""
-        assert self.draws
-        if self.who == "caller":
-            assert all(main for _, main in self.draws)
-        else:
-            assert not any(main for block, main in self.draws if block >= 1)
-
-
-class TestDrawAhead:
-    """A controlled call of two or more blocks draws each block on two
-    threads, a lane at a time; the samples and crossings stay those of a
-    serial run whichever thread draws which lane."""
-
-    @pytest.mark.parametrize("who", ["helper", "caller"])
-    @pytest.mark.parametrize(
-        "spec, rows, n_chains, steps",
-        [
-            # 2048 chains make 32-column blocks of 8 lanes, 16 to a step
-            (S1, [(MAST, 0.5)], 2048, [_PF_CHUNK, 64]),
-            # two lanes make 128-column blocks, so the calls run 4 and 3
-            # blocks; the first detector's scores share buf's second row
-            # with the noise of the block drawn meanwhile
-            (S2, [(PAIR, 1.0), (PAGE, 2.0)], 300, [_PF_CHUNK, 300]),
-        ],
-        ids=["s1", "s2"],
-    )
-    def test_forced_schedules_match_serial_draws_and_run_stream(
-        self, monkeypatch, thread_starts, spec, rows, n_chains, steps, who
-    ):
-        schedule = Schedule(monkeypatch, who)
-        lanes = _Lanes(spec, rows, 9, n_chains)
-        found = [([], []) for _ in rows]
-        done = 0
-        for cols in steps:
-            for (chains, times), (chain_of, offsets) in zip(found, lanes.advance(False, cols)):
-                chains.append(chain_of)
-                times.append(done + offsets)
-            done += cols
-        assert thread_starts == [1] * len(steps)
-        schedule.check()
-        monkeypatch.undo()
-        # the blocks, end to end, are one serial draw of every column
-        count = lanes.lanes.size
-        serial, noise = np.empty((2, count, done, _LANE))
-        _draw(spec, _lane_rngs(9, count, spec.scenario), False, serial, noise)
-        assert np.array_equal(np.concatenate(schedule.scored, axis=1), serial)
-        for chain in (0, _LANE - 1, _LANE, n_chains - 1):
-            xs = serial.reshape(-1, done, _LANE)[chain // _LANE, :, chain % _LANE]
-            for r, ((cfg, gamma), (chains, times)) in enumerate(zip(rows, found)):
-                chains, times = np.concatenate(chains), np.concatenate(times)
-                report = run_stream(xs, cfg, gamma, monitor=True)
-                assert report.crossings
-                assert sorted(times[chains == chain].tolist()) == report.crossings
-                assert lanes.stat[r].reshape(-1)[chain] == report.final_state.statistic
-
-    def check_error(self, schedule, error, thread_starts, before, run):
-        with pytest.raises(RuntimeError) as raised:
-            run()
-        assert raised.value is error
-        assert thread_starts == [1]
-        assert threading.active_count() == before
-        schedule.check()
-
-    def test_error_in_the_helper_is_raised_and_the_thread_joined(
-        self, monkeypatch, thread_starts
-    ):
-        # the helper draws the third block's lanes, and the last raises
-        error = RuntimeError("third block")
-        before = threading.active_count()
-        schedule = Schedule(monkeypatch, "helper", fail_draw=error)
-        self.check_error(
-            schedule, error, thread_starts, before,
-            lambda: estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500),
-        )
-        assert schedule.failed == (2, False)
-
-    def test_error_in_a_run_the_caller_draws_is_raised_and_the_thread_joined(
-        self, monkeypatch, thread_starts
-    ):
-        error = RuntimeError("third block")
-        before = threading.active_count()
-        schedule = Schedule(monkeypatch, "caller", fail_draw=error)
-        self.check_error(
-            schedule, error, thread_starts, before,
-            lambda: estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500),
-        )
-        assert schedule.failed == (2, True)
-
-    def test_error_in_the_caller_joins_the_thread(self, monkeypatch, thread_starts):
-        # the third block's score raises while the helper draws the fourth
-        error = RuntimeError("third score")
-        before = threading.active_count()
-        schedule = Schedule(monkeypatch, "helper", fail_score=error)
-        self.check_error(
-            schedule, error, thread_starts, before,
-            lambda: estimate_pf(S2, PAGE, 2.0, seed=1, target_crossings=500),
-        )
-        assert len(schedule.scored) == 3
-
-    def test_error_in_the_caller_joins_the_held_thread(self, monkeypatch, thread_starts):
-        # the helper, held, has drawn nothing when the third score raises
-        error = RuntimeError("third score")
-        before = threading.active_count()
-        schedule = Schedule(monkeypatch, "caller", fail_score=error)
-        self.check_error(
-            schedule, error, thread_starts, before,
-            lambda: estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500),
-        )
-        assert len(schedule.scored) == 3
-        assert {block for block, _ in schedule.draws} == {0, 1, 2}
-
-    def test_concurrent_calls_under_fast_switching_match(self):
-        # three calls at once, each with its helper, switching threads every
-        # few microseconds: a lane drawn twice, or skipped, by the two threads
-        # of a call would change its estimate
-        kwargs = {"n_chains": 600, "target_crossings": 10**9, "min_crossings": 1,
-                  "max_steps": 600 * 700}
-        calls = [(S1, MAST, 1.0, 1), (S2, PAIR, 1.0, 2), (S2, PAGE, 2.0, 3)]
-        serial = [estimate_pf(spec, cfg, g, seed=seed, **kwargs) for spec, cfg, g, seed in calls]
-        found = [None] * len(calls)
-
-        def run(i):
-            spec, cfg, g, seed = calls[i]
-            found[i] = estimate_pf(spec, cfg, g, seed=seed, **kwargs)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert found == serial
-
-    def test_short_lane_slices_are_drawn_serially_in_full_blocks(
-        self, monkeypatch, thread_starts
-    ):
-        # a delay run-in of 50,000 trials: 196 lanes of one-column slices,
-        # on which two threads would spend more at the GIL than they save,
-        # so the call starts no thread and draws blocks of _BLOCK samples,
-        # two columns each, that end to end are one serial draw
+    def test_many_lane_blocks_are_full_and_match_one_draw(self, monkeypatch):
+        # a delay run-in of 50,000 trials: 196 lanes draw blocks of _BLOCK
+        # samples at most, two columns each, that end to end are one _draw
         lanes = _Lanes(S2, [(MAST, 5.0)], 1, 50_000)
         scored, increment = [], DetectorConfig.increment
 
@@ -1058,73 +856,16 @@ class TestDrawAhead:
 
         monkeypatch.setattr(DetectorConfig, "increment", scoring)
         lanes.advance(False, 29)
-        assert thread_starts == []
         assert [block.shape[1] for block in scored] == [2] * 14 + [1]
         count = lanes.lanes.size
         serial, noise = np.empty((2, count, 29, _LANE))
         _draw(S2, _lane_rngs(1, count, 2), False, serial, noise)
         assert np.array_equal(np.concatenate(scored, axis=1), serial)
-        # 16 lanes make 16-column slices, the shortest two threads share
-        assert _Lanes(S1, [(MAST, 2.0)], 1, 16 * _LANE)._draw_ahead(_PF_CHUNK).count == 32
-        assert _Lanes(S1, [(MAST, 2.0)], 1, 16 * _LANE + 1)._draw_ahead(_PF_CHUNK) is None
 
-    def test_a_first_block_that_cannot_be_posted_starts_no_thread(
-        self, monkeypatch, thread_starts
-    ):
-        # the thread starts only once the first block is posted, so an
-        # error there leaves no thread to block the interpreter's exit
-        error = RuntimeError("first block")
-        block = _DrawAhead.block
-
-        def failing(ahead, i):
-            if i == 0:
-                raise error
-            return block(ahead, i)
-
-        before = threading.active_count()
-        monkeypatch.setattr(_DrawAhead, "block", failing)
-        with pytest.raises(RuntimeError) as raised:
-            estimate_pf(S1, MAST, 2.0, seed=1, target_crossings=500)
-        assert raised.value is error
-        assert thread_starts == [1]
-        assert threading.active_count() == before
-
-    def test_setup_does_not_grow_with_the_call(self):
-        # one lane makes 256-column blocks, so 10**12 columns are about
-        # 3.9 billion blocks; none but the first two is built before the
-        # first is returned
-        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 100)
-        peaks = []
-        for cols in (1000, 10**12):
-            tracemalloc.start()
-            try:
-                start = time.perf_counter()
-                with lanes._draw_ahead(cols) as ahead:
-                    ahead.next()
-                elapsed = time.perf_counter() - start
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert ahead.count == -(-10**12 // 256)
-        # built up front, blocks cost about 0.13 s and 1.9 MB per 10**6 columns
-        assert elapsed < 1.0
-        assert peaks[1] < peaks[0] + 65536
-
-    def test_critical_and_one_block_calls_start_no_thread(self, thread_starts):
-        # the benchmark's delay-s2 call runs in the critical regime only
-        est = estimate_delay(S2, MAST, 5.0, 50_000, seed=1)
-        assert est.n_trials == 50_000
-        lanes = _Lanes(S1, [(MAST, 2.0)], 1, 2048)
-        lanes.advance(False, 0)
-        lanes.advance(False, 32)
-        assert thread_starts == []
-        lanes.advance(False, 33)
-        assert thread_starts == [1]
-
-    def test_two_detectors_in_scenario_2_match_run_stream(self, thread_starts):
-        # two lanes make 128-column controlled blocks, so the calls run 4
-        # and 3 blocks; the first detector's scores share buf's second row
-        # with the noise of the block drawn meanwhile
+    def test_two_detectors_in_scenario_2_match_run_stream(self):
+        # two lanes make 256-column controlled blocks; the first detector
+        # scores each block into buf's second row, where scenario 2's noise
+        # was drawn
         rows, steps = [(PAIR, 1.0), (PAGE, 2.0)], [_PF_CHUNK, 300]
         lanes = _Lanes(S2, rows, 9, 300)
         found = [([], []) for _ in rows]
@@ -1134,7 +875,6 @@ class TestDrawAhead:
                 chains.append(chain_of)
                 times.append(done + offsets)
             done += cols
-        assert thread_starts == [1, 1]
         for chain in (0, _LANE - 1, _LANE, 299):
             xs = trial_samples(S2, 9, chain, done, critical=False)
             for r, ((cfg, gamma), (chains, times)) in enumerate(zip(rows, found)):
