@@ -58,26 +58,21 @@ restarts the statistic at 0; one in the critical regime is an alarm and
 ends the trial.  A lane with no trial left running is not drawn again,
 and in the critical regime blocks are kept short so that this happens
 soon: after ``c`` critical columns a block is at most ``max(2, c // 2)``
-columns long, unless the call has so few lanes that ``_CRITICAL_BLOCK``
-samples over all of them make more columns; a call may always run those.
-In the controlled regime no lane stops, so every block of a call but
-its last holds as many columns as fit in ``_BLOCK`` samples over all its
-lanes, and at least one.  Every block is drawn on the calling thread.
+columns long.  In the controlled regime no lane stops, so every block of
+a call but its last holds as many columns as fit in ``_BLOCK`` samples
+over all its lanes, and at least one.
 
-A delay trial's run-in draws exactly ``change_time - 1`` controlled
-samples, in steps of at most ``_PF_CHUNK``; its post-change step starts
-at ``_DELAY_FIRST_STEP`` samples and doubles while trials run, up to
-``_DELAY_CHUNK``, so that short delays are not scored over whole chunks.
-The false-alarm estimate steps all chains ``_PF_CHUNK`` samples at a time
-and checks its target only between these whole steps.  An operational
-curve estimates the false-alarm rates of every detector's whole grid on
-one set of chains, one row per (detector, threshold)
-(``_estimate_pf_grid``), and drops each row at the first step boundary
-where it has met its target.  Each point's estimate is exactly that of a
-lone ``estimate_pf`` on the curve's false-alarm seed, the seed of
-``mast simulate --mode pf``, whatever the other rows are; the points'
-errors are correlated, across detectors too, and a repeated threshold
-repeats its estimate.
+Every estimate loop steps its chains ``_STEP`` samples at a time: a delay
+trial's run-in of exactly ``change_time - 1`` controlled samples, its
+post-change part, and the false-alarm chains, whose target, like a delay
+horizon, is checked only between steps.  An operational curve estimates
+the false-alarm rates of every detector's whole grid on one set of
+chains, one row per (detector, threshold) (``_estimate_pf_grid``), and
+drops each row at the first step boundary where it has met its target.
+Each point's estimate is exactly that of a lone ``estimate_pf`` on the
+curve's false-alarm seed, the seed of ``mast simulate --mode pf``,
+whatever the other rows are; the points' errors are correlated, across
+detectors too, and a repeated threshold repeats its estimate.
 """
 
 from __future__ import annotations
@@ -111,18 +106,13 @@ __all__ = [
 
 # trials per lane: each lane of consecutive trials owns its random streams
 _LANE = 256
-# the first post-change delay step; later steps double up to _DELAY_CHUNK
-_DELAY_FIRST_STEP = 4
-_DELAY_CHUNK = 64
 # cap of the adaptive delay horizon, in samples per trial
 _DELAY_MAX_STEPS = 1_000_000
-# pf samples per chain between two checks of the crossing target
-_PF_CHUNK = 512
-# samples one engine block draws across all live lanes: one lane's pf step
-_BLOCK = _LANE * _PF_CHUNK
-# samples over all of a call's lanes that a critical-regime block may always
-# span: a shorter block's fixed cost outweighs the columns it saves
-_CRITICAL_BLOCK = 8192
+# samples per chain in one step of every estimate loop; a delay horizon or a
+# pf crossing target is checked only between steps
+_STEP = 512
+# samples one engine block draws across all live lanes: one lane's step
+_BLOCK = _LANE * _STEP
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -340,8 +330,6 @@ class _Lanes:
         self.rngs = _lane_rngs(seed, count, spec.scenario)
         self.rows = np.arange(len(rows))
         self.lanes = np.arange(count)
-        # a critical block may always run this many columns
-        self.min_critical_cols = _CRITICAL_BLOCK // (count * _LANE)
         self.critical_cols = 0
         self.stat = np.zeros((len(rows), count, _LANE))
         self.limit = np.empty_like(self.stat)
@@ -361,7 +349,7 @@ class _Lanes:
         width = self.lanes.size * _LANE
         k = min(cols, max(1, _BLOCK // width))
         if critical:
-            k = min(k, max(2, self.critical_cols // 2, self.min_critical_cols))
+            k = min(k, max(2, self.critical_cols // 2))
             self.critical_cols += k
         buf = self.buf[:2, : k * width].reshape(2, self.lanes.size, k, _LANE)
         return _draw(self.spec, self.rngs, critical, buf[0], buf[1])
@@ -381,13 +369,11 @@ class _Lanes:
         step once over every row.  A critical block spans at most
         ``_BLOCK`` samples (one column per lane if there are more lanes
         than that), and after ``c`` critical columns also at most
-        ``max(2, c // 2, min_critical_cols)`` columns, so a lane runs few
-        columns past its last alarm; ``min_critical_cols`` is the columns
-        that ``_CRITICAL_BLOCK`` samples make over all the call's lanes.
-        A controlled block likewise spans at most ``_BLOCK`` samples, or
-        one column per lane.  A row's crossings are kept per block only
-        where the block has some, so a call that never crosses holds
-        nothing per block.
+        ``max(2, c // 2)`` columns, so a lane runs few columns past its
+        last alarm.  A controlled block likewise spans at most ``_BLOCK``
+        samples, or one column per lane.  A row's crossings are kept per
+        block only where the block has some, so a call that never crosses
+        holds nothing per block.
         """
         found = [([np.arange(0)], [np.arange(0)]) for _ in self.rows]
         # the running groups and their first rows; rows stay put in a call
@@ -458,6 +444,13 @@ class PerformanceEstimate:
     observed_steps: int | None = None
 
 
+def _measured_gamma(gamma) -> float:
+    """``check_gamma``, refusing inf: no estimate crosses there, so it would run to its caps."""
+    if (gamma := check_gamma(gamma)) == math.inf:
+        raise ValueError("a measured gamma must be finite, got inf")
+    return gamma
+
+
 def estimate_delay(
     spec: ScenarioSpec,
     config: DetectorConfig,
@@ -484,25 +477,26 @@ def estimate_delay(
     all lanes at once; each lane draws its own slice of a block, and the
     affine steps run once over the block (see the module docstring).  The
     run-in draws exactly ``change_time - 1`` samples per trial, in steps
-    of at most ``_PF_CHUNK`` whose crossings are dropped, so it holds no
-    more memory however long it is.  The post-change steps
-    start at ``_DELAY_FIRST_STEP`` samples and double while trials run,
-    up to ``_DELAY_CHUNK``, and the horizon is checked only between
-    them.  Within a step, a block after ``c`` post-change
+    of at most ``_STEP`` whose crossings are dropped, so it holds no more
+    memory however long it is.  The post-change steps are at most
+    ``_STEP`` samples too; within one, a block after ``c`` post-change
     columns is at most ``max(2, c // 2)`` columns long, so a lane whose
-    trials have all alarmed is dropped soon after the last alarm.  But a
-    block may always span ``_CRITICAL_BLOCK`` samples over all the call's
-    lanes, which is more than two columns only for a call of few lanes:
-    shorter blocks would cost more than the columns they save.  A
+    trials have all alarmed is dropped soon after the last alarm.  A
     trial's samples, and so the estimate, depend neither on the steps nor
     on the blocks.
 
     Trials still running at the horizon are counted at the horizon value
     and reported in ``n_censored`` with a warning.  ``horizon=None`` grows
     the horizon adaptively to 100x the running mean of completed trials
-    (at least 1000 samples, capped at one million).
+    (at least 1000 samples, capped at one million), checked between
+    steps.  That mean never falls, since each alarm comes after every
+    earlier one; the first step with an alarm, at delay ``d``, ends by
+    ``max(1000, 100 * d)``, and each later step stops at the current
+    horizon.  So for any step of at most 990 samples the trials end at
+    the least sample count whose horizon is at or below it.  ``gamma``
+    must be finite: no trial alarms at inf.
     """
-    gamma = check_gamma(gamma)
+    gamma = _measured_gamma(gamma)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     # a bool is an int to Python; change_time=True must not run as 1
@@ -512,21 +506,19 @@ def estimate_delay(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     lanes = _Lanes(spec, [(config, gamma)], seed, n_trials)
-    for done in range(0, change_time - 1, _PF_CHUNK):
-        lanes.advance(False, min(_PF_CHUNK, change_time - 1 - done))
+    for done in range(0, change_time - 1, _STEP):
+        lanes.advance(False, min(_STEP, change_time - 1 - done))
 
     # 0 marks a trial still running; integer sums keep the adaptive cap
     # independent of grouping
     delays = np.zeros(n_trials, dtype=np.int64)
     steps_done = 0
     cap = horizon if horizon is not None else _DELAY_MAX_STEPS
-    step = _DELAY_FIRST_STEP
     while steps_done < cap and lanes.lanes.size:
-        cols = min(step, cap - steps_done)
+        cols = min(_STEP, cap - steps_done)
         ((trials, offsets),) = lanes.advance(True, cols)
         delays[trials] = steps_done + offsets
         steps_done += cols
-        step = min(2 * step, _DELAY_CHUNK)
         completed = np.count_nonzero(delays)
         if horizon is None and completed:
             adaptive = max(1000, -(-100 * int(delays.sum()) // completed))
@@ -574,16 +566,16 @@ def estimate_pf(
     Chains run until ``target_crossings`` crossings have been seen, but
     never beyond ``max_steps`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
-    run a whole step of ``_PF_CHUNK`` samples (the last step may be
-    shorter, at the ``max_steps`` cap).  A step is cut into blocks of at
-    most ``_BLOCK`` samples over all chains (see ``_Lanes.advance``).  A
+    run a whole step of ``_STEP`` samples (the last step may be shorter,
+    at the ``max_steps`` cap).  A step is cut into blocks of at most
+    ``_BLOCK`` samples over all chains (see ``_Lanes.advance``).  A
     chain's samples and crossings depend neither on these steps nor on
     how a step is cut into blocks.
 
     Fewer than ``min_crossings`` crossings raises
-    ``InsufficientEventsError`` -- direct estimation is then out of reach
-    and the threshold belongs on an extrapolated operational curve
-    instead.
+    ``InsufficientEventsError``: the rate is then out of Monte Carlo
+    reach, and a lower ``gamma`` brings it back.  ``gamma`` must be
+    finite.
 
     This is the one-row case of ``_estimate_pf_grid``, which
     ``operational_curve`` runs over every detector's grid on one set of
@@ -622,7 +614,7 @@ def _estimate_pf_grid(
     samples.  The first row, in the order given, with fewer than
     ``min_crossings`` crossings raises ``InsufficientEventsError``.
     """
-    rows = [(config, check_gamma(gamma)) for config, gamma in rows]
+    rows = [(config, _measured_gamma(gamma)) for config, gamma in rows]
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
     n_chains = int(n_chains)
@@ -639,7 +631,7 @@ def _estimate_pf_grid(
     per_chain_cap = -(-max_steps // n_chains)
     done = 0
     while lanes.rows.size:
-        cols = min(_PF_CHUNK, per_chain_cap - done)
+        cols = min(_STEP, per_chain_cap - done)
         for row, (chains, offsets) in zip(lanes.rows, lanes.advance(False, cols)):
             found[row].append((chains, done + offsets))
             crossings[row] += chains.size
@@ -656,8 +648,8 @@ def _estimate_pf_grid(
         if est.n_trials < min_crossings:
             raise InsufficientEventsError(
                 f"only {est.n_trials} crossings in {est.observed_steps} controlled samples at "
-                f"gamma={gamma} for {config.kind.value} (need >= {min_crossings}); lower gamma "
-                "or rely on curve extrapolation"
+                f"gamma={gamma} for {config.kind.value} (need >= {min_crossings}); this rate is "
+                "out of Monte Carlo reach: lower gamma"
             )
     return estimates
 
@@ -757,11 +749,9 @@ def _check_grids(
     or ``ValueError``: the measured grid must be a nonempty list of finite
     thresholds, the extrapolated one of thresholds (see ``check_gamma``),
     and ``r2_floor`` must lie in [0, 1]."""
-    gammas = [check_gamma(g) for g in gamma_grid]
+    gammas = [_measured_gamma(g) for g in gamma_grid]
     if not gammas:
         raise ValueError("gamma_grid must not be empty")
-    if math.inf in gammas:
-        raise ValueError("a measured gamma must be finite, got inf")
     extra_gammas = [check_gamma(g) for g in extrapolation_grid]
     if not 0.0 <= r2_floor <= 1.0:
         raise ValueError(f"r2_floor must lie in [0, 1], got {r2_floor}")

@@ -398,14 +398,27 @@ class TestSimulate:
              "--trials", "500", "--seed", "1"]
         )
         assert code == EXIT_ERROR
-        assert "extrapolation" in capsys.readouterr().err
+        assert "out of Monte Carlo reach: lower gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["delay", "pf", "both"])
+    def test_infinite_gamma_rejected_before_simulating(self, capsys, monkeypatch, mode):
+        # no trial alarms at inf: delay trials would run to the 1 M-sample
+        # cap and pf chains draw 200 M samples before failing
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built before gamma was checked")
+
+        monkeypatch.setattr(simulation, "_Lanes", unbuilt)
+        code = main(["simulate", "--scenario", "1", "--gamma", "inf", "--mode", mode,
+                     "--trials", "1", "--seed", "1"])
+        assert code == EXIT_ERROR
+        assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
 
     def test_zero_trials_rejected(self, capsys):
         code = main(["simulate", "--scenario", "1", "--gamma", "2", "--mode", "pf", "--trials", "0"])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "--trials must be an integer >= 1, got 0" in err
-        assert "extrapolation" not in err
+        assert "Monte Carlo reach" not in err
 
     @pytest.mark.parametrize(
         "flag, value, message",

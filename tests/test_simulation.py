@@ -17,9 +17,8 @@ from mast import simulation
 from mast.core import Barriers
 from mast.detectors import DetectorConfig, DetectorKind, run_stream
 from mast.simulation import (
-    _DELAY_CHUNK,
     _LANE,
-    _PF_CHUNK,
+    _STEP,
     ExtrapolationError,
     InsufficientEventsError,
     LinearFit,
@@ -237,11 +236,10 @@ class TestEstimateDelay:
     def test_chunk_schedule_leaves_estimate_alone(
         self, monkeypatch, spec, cfg, far_gamma, change_time
     ):
-        # change time 100: the run-in ends inside a step under either
-        # schedule (64 + 35 samples, or 14 x 7 + 1); 300 trials make a
-        # whole lane and a partial one.  The explicit horizon 11 ends
-        # inside a step under either schedule (4 + 7, or 1 + 2 + 4 + 4)
-        # and inside a block, and censors some trials at far_gamma.
+        # change time 100: the run-in ends inside a step of 512 or of 7
+        # samples (14 x 7 + 1); 300 trials make a whole lane and a partial
+        # one.  The explicit horizon 11 ends inside a step of 512 or of 7
+        # (7 + 4) and inside a block, and censors some trials at far_gamma.
         def run(gamma=4.0, horizon=None):
             return estimate_delay(
                 spec, cfg, gamma, 300, seed=31, change_time=change_time, horizon=horizon
@@ -253,10 +251,34 @@ class TestEstimateDelay:
 
         packaged, packaged_censored = run(), censored()
         assert 0 < packaged_censored.n_censored < 300
-        monkeypatch.setattr(simulation, "_DELAY_FIRST_STEP", 1)
-        monkeypatch.setattr(simulation, "_DELAY_CHUNK", 7)
-        assert repr(run()) == repr(packaged)
-        assert repr(censored()) == repr(packaged_censored)
+        for step in (1, 7):
+            monkeypatch.setattr(simulation, "_STEP", step)
+            assert repr(run()) == repr(packaged)
+            assert repr(censored()) == repr(packaged_censored)
+
+    def test_adaptive_horizon_leaves_estimate_alone(self, monkeypatch):
+        # horizon=None: this pair alarms after about 3,000 samples, so the
+        # horizon is checked between many steps of 512 or of 7 samples
+        pair = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.15, 1.15))
+        packaged = repr(estimate_delay(S1, pair, 1.0, 300, seed=4))
+        monkeypatch.setattr(simulation, "_STEP", 7)
+        assert repr(estimate_delay(S1, pair, 1.0, 300, seed=4)) == packaged
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [lambda gamma: estimate_delay(S1, MAST, gamma, 10, seed=0),
+         lambda gamma: estimate_pf(S1, MAST, gamma, seed=0)],
+        ids=["delay", "pf"],
+    )
+    def test_rejects_infinite_gamma_before_drawing(self, monkeypatch, estimate):
+        # no chain crosses at inf: the delay trials would run to the
+        # 1 M-sample cap, the pf chains to max_steps
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built before gamma was checked")
+
+        monkeypatch.setattr(simulation, "_Lanes", unbuilt)
+        with pytest.raises(ValueError, match="a measured gamma must be finite, got inf"):
+            estimate(math.inf)
 
     def test_matches_reference_detector(self):
         # engine delays averaged over trials == replaying each trial's own
@@ -279,10 +301,10 @@ class TestEstimateDelay:
         lanes = _Lanes(spec, [(MAST, gamma)], 123, n_trials)
         done = 0
         while lanes.lanes.size:
-            ((trials, offsets),) = lanes.advance(True, _DELAY_CHUNK)
+            ((trials, offsets),) = lanes.advance(True, _STEP)
             assert not delays[trials].any()
             delays[trials] = done + offsets
-            done += _DELAY_CHUNK
+            done += _STEP
         assert delays.all()
         assert est.mean_delay == pytest.approx(delays.mean(), abs=1e-12)
         for trial in (0, _LANE - 1, _LANE, n_trials - 1):
@@ -291,7 +313,7 @@ class TestEstimateDelay:
 
     def test_run_in_matches_reference_replay(self):
         # change_time 100: the run-in draws exactly 99 controlled samples,
-        # ending inside its second 64-sample step, and the post-change part
+        # ending inside its first step, and the post-change part
         # starts with the lane's very next draw.  The barrier at the
         # controlled mean keeps the run-in statistic near the threshold, so
         # the resets decide where the post-change part starts.
@@ -355,7 +377,7 @@ class TestEstimateDelay:
 
     def test_crossing_run_in_memory_does_not_grow_with_its_length(self):
         # at gamma 2 a chain crosses about once in 600 controlled samples;
-        # the run-in drops its crossings after every step of _PF_CHUNK
+        # the run-in drops its crossings after every step of _STEP
         # columns, so ten times the change time peaks within 64 KiB
         estimate_delay(S1, MAST, 2.0, 100, seed=1, change_time=5_000)
         peaks = []
@@ -440,7 +462,7 @@ class TestEstimatePf:
             ))
 
         packaged = run()
-        monkeypatch.setattr(simulation, "_PF_CHUNK", 96)
+        monkeypatch.setattr(simulation, "_STEP", 96)
         assert run() == packaged
 
     @pytest.mark.parametrize(
@@ -468,7 +490,7 @@ class TestEstimatePf:
 
         packaged = run()
         assert packaged.n_trials >= target
-        assert packaged.observed_steps > n_chains * _PF_CHUNK
+        assert packaged.observed_steps > n_chains * _STEP
         monkeypatch.setattr(simulation, "_BLOCK", _LANE * 7)
         assert repr(run()) == repr(packaged)
 
@@ -487,7 +509,7 @@ class TestEstimatePf:
             min_crossings=1, max_steps=n_chains * per_chain,
         )
         lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
-        steps = [min(_PF_CHUNK, per_chain - done) for done in range(0, per_chain, _PF_CHUNK)]
+        steps = [min(_STEP, per_chain - done) for done in range(0, per_chain, _STEP)]
         trials, times = advance_crossings(lanes, steps)
         intervals = []
         for chain in range(n_chains):
@@ -510,7 +532,7 @@ class TestEstimatePf:
             min_crossings=1, max_steps=n_chains * per_chain,
         )
         lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
-        trials, times = advance_crossings(lanes, [_PF_CHUNK, per_chain - _PF_CHUNK])
+        trials, times = advance_crossings(lanes, [_STEP, per_chain - _STEP])
         assert est.n_trials == trials.size
         for chain in (0, _LANE - 1, _LANE, n_chains - 1):
             xs = trial_samples(S2, 55, chain, per_chain, critical=False)
@@ -539,7 +561,7 @@ class TestEstimatePf:
         # noise, and marks crossings in a bool block of that shape; the
         # rest is the statistic, its limits and the results.  MAST at
         # gamma 4 crosses in few chains, Page at gamma 2 in many.
-        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        lane_block = _LANE * _STEP * np.dtype(float).itemsize
         tracemalloc.start()
         try:
             est = estimate_pf(
@@ -556,7 +578,7 @@ class TestEstimatePf:
         # the samples and the first detector's scores, and a bool block of
         # crossings for every eight rows; the rest is the statistic, its
         # limits and the running rows' crossings
-        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        lane_block = _LANE * _STEP * np.dtype(float).itemsize
         rows = [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID]
         tracemalloc.start()
         try:
@@ -569,8 +591,8 @@ class TestEstimatePf:
 
     def test_delay_memory_within_eight_lane_blocks(self):
         # the benchmark's delay-s2 call: 196 lanes draw a 2-column block
-        # of at most _BLOCK samples per step, not a whole 64-sample chunk
-        lane_block = _LANE * _PF_CHUNK * np.dtype(float).itemsize
+        # of at most _BLOCK samples at a time, not a whole step
+        lane_block = _LANE * _STEP * np.dtype(float).itemsize
         tracemalloc.start()
         try:
             est = estimate_delay(S2, MAST, 5.0, 50_000, seed=1)
@@ -594,7 +616,7 @@ class TestEstimatePf:
             return estimate(gamma, chains, times, *observed)
 
         monkeypatch.setattr(simulation, "_pf_estimate", spy)
-        monkeypatch.setattr(simulation, "_PF_CHUNK", 16)
+        monkeypatch.setattr(simulation, "_STEP", 16)
         grid = _estimate_pf_grid(
             S1, [(PAGE, 0.0), (MAST, 1.0)], 3, n_chains=n_chains, target_crossings=10**9,
             min_crossings=1, max_steps=n_chains * 40,
@@ -644,7 +666,7 @@ class TestEstimatePfGrid:
         grid = _estimate_pf_grid(spec, rows, [5, 2], **kwargs)
         assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for cfg, g in rows]
         n_chains = kwargs.get("n_chains", 2048)
-        steps = {-(-est.observed_steps // (n_chains * _PF_CHUNK)) for est in grid}
+        steps = {-(-est.observed_steps // (n_chains * _STEP)) for est in grid}
         if spec is S1 and rows[0][0] is PAGE and capped is None:
             assert {1, 3, 5} <= steps
         if capped is not None:
@@ -725,17 +747,17 @@ def monitor_runs(draw):
     return 1.0 + np.array(ks) / 8.0, block, steps, draw(st.integers(0, 24)) / 8.0
 
 
-def block_ends(steps, block, critical, floor):
+def block_ends(steps, block, critical):
     """Sample counts at which one lane's blocks end over ``advance`` calls
     of ``steps`` columns, for blocks of at most ``block`` columns.  The
-    critical regime also cuts a block to at most ``max(2, c // 2, floor)``
+    critical regime also cuts a block to at most ``max(2, c // 2)``
     columns after ``c`` columns."""
     ends, done = [], 0
     for cols in steps:
         stop = done + cols
         while done < stop:
             if critical:
-                done += min(stop - done, block, max(2, done // 2, floor))
+                done += min(stop - done, block, max(2, done // 2))
             else:
                 done += min(stop - done, block)
             ends.append(done)
@@ -772,24 +794,20 @@ class TestMonitorKernel:
         lane = np.full((total, _LANE), self.FILLER)
         lane[:, :n_rows] = samples.T
         filler = np.full(total, self.FILLER)
-        # a one-lane call's critical blocks may always run `floor` columns
-        for retire, n_trials, floor in itertools.product(
-            (False, True), (n_rows, _LANE), (0, 3)
-        ):
+        for retire, n_trials in itertools.product((False, True), (n_rows, _LANE)):
             drawn = 0
 
             def draw(spec, rngs, critical, out, noise):
                 nonlocal drawn
                 cols = out.shape[1]
                 assert critical == retire and out.shape == noise.shape == (1, cols, _LANE)
-                assert drawn + cols in block_ends(steps, block, retire, floor)
+                assert drawn + cols in block_ends(steps, block, retire)
                 out[0] = lane[drawn : drawn + cols]
                 noise[...] = np.nan  # scratch: nothing may read it after the draw
                 drawn += cols
                 return out
 
-            with mock.patch.object(simulation, "_CRITICAL_BLOCK", floor * _LANE):
-                lanes = _Lanes(S1, [(self.PAGE_EXACT, gamma)], 0, n_trials)
+            lanes = _Lanes(S1, [(self.PAGE_EXACT, gamma)], 0, n_trials)
             with mock.patch.multiple(simulation, _draw=draw, _BLOCK=block * _LANE):
                 trials, times = advance_crossings(lanes, steps, critical=retire)
             # padding never crosses
@@ -807,7 +825,7 @@ class TestMonitorKernel:
                     assert lanes.stat[0, 0, i] == report.final_state.statistic
             if retire and None not in alarms:
                 # a lane with no live trial is not drawn again
-                ends = block_ends(steps, block, retire, floor)
+                ends = block_ends(steps, block, retire)
                 assert drawn == min(e for e in ends if e >= max(alarms))
                 assert lanes.lanes.size == 0
             else:
@@ -866,7 +884,7 @@ class TestMonitorKernel:
         # two lanes make 256-column controlled blocks; the first detector
         # scores each block into buf's second row, where scenario 2's noise
         # was drawn
-        rows, steps = [(PAIR, 1.0), (PAGE, 2.0)], [_PF_CHUNK, 300]
+        rows, steps = [(PAIR, 1.0), (PAGE, 2.0)], [_STEP, 300]
         lanes = _Lanes(S2, rows, 9, 300)
         found = [([], []) for _ in rows]
         done = 0
