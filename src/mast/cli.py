@@ -9,9 +9,10 @@ Three subcommands:
   plot-ready CSV.
 
 Exit codes are a stable contract: 0 = ran, no alarm; 2 = alarm raised;
-1 = usage or input error.  Every CSV written to a path is accompanied by
-``<path>.manifest.json`` holding the fully resolved configuration, and
-identical manifests reproduce byte-identical CSV files.
+1 = usage or input error.  A warning raised while a command runs goes to
+stderr as one ``warning: <message>`` line.  Every CSV written to a path is
+accompanied by ``<path>.manifest.json`` holding the fully resolved
+configuration, and identical manifests reproduce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import nullcontext
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -36,7 +39,6 @@ from .ingestion import (
     smooth_counts,
     to_ratios,
 )
-from .presets import grid_for, load_defaults
 from .simulation import (
     DELAY_SEED_TAG,
     PF_SEED_TAG,
@@ -110,15 +112,12 @@ def _detector_kinds(args, alpha_read: bool) -> list[DetectorKind]:
     return kinds
 
 
-def _detector_config(
-    kind: DetectorKind, args, sigma: float, alpha_default: float | None = None
-) -> DetectorConfig:
+def _detector_config(kind: DetectorKind, args, sigma: float) -> DetectorConfig:
     """The one place a ``DetectorConfig`` is built from the detector flags."""
     if kind is DetectorKind.PAGE:
-        alpha = args.alpha if args.alpha is not None else alpha_default
-        if alpha is None:
+        if args.alpha is None:
             raise ValueError("page detector needs --alpha")
-        return DetectorConfig(kind, sigma, alpha=alpha)
+        return DetectorConfig(kind, sigma, alpha=args.alpha)
     lower = 1.0 if args.delta_lower is None else args.delta_lower
     upper = lower if args.delta_upper is None else args.delta_upper
     return DetectorConfig(kind, sigma, barriers=Barriers(lower, upper))
@@ -134,36 +133,29 @@ def _detector_params(config: DetectorConfig) -> dict:
     return params
 
 
-def _experiment_settings(args, *names: str) -> tuple[dict, dict]:
-    """Experiment defaults (packaged, overlaid by ``--config``) and the
-    resolved settings a manifest records: each named flag's value, taken
-    from the defaults where the flag was not given, the scenario and
-    workers flags, and the change time (1 when not given) with ``run_in``,
-    whether ``--change-time`` was given and so the delay trials run through
-    the samples before the change.
+def load_defaults() -> dict:
+    """The packaged measured and extrapolated grids, keyed by scenario and
+    detector (``default_experiments.json``)."""
+    return json.loads(resources.files("mast").joinpath("default_experiments.json").read_text())
 
-    The run sizes ``--trials``, ``--seed`` and ``--workers``, the
-    ``--change-time`` of every mode and the types of ``--alpha``,
-    ``--sigma`` and ``--r2-floor`` are checked here, wherever they came
-    from, so that an error names the flag."""
-    defaults = load_defaults(args.config)
-    settings = {
-        name: defaults[name] if getattr(args, name) is None else getattr(args, name)
-        for name in names
-    }
+
+def _experiment_settings(args, *names: str) -> dict:
+    """The resolved settings a manifest records: each named flag's value,
+    the scenario and workers flags, and the change time (1 when not given)
+    with ``run_in``, whether ``--change-time`` was given and so the delay
+    trials run through the samples before the change.  The run sizes
+    ``--trials``, ``--seed`` and ``--workers`` and the ``--change-time`` of
+    every mode are range-checked here, so that an error names the flag."""
+    settings = {name: getattr(args, name) for name in names}
     settings.update(
         scenario=args.scenario, run_in=args.change_time is not None, workers=args.workers,
         change_time=args.change_time if args.change_time is not None else 1,
     )
     for name, low in (("trials", 1), ("seed", 0), ("workers", 1), ("change_time", 1)):
-        if type(settings[name]) is not int or settings[name] < low:
+        if settings[name] < low:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be an integer >= {low}, got {settings[name]!r}")
-    for name in ("alpha", "sigma", "r2_floor"):
-        if name in settings and type(settings[name]) not in (int, float):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be a real number, got {settings[name]!r}")
-    return defaults, settings
+    return settings
 
 
 def _csv_line(cells: Iterable) -> str:
@@ -190,7 +182,8 @@ def _write_output(
 
 def _add_detector_flags(parser: argparse.ArgumentParser, *, several: bool = False) -> None:
     """``--detector``, or the comma list ``--detectors`` stored under the same
-    name when ``several``, and the flags the detectors read."""
+    name when ``several``, and the flags the detectors read.  ``--alpha``
+    keeps the default ``parser`` already holds for it, if any."""
     parser.add_argument(
         "--detectors" if several else "--detector",
         dest="detector",
@@ -201,25 +194,30 @@ def _add_detector_flags(parser: argparse.ArgumentParser, *, several: bool = Fals
     )
     parser.add_argument("--delta-lower", type=float, help="lower mean barrier of mast (default 1)")
     parser.add_argument("--delta-upper", type=float, help="upper mean barrier of mast (default: lower)")
-    parser.add_argument("--alpha", type=float, help="nominal mean offset (page; scenario mean offset)")
+    also = " and of the scenario (default: %(default)s)" if parser.get_default("alpha") else ""
+    parser.add_argument("--alpha", type=float, help="nominal mean offset of page" + also)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags ``simulate`` and ``curve`` share."""
+    """The flags ``simulate`` and ``curve`` share, with their defaults, and
+    the default of their ``--alpha``, the scenario's mean offset."""
+    parser.set_defaults(alpha=0.05)
     parser.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    parser.add_argument("--sigma", type=float, help="ratio noise level (default from config)")
-    parser.add_argument("--trials", type=int, help="trials / target crossings (default from config)")
-    parser.add_argument("--seed", type=int, help="master seed (default from config)")
+    parser.add_argument("--sigma", type=float, default=0.05,
+                        help="ratio noise level (default: %(default)s)")
+    parser.add_argument("--trials", type=int, default=10000,
+                        help="trials / target crossings (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=42, help="master seed (default: %(default)s)")
     parser.add_argument(
-        "--change-time", type=int, help="regime change sample; delay trials run in before it"
+        "--change-time", type=int,
+        help="regime change sample (default 1); when given, delay trials run in before it",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="has no effect; checked and recorded in the manifest, to be removed",
+        help="has no effect; checked and recorded in the manifest, to be removed (default: 1)",
     )
-    parser.add_argument("--config", help="JSON file overriding packaged experiment defaults")
 
 
 def _iso_days(days: np.ndarray) -> list[str]:
@@ -311,11 +309,9 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     (kind,) = _detector_kinds(args, alpha_read=True)
-    names = ("alpha", "sigma", "trials", "seed")
-    _, settings = _experiment_settings(args, *names)
-    alpha, sigma, trials, seed = (settings[name] for name in names)
-    spec = ScenarioSpec(args.scenario, alpha, sigma)
-    config = _detector_config(kind, args, sigma, alpha_default=alpha)
+    settings = _experiment_settings(args, "alpha", "sigma", "trials", "seed")
+    spec = ScenarioSpec(args.scenario, args.alpha, args.sigma)
+    config = _detector_config(kind, args, args.sigma)
     if args.mode == "pf":
         given = (("--horizon", args.horizon is not None),
                  ("--change-time", args.change_time is not None))
@@ -329,8 +325,8 @@ def cmd_simulate(args) -> int:
             spec,
             config,
             args.gamma,
-            trials,
-            seed=[seed, DELAY_SEED_TAG, 0],
+            args.trials,
+            seed=[args.seed, DELAY_SEED_TAG, 0],
             change_time=settings["change_time"],
             horizon=args.horizon,
         )
@@ -348,8 +344,8 @@ def cmd_simulate(args) -> int:
             spec,
             config,
             args.gamma,
-            seed=[seed, PF_SEED_TAG, 0],
-            target_crossings=trials,
+            seed=[args.seed, PF_SEED_TAG, 0],
+            target_crossings=args.trials,
         )
         print(
             f"pf: {est.pf:.6g} +/- {est.pf_se:.3g} "
@@ -371,25 +367,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_curve(args) -> int:
     kinds = _detector_kinds(args, alpha_read=True)
-    names = ("alpha", "sigma", "trials", "seed", "r2_floor")
-    defaults, settings = _experiment_settings(args, *names)
-    alpha, sigma, trials, seed, r2_floor = (settings[name] for name in names)
-    spec = ScenarioSpec(args.scenario, alpha, sigma)
+    settings = _experiment_settings(args, "alpha", "sigma", "trials", "seed", "r2_floor")
+    spec = ScenarioSpec(args.scenario, args.alpha, args.sigma)
 
     given_grid = None if args.gamma_grid is None else _parse_grid(args.gamma_grid, "--gamma-grid")
     if given_grid == []:
         raise ValueError(f"--gamma-grid {args.gamma_grid!r} is empty")
 
+    packaged = load_defaults()[f"scenario{args.scenario}"]
     runs = []
     pair: dict = {"delta_lower": None, "delta_upper": None}
     for kind in kinds:
-        config = _detector_config(kind, args, sigma, alpha_default=alpha)
+        config = _detector_config(kind, args, args.sigma)
         if config.barriers is not None:
             pair = {"delta_lower": config.barriers.lower, "delta_upper": config.barriers.upper}
         # the packaged mast grids were chosen for the barrier pair (1, 1)
         unit_pair = config.barriers in (None, Barriers(1.0, 1.0))
-        preset = grid_for(defaults, args.scenario, kind.value) if unit_pair else None
-        gamma_grid = given_grid or (preset or (None,))[0]
+        preset = packaged.get(kind.value, {}) if unit_pair else {}
+        gamma_grid = given_grid or preset.get("measure")
         if not gamma_grid:
             b = config.barriers
             pair = "" if unit_pair else f" with barriers ({b.lower:g}, {b.upper:g})"
@@ -400,16 +395,16 @@ def cmd_curve(args) -> int:
         if args.extrapolate_grid is not None:
             extra_grid = _parse_grid(args.extrapolate_grid, "--extrapolate-grid")
         else:
-            extra_grid = preset[1] if preset else []
+            extra_grid = preset.get("extrapolate", [])
         runs.append((config, gamma_grid, extra_grid))
 
     curves = operational_curve(
         spec,
         runs,
-        n_trials=trials,
-        seed=seed,
+        n_trials=args.trials,
+        seed=args.seed,
         change_time=settings["change_time"],
-        r2_floor=r2_floor,
+        r2_floor=args.r2_floor,
     )
     table: list[list] = []
     for kind, curve in zip(kinds, curves):
@@ -457,7 +452,8 @@ def build_parser() -> _Parser:
     )
     detect.add_argument("--date-column", default="date", help="date column name (default: date)")
     detect.add_argument("--count-column", default="count", help="count column name (default: count)")
-    detect.add_argument("--date-format", default="%Y-%m-%d", help="strptime date format")
+    detect.add_argument("--date-format", default="%Y-%m-%d",
+                        help="strptime date format (default: %(default)s)")
     detect.add_argument(
         "--smooth-window",
         type=int,
@@ -471,7 +467,8 @@ def build_parser() -> _Parser:
     _add_experiment_flags(simulate)
     _add_detector_flags(simulate)
     simulate.add_argument("--gamma", type=float, required=True)
-    simulate.add_argument("--mode", choices=("delay", "pf", "both"), default="both")
+    simulate.add_argument("--mode", choices=("delay", "pf", "both"), default="both",
+                          help="estimates to make (default: %(default)s)")
     simulate.add_argument("--horizon", type=int, help="delay-trial horizon (default adaptive)")
     simulate.add_argument("--output", help="write estimates as CSV here")
     simulate.set_defaults(func=cmd_simulate)
@@ -479,26 +476,34 @@ def build_parser() -> _Parser:
     curve = sub.add_parser("curve", help="operational curves as plot-ready CSV")
     _add_experiment_flags(curve)
     _add_detector_flags(curve, several=True)
-    curve.add_argument("--gamma-grid", help="measured grid: comma list or lo:hi:n (default from config)")
+    curve.add_argument("--gamma-grid", help="measured grid: comma list or lo:hi:n (default: packaged)")
     curve.add_argument(
         "--extrapolate-grid",
-        help="extrapolated grid: comma list, lo:hi:n, or none (default from config)",
+        help="extrapolated grid: comma list, lo:hi:n, or none (default: packaged)",
     )
-    curve.add_argument("--r2-floor", type=float, help="minimum fit r^2 for extrapolation")
+    curve.add_argument("--r2-floor", type=float, default=0.95,
+                       help="minimum fit r^2 for extrapolation (default: %(default)s)")
     curve.add_argument("--output", help="write the curve CSV here (default: stdout)")
     curve.set_defaults(func=cmd_curve)
 
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    """A command's warning as one stderr line, printed as it is raised."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":
