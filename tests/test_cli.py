@@ -627,6 +627,22 @@ class TestCurve:
         assert code == EXIT_ERROR
         assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
 
+    def test_later_detectors_grid_checked_before_simulating(self, capsys, monkeypatch):
+        # page's packaged grid holds an inf point; it must fail before the
+        # packaged mast curve is simulated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before every grid was checked")
+
+        packaged = cli.load_defaults()
+        packaged["scenario1"]["page"] = {"measure": [1.0, 2.0, math.inf]}
+        monkeypatch.setattr(cli, "load_defaults", lambda: packaged)
+        monkeypatch.setattr(simulation, "estimate_delay", unreachable)
+        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        code = main(["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "100",
+                     "--seed", "1"])
+        assert code == EXIT_ERROR
+        assert "error: a measured gamma must be finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "grids, message",
         [(["--gamma-grid", "abc"], "--gamma-grid: could not convert string to float: 'abc'"),
