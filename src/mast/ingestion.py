@@ -18,7 +18,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -106,10 +106,16 @@ def _day_column(dates: Iterable[dt.date]) -> np.ndarray:
 
 def _parse_date(text: str, date_format: str, line: int) -> dt.date:
     cell = text.strip()
+    iso = date_format == _ISO_FORMAT
     try:
-        # a YYYY-MM-DD date means the same day to fromisoformat, many times faster
-        if date_format == _ISO_FORMAT and _ISO_DATE.fullmatch(cell):
+        # the default format is answered without strptime where it can be,
+        # since strptime's first call costs milliseconds of set-up: a
+        # YYYY-MM-DD cell means the same day to fromisoformat, many times
+        # faster, and %Y needs a decimal digit first
+        if iso and _ISO_DATE.fullmatch(cell):
             return dt.date.fromisoformat(cell)
+        if iso and not cell[:1].isdecimal():
+            raise ValueError
         return dt.datetime.strptime(cell, date_format).date()
     except ValueError:
         raise ParseError(line, f"unparseable date {text!r} (expected format {date_format})")
@@ -134,22 +140,21 @@ def _blank(row: list[str]) -> bool:
 
 
 def parse_counts(
-    source: str | IO[str],
+    text: str,
     *,
     date_column: str = "date",
     count_column: str = "count",
-    delimiter: str | None = None,
     date_format: str = _ISO_FORMAT,
 ) -> CountSeries:
     """Parse delimited text with a date and a count column.
 
-    The delimiter is sniffed between comma and tab unless given.  A header
-    row holding ``date_column`` and ``count_column`` is used when present;
-    headerless input is accepted when the first row already parses as
-    (date, count).  Any malformed row, duplicate date, out-of-order date,
-    negative count or count too large for a float raises ``ParseError``
-    naming the offending line.  One leading byte-order mark (U+FEFF) is
-    dropped.
+    The delimiter is sniffed between comma and tab (see
+    ``_sniff_delimiter``).  A header row holding ``date_column`` and
+    ``count_column`` is used when present; input is headerless when the
+    first cell of its first non-blank row parses as a date.  Any malformed
+    row, duplicate date, out-of-order date, negative count or count too
+    large for a float raises ``ParseError`` naming the offending line.  One
+    leading byte-order mark (U+FEFF) is dropped.
 
     ``csv`` first reads the rows up to the first non-blank one.  With the
     default ``date_format``, the rest is parsed as text in bulk when every
@@ -160,10 +165,9 @@ def parse_counts(
     loop over every ``csv`` row, which names the first bad line.  Both
     give the same series.
     """
-    text = source if isinstance(source, str) else source.read()
     # a spreadsheet export may start with a UTF-8 byte-order mark
     text = text.removeprefix("\ufeff")
-    delimiter = delimiter or _sniff_delimiter(text)
+    delimiter = _sniff_delimiter(text)
     # read up to the first non-blank row only: the ISO path takes the rest
     # as text, and only the row loop needs every row
     buffer = io.StringIO(text)
@@ -177,7 +181,9 @@ def parse_counts(
         raise ParseError(1, "no data rows")
     date_idx, count_idx = 0, 1
     data_idx = first_idx
-    if not _looks_like_date(first[0], date_format):
+    try:
+        _parse_date(first[0], date_format, first_idx + 1)
+    except ParseError:
         header = [c.strip() for c in first]
         if date_column not in header or count_column not in header:
             list(reader)  # a csv.Error in a later row comes first, as in the row loop
@@ -270,24 +276,6 @@ def _sniff_delimiter(text: str) -> str:
     lines = (ln for chunk in re.finditer(r".*\n?", text) for ln in chunk[0].splitlines())
     first_line = next((ln for ln in lines if ln.strip()), "")
     return "\t" if "\t" in first_line and "," not in first_line else ","
-
-
-def _looks_like_date(text: str, date_format: str) -> bool:
-    cell = text.strip()
-    iso = date_format == _ISO_FORMAT
-    try:
-        # the default format is answered without strptime, whose first call
-        # costs milliseconds of set-up: a YYYY-MM-DD cell means the same day
-        # to fromisoformat, and %Y needs a decimal digit first
-        if iso and _ISO_DATE.fullmatch(cell):
-            dt.date.fromisoformat(cell)
-        elif iso and not cell[:1].isdecimal():
-            return False
-        else:
-            dt.datetime.strptime(cell, date_format)
-        return True
-    except ValueError:
-        return False
 
 
 def to_ratios(series: CountSeries) -> RatioSeries:

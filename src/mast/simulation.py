@@ -32,7 +32,7 @@ scenario 2 only, the daily means from ``(lane, 1)``.  The words that seed
 them are ``SeedSequence(seed, spawn_key=(lane, stream))``'s, bit for bit,
 but computed for every lane at once by one vectorised pass
 (``_seed_words``) and handed to each PCG64 directly; ``numpy.random`` is
-imported only when the first generator is built.  A lane draws
+imported only when the first lanes are seeded.  A lane draws
 time-major: a step of ``cols`` samples fills a ``(cols, _LANE)`` slice
 whose row ``t`` is time and whose column ``r`` belongs to trial
 ``lane * _LANE + r``.  Sample ``t`` of that trial is then element
@@ -113,6 +113,12 @@ _DELAY_MAX_STEPS = 1_000_000
 _STEP = 512
 # samples one engine block draws across all live lanes: one lane's step
 _BLOCK = _LANE * _STEP
+# false-alarm chains, the cap on the samples they draw in all, and the fewest
+# crossings an estimate stopped by the cap must have seen (or its target, if
+# that is smaller)
+_CHAINS = 2048
+_MAX_SAMPLES = 200_000_000
+_MIN_CROSSINGS = 100
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -176,8 +182,8 @@ def _powers(init: int, mult: int, n: int) -> list[int]:
 
 def _hash(value, xor, mult):
     """``SeedSequence``'s hash of 32-bit words, given the multiplier before
-    and after its update.  A product of two words fits in 64 bits, so the
-    same arithmetic serves Python ints and uint64 arrays."""
+    and after its update.  A product of two words fits in 64 bits, so uint64
+    arrays hold it exactly."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -194,32 +200,23 @@ def _seed_words(entropy: list[int], lanes: int, streams: int) -> np.ndarray:
     ``SeedSequence(entropy, spawn_key=(lane, stream)).generate_state(4, np.uint64)``,
     bit for bit, for non-negative ints ``entropy`` and lanes below 2**32.
 
-    This is ``SeedSequence``'s own mixing.  The pool is shared by every
-    lane until the first word past the pool size, so it is built in Python
-    ints; each later word is mixed into the four pool words at once, and
-    the lane and stream words make the pool a ``(4, lanes, streams)`` array.
+    This is ``SeedSequence``'s own mixing.  The spawn key's words come
+    after the run entropy (padded to the pool size), so the pool up to them
+    is ``SeedSequence(entropy).pool``, shared by every lane; the lane and
+    stream words are then mixed into its four words at once, which makes
+    the pool a ``(4, lanes, streams)`` array.
     """
-    words = []
-    for value in entropy:
-        words.append(value & _MASK32)
-        while value := value >> 32:
-            words.append(value & _MASK32)
-    # a spawn key pads the run entropy to the pool size
-    words += [0] * (_POOL - len(words))
-    keys = [np.arange(lanes, dtype=np.uint64)[:, None], np.arange(streams, dtype=np.uint64)]
-    # hashmix call k hashes with multipliers a[k] and a[k + 1]
-    a = _powers(_INIT_A, _MULT_A, _POOL * (len(words) + 2) + 1)
-    pool = [_hash(word, a[k], a[k + 1]) for k, word in enumerate(words[:_POOL])]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], a[k], a[k + 1]))
-                k += 1
-    pool = np.array(pool, dtype=np.uint64)[:, None, None]
-    a = np.array(a, dtype=np.uint64)[:, None, None]
-    for word in words[_POOL:] + keys:
-        pool = _mix(pool, _hash(word, a[k : k + _POOL], a[k + 1 : k + _POOL + 1]))
+    from numpy.random import SeedSequence
+
+    n_words = sum(max(1, -(-value.bit_length() // 32)) for value in entropy)
+    # hashmix call k hashes with multipliers a[k] and a[k + 1]: the pool
+    # took one call per pool word, one per ordered pair of distinct pool
+    # words and one per pool word for each entropy word past the pool size
+    k = _POOL * _POOL + _POOL * max(0, n_words - _POOL)
+    a = np.array(_powers(_INIT_A, _MULT_A, k + 2 * _POOL + 1), dtype=np.uint64)[:, None, None]
+    pool = SeedSequence(entropy).pool.astype(np.uint64)[:, None, None]
+    for key in np.arange(lanes, dtype=np.uint64)[:, None], np.arange(streams, dtype=np.uint64):
+        pool = _mix(pool, _hash(key, a[k : k + _POOL], a[k + 1 : k + _POOL + 1]))
         k += _POOL
     # generate_state(4, np.uint64): eight 32-bit words, from the pool in
     # turn, paired little-endian
@@ -549,14 +546,11 @@ def estimate_pf(
     gamma: float,
     seed=0,
     *,
-    n_chains: int = 2048,
     target_crossings: int = 10_000,
-    min_crossings: int = 100,
-    max_steps: int = 200_000_000,
 ) -> PerformanceEstimate:
     """False-alarm probability at threshold ``gamma`` in the controlled regime.
 
-    Runs ``n_chains`` independent controlled-regime chains with the
+    Runs ``_CHAINS`` independent controlled-regime chains with the
     statistic reset to zero at every crossing, and estimates
     ``pf = crossings / samples observed``: the reciprocal of the mean time
     between crossings, with each chain's open tail interval counted in the
@@ -564,27 +558,25 @@ def estimate_pf(
     coefficient of variation.
 
     Chains run until ``target_crossings`` crossings have been seen, but
-    never beyond ``max_steps`` total samples (rounded up to a whole
+    never beyond ``_MAX_SAMPLES`` total samples (rounded up to a whole
     per-chain count).  The target is checked only after every chain has
     run a whole step of ``_STEP`` samples (the last step may be shorter,
-    at the ``max_steps`` cap).  A step is cut into blocks of at most
+    at the ``_MAX_SAMPLES`` cap).  A step is cut into blocks of at most
     ``_BLOCK`` samples over all chains (see ``_Lanes.advance``).  A
     chain's samples and crossings depend neither on these steps nor on
     how a step is cut into blocks.
 
-    Fewer than ``min_crossings`` crossings raises
+    An estimate that the cap stops with fewer than
+    ``min(target_crossings, _MIN_CROSSINGS)`` crossings raises
     ``InsufficientEventsError``: the rate is then out of Monte Carlo
-    reach, and a lower ``gamma`` brings it back.  ``gamma`` must be
-    finite.
+    reach, and a lower ``gamma`` brings it back.  One that met its target
+    never raises.  ``gamma`` must be finite.
 
     This is the one-row case of ``_estimate_pf_grid``, which
     ``operational_curve`` runs over every detector's grid on one set of
     chains; each of its rows is this function's estimate on the same seed.
     """
-    (est,) = _estimate_pf_grid(
-        spec, [(config, gamma)], seed, n_chains=n_chains, target_crossings=target_crossings,
-        min_crossings=min_crossings, max_steps=max_steps,
-    )
+    (est,) = _estimate_pf_grid(spec, [(config, gamma)], seed, target_crossings=target_crossings)
     return est
 
 
@@ -593,10 +585,7 @@ def _estimate_pf_grid(
     rows: Sequence[tuple[DetectorConfig, float]],
     seed,
     *,
-    n_chains: int = 2048,
     target_crossings: int = 10_000,
-    min_crossings: int = 100,
-    max_steps: int = 200_000_000,
 ) -> list[PerformanceEstimate]:
     """``estimate_pf`` at every ``(config, gamma)`` of ``rows``, on one set
     of chains.
@@ -612,23 +601,19 @@ def _estimate_pf_grid(
     ``seed``, and so is its estimate, whatever the other rows are; only
     the estimates' joint distribution differs, since the rows share their
     samples.  The first row, in the order given, with fewer than
-    ``min_crossings`` crossings raises ``InsufficientEventsError``.
+    ``min(target_crossings, _MIN_CROSSINGS)`` crossings raises
+    ``InsufficientEventsError``.
     """
     rows = [(config, _measured_gamma(gamma)) for config, gamma in rows]
     if target_crossings < 1:
         raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
-    n_chains = int(n_chains)
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    lanes = _Lanes(spec, rows, seed, n_chains)
+    lanes = _Lanes(spec, rows, seed, _CHAINS)
     # per running row: the chain and time of its crossings, step by step
     found = {row: [(np.arange(0), np.arange(0))] for row in range(len(rows))}
     crossings = np.zeros(len(rows), dtype=np.int64)
     estimates: list = [None] * len(rows)
-    per_chain_cap = -(-max_steps // n_chains)
+    per_chain_cap = -(-_MAX_SAMPLES // _CHAINS)
     done = 0
     while lanes.rows.size:
         cols = min(_STEP, per_chain_cap - done)
@@ -641,33 +626,35 @@ def _estimate_pf_grid(
         keep = (crossings[lanes.rows] < target_crossings) & (done < per_chain_cap)
         for row in lanes.rows[~keep].tolist():
             chains, times = map(np.concatenate, zip(*found.pop(row)))
-            estimates[row] = _pf_estimate(rows[row][1], chains, times, n_chains, done)
+            estimates[row] = _pf_estimate(rows[row][1], chains, times, done)
         lanes.keep_rows(keep)
 
+    # a row that met its target is never short
+    floor = min(target_crossings, _MIN_CROSSINGS)
     for (config, gamma), est in zip(rows, estimates):
-        if est.n_trials < min_crossings:
+        if est.n_trials < floor:
             raise InsufficientEventsError(
                 f"only {est.n_trials} crossings in {est.observed_steps} controlled samples at "
-                f"gamma={gamma} for {config.kind.value} (need >= {min_crossings}); this rate is "
+                f"gamma={gamma} for {config.kind.value} (need >= {floor}); this rate is "
                 "out of Monte Carlo reach: lower gamma"
             )
     return estimates
 
 
-def _pf_estimate(gamma, chains, times, n_chains, per_chain) -> PerformanceEstimate:
+def _pf_estimate(gamma, chains, times, per_chain) -> PerformanceEstimate:
     """The estimate from one row's crossings, given by chain and time, over
-    ``per_chain`` samples of each of ``n_chains`` chains.  Each chain's
+    ``per_chain`` samples of each of the ``_CHAINS`` chains.  Each chain's
     crossings come in increasing time, as ``_estimate_pf_grid`` gathers
     them step by step."""
     crossings = chains.size
-    observed = n_chains * per_chain
+    observed = _CHAINS * per_chain
     pf = crossings / observed
     if crossings > 1:
         # completed intervals, ordered by chain then time so that pf_se
         # does not depend on the grouping: a stable sort by chain keeps
         # each chain's times in order, and on a key of at most 16 bits
         # numpy sorts by radix
-        order = np.argsort(chains.astype(np.min_scalar_type(n_chains - 1)), kind="stable")
+        order = np.argsort(chains.astype(np.min_scalar_type(_CHAINS - 1)), kind="stable")
         chains, times = chains[order], times[order]
         intervals = np.diff(times, prepend=0)
         first_of_chain = np.diff(chains, prepend=-1) != 0

@@ -392,13 +392,29 @@ class TestSimulate:
         assert main(args + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_insufficient_events_guidance(self, capsys):
+    def test_insufficient_events_guidance(self, capsys, monkeypatch):
+        # no chain crosses at gamma 60: a cap of three steps stops them as
+        # the 200 M-sample one would, only sooner
+        monkeypatch.setattr(
+            simulation, "_MAX_SAMPLES", 3 * simulation._CHAINS * simulation._STEP
+        )
         code = main(
             ["simulate", "--scenario", "1", "--gamma", "60", "--mode", "pf",
              "--trials", "500", "--seed", "1"]
         )
         assert code == EXIT_ERROR
         assert "out of Monte Carlo reach: lower gamma" in capsys.readouterr().err
+
+    def test_met_target_below_crossing_floor_succeeds(self, capsys):
+        # 20 target crossings, met within four steps: fewer than the
+        # 100-crossing floor of an estimate the sample cap stops, but no
+        # estimate that met its target is short
+        code = main(
+            ["simulate", "--scenario", "1", "--gamma", "6", "--mode", "pf",
+             "--trials", "20", "--seed", "1"]
+        )
+        assert code == EXIT_OK
+        assert "(24 crossings over 4194304 samples)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["delay", "pf", "both"])
     def test_infinite_gamma_rejected_before_simulating(self, capsys, monkeypatch, mode):
@@ -608,6 +624,17 @@ class TestCurve:
         assert code == EXIT_ERROR
         assert "error: --detectors names 'page' more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_met_targets_below_crossing_floor_succeed(self, tmp_path):
+        # every pf row meets its 50-crossing target, the top one with 56
+        out = tmp_path / "curve.csv"
+        code = main(
+            ["curve", "--scenario", "1", "--detectors", "mast", "--trials", "50",
+             "--seed", "1", "--gamma-grid", "2,4,6", "--extrapolate-grid", "none",
+             "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 4
 
     def test_nan_gamma_in_grid_rejected(self, capsys):
         code = main(["curve", "--scenario", "1", "--gamma-grid", "nan,1,2", "--trials", "200"])

@@ -19,7 +19,7 @@ from mast.ingestion import (
     InsufficientDataError,
     ParseError,
     RatioSeries,
-    _looks_like_date,
+    _parse_date,
     _sniff_delimiter,
     estimate_sigma,
     parse_counts,
@@ -88,14 +88,18 @@ class TestParseCounts:
     )
     @pytest.mark.parametrize("date_format", ["%Y-%m-%d", "%d/%m/%Y"])
     def test_header_check_matches_strptime(self, cell, date_format):
-        # the default format is answered without strptime, and must agree
-        # with it: Unicode decimal digits are digits to %Y too
+        # a first cell that is not a date makes its row a header; the
+        # default format is answered without strptime, and must agree with
+        # it: Unicode decimal digits are digits to %Y too
         try:
-            dt.datetime.strptime(cell.strip(), date_format)
-            expect = True
+            expect = dt.datetime.strptime(cell.strip(), date_format).date()
         except ValueError:
-            expect = False
-        assert _looks_like_date(cell, date_format) is expect
+            expect = None
+        try:
+            got = _parse_date(cell, date_format, 1)
+        except ParseError:
+            got = None
+        assert got == expect
 
     def test_out_of_order_dates_name_the_line(self):
         with pytest.raises(ParseError, match="line 3") as err:
@@ -133,10 +137,6 @@ class TestParseCounts:
         # every row is read before the header is judged, as in the row loop
         with pytest.raises(csv.Error):
             parse_counts("when,count\n2020-10-01,5\r,x\n")
-
-    def test_file_object(self):
-        parsed = parse_counts(io.StringIO("2020-10-01,1\n2020-10-02,2"))
-        assert len(parsed) == 2
 
 
 def reference_parse_counts(text, date_column="date", count_column="count", date_format="%Y-%m-%d"):

@@ -44,8 +44,15 @@ PAIR = DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(0.99, 1.02))
 # the packaged scenario 1 grids
 S1_MAST_GRID = [1.2, 1.6, 2.0, 2.4, 2.8, 3.2, 3.6, 4.0]
 S1_PAGE_GRID = [2.0, 2.8, 3.6, 4.4, 5.2, 6.0, 6.8, 7.6]
-# max_steps binds the higher rows, 1500 samples a chain (512 x 2 + 476)
-CAPPED = {"n_chains": 300, "target_crossings": 2000, "min_crossings": 1, "max_steps": 300 * 1500}
+# false-alarm sizing under which the sample cap binds the higher rows of a
+# 2000-crossing target, at 1500 samples a chain (512 x 2 + 476)
+CAPPED = {"_CHAINS": 300, "_MIN_CROSSINGS": 1, "_MAX_SAMPLES": 300 * 1500}
+
+
+def set_constants(monkeypatch, constants):
+    """Set the ``simulation`` module constants named in ``constants``."""
+    for name, value in constants.items():
+        monkeypatch.setattr(simulation, name, value)
 
 
 def trial_samples(spec, seed, index, n, *, critical=True):
@@ -189,14 +196,15 @@ class TestSeeds:
                     np.random.default_rng(seq).standard_normal(9),
                 )
 
-    def test_pinned_estimates(self):
+    def test_pinned_estimates(self, monkeypatch):
         # exact outputs of the draw layout at fixed seeds: a change to the
         # layout must update them on purpose
         delay = estimate_delay(S2, MAST, 1.5, 200, seed=17, change_time=70)
         assert delay == PerformanceEstimate(
             gamma=1.5, n_trials=200, mean_delay=1.2, delay_se=0.03170213124741207
         )
-        pf = estimate_pf(S1, PAGE, 2.0, seed=[3, 1], n_chains=16, target_crossings=300)
+        monkeypatch.setattr(simulation, "_CHAINS", 16)
+        pf = estimate_pf(S1, PAGE, 2.0, seed=[3, 1], target_crossings=300)
         assert pf == PerformanceEstimate(
             gamma=2.0, n_trials=438, pf=0.0267333984375, pf_se=0.0012891703786016273,
             observed_steps=16384,
@@ -272,7 +280,7 @@ class TestEstimateDelay:
     )
     def test_rejects_infinite_gamma_before_drawing(self, monkeypatch, estimate):
         # no chain crosses at inf: the delay trials would run to the
-        # 1 M-sample cap, the pf chains to max_steps
+        # 1 M-sample cap, the pf chains to the 200 M-sample one
         def unbuilt(*args, **kwargs):
             raise AssertionError("chains built before gamma was checked")
 
@@ -423,19 +431,19 @@ class TestEstimatePf:
         two = estimate_pf(S2, MAST, 1.0, seed=4, target_crossings=2000)
         assert one == two
 
-    def test_concurrent_calls_under_fast_switching_match(self):
+    def test_concurrent_calls_under_fast_switching_match(self, monkeypatch):
         # three calls at once, switching threads every few microseconds:
         # they share _generator_factory's cache, and each must still draw
         # what it draws alone
-        kwargs = {"n_chains": 600, "target_crossings": 10**9, "min_crossings": 1,
-                  "max_steps": 600 * 700}
+        set_constants(monkeypatch, {"_CHAINS": 600, "_MIN_CROSSINGS": 1, "_MAX_SAMPLES": 600 * 700})
         calls = [(S1, MAST, 1.0, 1), (S2, PAIR, 1.0, 2), (S2, PAGE, 2.0, 3)]
-        serial = [estimate_pf(spec, cfg, g, seed=seed, **kwargs) for spec, cfg, g, seed in calls]
+        serial = [estimate_pf(spec, cfg, g, seed=seed, target_crossings=10**9)
+                  for spec, cfg, g, seed in calls]
         found = [None] * len(calls)
 
         def run(i):
             spec, cfg, g, seed = calls[i]
-            found[i] = estimate_pf(spec, cfg, g, seed=seed, **kwargs)
+            found[i] = estimate_pf(spec, cfg, g, seed=seed, target_crossings=10**9)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -452,15 +460,13 @@ class TestEstimatePf:
 
     @pytest.mark.parametrize("spec, cfg", [(S1, PAGE), (S2, MAST)], ids=["s1", "s2"])
     def test_chunk_schedule_leaves_estimate_alone(self, monkeypatch, spec, cfg):
-        # max_steps binds before the target, so both schedules observe 1000
-        # samples per chain (512 + 488, or 10 x 96 + 40); the target check
-        # between steps would otherwise stop them at different times
+        # the sample cap binds before the target, so both schedules observe
+        # 1000 samples per chain (512 + 488, or 10 x 96 + 40); the target
+        # check between steps would otherwise stop them at different times
         def run():
-            return repr(estimate_pf(
-                spec, cfg, 2.0, seed=32, n_chains=300, target_crossings=10**9,
-                min_crossings=1, max_steps=300 * 1000,
-            ))
+            return repr(estimate_pf(spec, cfg, 2.0, seed=32, target_crossings=10**9))
 
+        set_constants(monkeypatch, {"_CHAINS": 300, "_MIN_CROSSINGS": 1, "_MAX_SAMPLES": 300_000})
         packaged = run()
         monkeypatch.setattr(simulation, "_STEP", 96)
         assert run() == packaged
@@ -482,11 +488,10 @@ class TestEstimatePf:
         # blocks, and the crossings and the statistic carried across them
         # must not depend on that split
         n_chains = 300
+        monkeypatch.setattr(simulation, "_CHAINS", n_chains)
 
         def run():
-            return estimate_pf(
-                spec, cfg, gamma, seed=33, n_chains=n_chains, target_crossings=target
-            )
+            return estimate_pf(spec, cfg, gamma, seed=33, target_crossings=target)
 
         packaged = run()
         assert packaged.n_trials >= target
@@ -498,16 +503,15 @@ class TestEstimatePf:
         est = estimate_pf(S1, PAGE, 1.0, seed=8, target_crossings=2000)
         assert est.pf == pytest.approx(est.n_trials / est.observed_steps)
 
-    def test_matches_reference_monitor(self):
+    def test_matches_reference_monitor(self, monkeypatch):
         # same streams through the single-sample detector in monitor mode:
         # every chain's crossing indices and final statistic, and the
         # estimate built from the crossings.  An unreachable target makes
-        # max_steps fix the run length.
+        # the sample cap fix the run length.
         n_chains, per_chain, gamma = 6, 2000, 1.0
-        est = estimate_pf(
-            S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
-            min_crossings=1, max_steps=n_chains * per_chain,
-        )
+        sizing = {"_CHAINS": n_chains, "_MIN_CROSSINGS": 1, "_MAX_SAMPLES": n_chains * per_chain}
+        set_constants(monkeypatch, sizing)
+        est = estimate_pf(S2, MAST, gamma, seed=55, target_crossings=10**9)
         lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
         steps = [min(_STEP, per_chain - done) for done in range(0, per_chain, _STEP)]
         trials, times = advance_crossings(lanes, steps)
@@ -527,10 +531,8 @@ class TestEstimatePf:
         # 300 chains fill one lane and part of a second: the chains at the
         # lane edges cross where their replayed rows do
         n_chains, per_chain = 300, 1000
-        est = estimate_pf(
-            S2, MAST, gamma, seed=55, n_chains=n_chains, target_crossings=10**9,
-            min_crossings=1, max_steps=n_chains * per_chain,
-        )
+        set_constants(monkeypatch, {"_CHAINS": n_chains, "_MAX_SAMPLES": n_chains * per_chain})
+        est = estimate_pf(S2, MAST, gamma, seed=55, target_crossings=10**9)
         lanes = _Lanes(S2, [(MAST, gamma)], 55, n_chains)
         trials, times = advance_crossings(lanes, [_STEP, per_chain - _STEP])
         assert est.n_trials == trials.size
@@ -544,11 +546,12 @@ class TestEstimatePf:
         with pytest.raises(ValueError, match="target_crossings"):
             estimate_pf(S1, MAST, 2.0, seed=0, target_crossings=0)
 
-    def test_insufficient_events(self):
-        with pytest.raises(InsufficientEventsError):
-            estimate_pf(
-                S1, MAST, 50.0, seed=1, n_chains=8, max_steps=20_000
-            )
+    def test_insufficient_events(self, monkeypatch):
+        # the sample cap stops the chains short of both the target and the
+        # crossing floor
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
+        with pytest.raises(InsufficientEventsError, match=r"need >= 100\)"):
+            estimate_pf(S1, MAST, 50.0, seed=1)
 
     @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
     def test_rejects_bad_gamma(self, gamma):
@@ -564,9 +567,7 @@ class TestEstimatePf:
         lane_block = _LANE * _STEP * np.dtype(float).itemsize
         tracemalloc.start()
         try:
-            est = estimate_pf(
-                S1, config, gamma, seed=1, n_chains=2048, target_crossings=500
-            )
+            est = estimate_pf(S1, config, gamma, seed=1, target_crossings=500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,7 +583,7 @@ class TestEstimatePf:
         rows = [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID]
         tracemalloc.start()
         try:
-            grid = _estimate_pf_grid(S1, rows, 1, n_chains=2048, target_crossings=500)
+            grid = _estimate_pf_grid(S1, rows, 1, target_crossings=500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,11 +617,9 @@ class TestEstimatePf:
             return estimate(gamma, chains, times, *observed)
 
         monkeypatch.setattr(simulation, "_pf_estimate", spy)
-        monkeypatch.setattr(simulation, "_STEP", 16)
-        grid = _estimate_pf_grid(
-            S1, [(PAGE, 0.0), (MAST, 1.0)], 3, n_chains=n_chains, target_crossings=10**9,
-            min_crossings=1, max_steps=n_chains * 40,
-        )
+        set_constants(monkeypatch, {"_STEP": 16, "_CHAINS": n_chains, "_MIN_CROSSINGS": 1,
+                                    "_MAX_SAMPLES": n_chains * 40})
+        grid = _estimate_pf_grid(S1, [(PAGE, 0.0), (MAST, 1.0)], 3, target_crossings=10**9)
         for (gamma, chains, times, observed), est in zip(seen, grid):
             assert np.unique(chains).size < chains.size
             order = np.lexsort((times, chains))
@@ -629,11 +628,9 @@ class TestEstimatePf:
             assert np.array_equal(np.argsort(key, kind="stable"), order)
             assert estimate(gamma, chains[order], times[order], *observed) == est
 
-    def test_explicit_horizon_observed_steps(self):
-        est = estimate_pf(
-            S1, MAST, 0.5, seed=2, n_chains=4, target_crossings=10**9,
-            min_crossings=1, max_steps=4096,
-        )
+    def test_explicit_horizon_observed_steps(self, monkeypatch):
+        set_constants(monkeypatch, {"_CHAINS": 4, "_MIN_CROSSINGS": 1, "_MAX_SAMPLES": 4096})
+        est = estimate_pf(S1, MAST, 0.5, seed=2, target_crossings=10**9)
         assert est.observed_steps == 4096
 
 
@@ -641,49 +638,50 @@ class TestEstimatePfGrid:
     """One set of chains for a whole grid: every row is the lone estimate."""
 
     @pytest.mark.parametrize(
-        "spec, rows, kwargs, capped",
+        "spec, rows, target, capped",
         [
             # the packaged S1 Page grid: the rows stop after 1, 3 and 5 steps
-            (S1, [(PAGE, g) for g in S1_PAGE_GRID], {"target_crossings": 500}, None),
-            (S2, [(MAST, g) for g in (2.0, 3.0, 4.0, 3.0)], {"target_crossings": 400}, None),
-            (S1, [(PAIR, g) for g in (1.0, 2.0, 3.0)], {"target_crossings": 300}, None),
-            (S1, [(MAST, g) for g in (0.5, 2.0, 3.0, 4.0)], CAPPED, {MAST: 3}),
+            (S1, [(PAGE, g) for g in S1_PAGE_GRID], 500, None),
+            (S2, [(MAST, g) for g in (2.0, 3.0, 4.0, 3.0)], 400, None),
+            (S1, [(PAIR, g) for g in (1.0, 2.0, 3.0)], 300, None),
+            (S1, [(MAST, g) for g in (0.5, 2.0, 3.0, 4.0)], 2000, {MAST: 3}),
             # both detectors of a packaged curve, each block scored twice
-            (S1, [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID],
-             {"target_crossings": 500}, None),
+            (S1, [(MAST, g) for g in S1_MAST_GRID] + [(PAGE, g) for g in S1_PAGE_GRID], 500, None),
             # gamma 2 and 3 in both detectors' lists
             (S2, [(PAIR, g) for g in (1.0, 2.0, 3.0)] + [(PAGE, g) for g in (2.0, 3.0, 5.0)],
-             {"target_crossings": 300}, None),
-            (S1, [(MAST, g) for g in (0.5, 4.0)] + [(PAGE, g) for g in (0.5, 2.0, 8.0)], CAPPED,
+             300, None),
+            (S1, [(MAST, g) for g in (0.5, 4.0)] + [(PAGE, g) for g in (0.5, 2.0, 8.0)], 2000,
              {MAST: 1, PAGE: 1}),
-            (S1, [(PAGE, g) for g in (0.5, 2.0, 8.0)] + [(MAST, g) for g in (0.5, 4.0)], CAPPED,
+            (S1, [(PAGE, g) for g in (0.5, 2.0, 8.0)] + [(MAST, g) for g in (0.5, 4.0)], 2000,
              {MAST: 1, PAGE: 1}),
         ],
         ids=["s1-page-packaged", "s2-mast", "s1-pair", "max-steps", "s1-mast-page-packaged",
              "s2-pair-page", "max-steps-mast-page", "max-steps-page-mast"],
     )
-    def test_rows_match_lone_estimates(self, spec, rows, kwargs, capped):
-        grid = _estimate_pf_grid(spec, rows, [5, 2], **kwargs)
-        assert grid == [estimate_pf(spec, cfg, g, seed=[5, 2], **kwargs) for cfg, g in rows]
-        n_chains = kwargs.get("n_chains", 2048)
-        steps = {-(-est.observed_steps // (n_chains * _STEP)) for est in grid}
+    def test_rows_match_lone_estimates(self, monkeypatch, spec, rows, target, capped):
+        if capped is not None:
+            set_constants(monkeypatch, CAPPED)
+        grid = _estimate_pf_grid(spec, rows, [5, 2], target_crossings=target)
+        lone = [estimate_pf(spec, cfg, g, seed=[5, 2], target_crossings=target) for cfg, g in rows]
+        assert grid == lone
+        steps = {-(-est.observed_steps // (simulation._CHAINS * _STEP)) for est in grid}
         if spec is S1 and rows[0][0] is PAGE and capped is None:
             assert {1, 3, 5} <= steps
         if capped is not None:
             # the cap binds each detector's top ``capped[cfg]`` rows, and its
             # lower rows meet the target before it
-            cap = kwargs["max_steps"]
+            cap = CAPPED["_MAX_SAMPLES"]
             for cfg, n in capped.items():
                 observed = [est.observed_steps for (c, _), est in zip(rows, grid) if c is cfg]
                 assert observed[-n:] == [cap] * n
                 assert max(observed[:-n]) < cap
 
-    def test_first_short_gamma_raises_lone_message(self):
-        kwargs = {"n_chains": 8, "max_steps": 20_000}
+    def test_first_short_gamma_raises_lone_message(self, monkeypatch):
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
         with pytest.raises(InsufficientEventsError) as lone:
-            estimate_pf(S1, MAST, 50.0, seed=1, **kwargs)
+            estimate_pf(S1, MAST, 50.0, seed=1)
         with pytest.raises(InsufficientEventsError) as grid:
-            _estimate_pf_grid(S1, [(MAST, g) for g in (0.5, 50.0, 60.0)], 1, **kwargs)
+            _estimate_pf_grid(S1, [(MAST, g) for g in (0.5, 50.0, 60.0)], 1)
         assert str(grid.value) == str(lone.value)
 
     @pytest.mark.parametrize(
@@ -693,14 +691,14 @@ class TestEstimatePfGrid:
          ([(MAST, 0.5), (MAST, 1.0), (PAGE, 0.5), (PAGE, 60.0)], (PAGE, 60.0))],
         ids=["mast-first", "page-first", "second-detector"],
     )
-    def test_first_short_row_named_with_its_detector(self, rows, short):
+    def test_first_short_row_named_with_its_detector(self, monkeypatch, rows, short):
         # the first short row in detector-then-grid order raises, and its
         # message is the lone estimate's, naming the detector
-        kwargs = {"n_chains": 8, "max_steps": 20_000}
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
         with pytest.raises(InsufficientEventsError) as lone:
-            estimate_pf(S1, *short, seed=1, **kwargs)
+            estimate_pf(S1, *short, seed=1)
         with pytest.raises(InsufficientEventsError) as grid:
-            _estimate_pf_grid(S1, rows, 1, **kwargs)
+            _estimate_pf_grid(S1, rows, 1)
         assert str(grid.value) == str(lone.value)
         assert f"at gamma={short[1]} for {short[0].kind.value} (need" in str(grid.value)
 
@@ -719,11 +717,12 @@ class TestEstimatePfGrid:
         # a higher threshold b to its crossing holds a crossing of a lower
         # one a: the statistic for a starts it at or above that for b and
         # follows the same monotone recursion.  Independent streams per
-        # threshold would break this.
-        grid = _estimate_pf_grid(
-            spec, [(cfg, g) for g in gammas], seed, n_chains=n_chains, target_crossings=10**9,
-            min_crossings=0, max_steps=n_chains * per_chain,
-        )
+        # threshold would break this.  Fixtures are not reset between
+        # examples, so the sizing is patched for each one.
+        sizing = {"_CHAINS": n_chains, "_MIN_CROSSINGS": 0, "_MAX_SAMPLES": n_chains * per_chain}
+        with pytest.MonkeyPatch.context() as mp:
+            set_constants(mp, sizing)
+            grid = _estimate_pf_grid(spec, [(cfg, g) for g in gammas], seed, target_crossings=10**9)
         counts = [est.n_trials for est in grid]
         assert counts == sorted(counts, reverse=True)
         assert {est.observed_steps for est in grid} == {n_chains * per_chain}
