@@ -36,7 +36,6 @@ from .ingestion import (
     InsufficientDataError,
     estimate_sigma,
     parse_counts,
-    smooth_counts,
     to_ratios,
 )
 from .simulation import (
@@ -260,8 +259,6 @@ def cmd_detect(args) -> int:
         count_column=args.count_column,
         date_format=args.date_format,
     )
-    if args.smooth_window is not None:
-        series = smooth_counts(series, args.smooth_window)
     ratios = to_ratios(series)
 
     if args.sigma is not None:
@@ -284,8 +281,8 @@ def cmd_detect(args) -> int:
     if args.output is not None:
         parameters = {**_detector_params(config), "gamma": args.gamma,
                       "sigma_source": sigma_source, "input": str(args.input),
-                      "smooth_window": args.smooth_window, "date_column": args.date_column,
-                      "count_column": args.count_column, "date_format": args.date_format}
+                      "date_column": args.date_column, "count_column": args.count_column,
+                      "date_format": args.date_format}
         trace = _trace_chunks(days, values, report.path, report.alarm_index)
         _write_output(
             args.output, ["n", "date", "x", "statistic", "alarmed"], trace, "detect", parameters
@@ -454,12 +451,6 @@ def build_parser() -> _Parser:
     detect.add_argument("--count-column", default="count", help="count column name (default: count)")
     detect.add_argument("--date-format", default="%Y-%m-%d",
                         help="strptime date format (default: %(default)s)")
-    detect.add_argument(
-        "--smooth-window",
-        type=int,
-        help="odd window for centered moving-average smoothing (off by default); reads "
-        "window // 2 later days, a look-ahead, and correlates successive ratios",
-    )
     detect.add_argument("--output", help="write the statistic trace CSV here")
     detect.set_defaults(func=cmd_detect)
 

@@ -30,7 +30,6 @@ __all__ = [
     "RatioSeries",
     "estimate_sigma",
     "parse_counts",
-    "smooth_counts",
     "to_ratios",
 ]
 
@@ -83,7 +82,7 @@ class CountSeries(_Series):
     """Dated nonnegative counts.
 
     Counts are float64, so they are exact up to 2**53 and larger ones are
-    rounded to the nearest float; smoothing may make them fractional.
+    rounded to the nearest float.
     Calendar gaps are allowed and simply separate ratio runs later on.
     """
 
@@ -316,25 +315,3 @@ def estimate_sigma(ratios: RatioSeries, window: int = 30) -> float:
             "ratio window has zero spread; supply a positive sigma explicitly"
         )
     return sigma
-
-
-def smooth_counts(series: CountSeries, window: int = 7) -> CountSeries:
-    """Centered moving average over a consecutive-day count series.
-
-    Smoothing suppresses weekday reporting artifacts but correlates
-    successive ratios, weakening the independence assumption behind the
-    detectors; it is therefore opt-in.  The series must be gap-free and the
-    window odd so the average stays centered.  Output length shrinks by
-    ``window - 1``.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    if len(series) < window:
-        raise InsufficientDataError(f"need at least {window} counts, have {len(series)}")
-    gaps = np.flatnonzero(np.diff(series.days) != _ONE_DAY)
-    if gaps.size:
-        raise ValueError(f"smoothing needs consecutive days; gap before {series.days[gaps[0] + 1]}")
-    smoothed = np.convolve(series.values, np.full(window, 1.0 / window), mode="valid")
-    half = window // 2
-    return CountSeries(series.days[half : half + len(smoothed)], smoothed)
-

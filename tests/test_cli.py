@@ -70,11 +70,10 @@ class TestDetect:
         assert code == EXIT_ERROR
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("smooth", [[], ["--smooth-window", "3"]])
-    def test_count_too_large_for_a_float(self, tmp_path, capsys, smooth):
+    def test_count_too_large_for_a_float(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         write_counts(path, [100, 110, 10**400, 120])
-        code = main(["detect", "--input", str(path), "--gamma", "1", "--sigma", "0.1"] + smooth)
+        code = main(["detect", "--input", str(path), "--gamma", "1", "--sigma", "0.1"])
         assert code == EXIT_ERROR
         assert "error: line 3: " in capsys.readouterr().err
 
@@ -178,22 +177,14 @@ class TestDetect:
             main(["detect", "--input", "x.csv"])  # --gamma missing
         assert err.value.code == EXIT_ERROR
 
-    def test_smoothing_flag(self, tmp_path, capsys):
-        path = tmp_path / "weekly.csv"
-        # weekday sawtooth around a flat level
-        write_counts(path, [100, 140, 100, 140, 100, 140, 100, 140, 100, 140, 100, 140])
-        code = main(
-            ["detect", "--input", str(path), "--gamma", "5", "--sigma", "0.1",
-             "--smooth-window", "3"]
-        )
-        assert code == EXIT_OK
-        # a window of 0 is an error, not "no smoothing"
-        code = main(
-            ["detect", "--input", str(path), "--gamma", "5", "--sigma", "0.1",
-             "--smooth-window", "0"]
-        )
-        assert code == EXIT_ERROR
-        assert "window must be odd and >= 1, got 0" in capsys.readouterr().err
+    def test_smooth_window_flag_rejected(self, constant_series, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["detect", "--input", str(constant_series), "--gamma", "5", "--sigma", "0.1",
+                  "--smooth-window", "3", "--output", str(out)])
+        assert err.value.code == EXIT_ERROR
+        assert "unrecognized arguments: --smooth-window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 SIMULATE = ["simulate", "--scenario", "1", "--gamma", "2", "--trials", "50", "--seed", "1"]
@@ -338,7 +329,7 @@ class TestDetectBytes:
 
     # sha256 of the trace, its manifest and stdout
     PINNED = ("013af0e8ffc006279a8ada1884950f031a40ae3a3898ac57808c090e93a5cd1f",
-              "806865cb8c5a4cd25657139b9d6e0e65d2a035f8eafc88ac85ad3a02d90fc7be",
+              "d3e5ed1ca7a4bf8e8ebb832c4a29f22f1c0e8c1e7c06e1957253a27b20450ec0",
               "db7407444a18229a569c7372b9472bd1759cd62e3e02d5453419852284bc0777")
 
     def test_long_trace_pinned(self, tmp_path, monkeypatch, capsys):

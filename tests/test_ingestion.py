@@ -4,7 +4,6 @@ import csv
 import datetime as dt
 import io
 import math
-import re
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from mast.ingestion import (
     _sniff_delimiter,
     estimate_sigma,
     parse_counts,
-    smooth_counts,
     to_ratios,
 )
 
@@ -320,19 +318,6 @@ def reference_to_ratios(entries):
     return ratios
 
 
-def reference_smooth_counts(entries, window):
-    """``smooth_counts`` as a loop over ``(date, count)`` pairs: the
-    reference the array version must match."""
-    dates = [d for d, _ in entries]
-    for d0, d1 in zip(dates, dates[1:]):
-        if (d1 - d0).days != 1:
-            raise ValueError(f"smoothing needs consecutive days; gap before {d1}")
-    values = np.array([v for _, v in entries], dtype=float)
-    smoothed = np.convolve(values, np.full(window, 1.0 / window), mode="valid")
-    half = window // 2
-    return [(dates[half + i], float(v)) for i, v in enumerate(smoothed)]
-
-
 @st.composite
 def count_entries(draw):
     """Dated counts with zeros, calendar gaps of a few days and counts up to
@@ -366,24 +351,6 @@ class TestArrayVersionsMatchLoops:
         np.testing.assert_array_equal(
             ratios.values, [math.nan if x is None else x for _, x in expect]
         )
-
-    @settings(max_examples=300, deadline=None)
-    @given(entries=count_entries(), window=st.sampled_from([1, 3, 5, 7]))
-    def test_smooth_counts(self, entries, window):
-        counts = from_pairs(entries)
-        if len(entries) < window:
-            with pytest.raises(InsufficientDataError):
-                smooth_counts(counts, window)
-            return
-        try:
-            expect = reference_smooth_counts(entries, window)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                smooth_counts(counts, window)
-            return
-        smoothed = smooth_counts(counts, window)
-        assert smoothed.days.tolist() == [d for d, _ in expect]
-        assert smoothed.values.tolist() == [v for _, v in expect]
 
 
 class TestRoundTrip:
@@ -432,24 +399,6 @@ class TestEstimateSigma:
         # gaps are skipped: the last 40 ratios are still quiet ones
         values[-20::2] = np.nan
         assert estimate_sigma(RatioSeries(days(100), values), window=40) < 0.05
-
-
-class TestSmoothing:
-    def test_centered_average(self):
-        smoothed = smooth_counts(series([0, 3, 6, 9, 12]), window=3)
-        assert smoothed.values.tolist() == [3.0, 6.0, 9.0]
-        assert smoothed.days.tolist() == [day(1), day(2), day(3)]
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            smooth_counts(series([1, 2, 3, 4]), window=2)
-        with pytest.raises(InsufficientDataError):
-            smooth_counts(series([1, 2]), window=5)
-
-    def test_requires_consecutive_days(self):
-        counts = CountSeries([day(0), day(1), day(3)], [1, 2, 3])
-        with pytest.raises(ValueError, match="consecutive"):
-            smooth_counts(counts, window=3)
 
 
 class TestCountSeries:
