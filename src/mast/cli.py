@@ -316,6 +316,20 @@ def cmd_simulate(args) -> int:
         if unread:
             raise ValueError(f"{', '.join(unread)} not read by --mode pf (delay trials only)")
 
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError(f"--horizon must be an integer >= 1, got {args.horizon}")
+
+    # the false alarms first: a rate out of Monte Carlo reach then fails
+    # before any delay trial runs
+    pf = None
+    if args.mode in ("pf", "both"):
+        pf = estimate_pf(
+            spec,
+            config,
+            args.gamma,
+            seed=[args.seed, PF_SEED_TAG, 0],
+            target_crossings=args.trials,
+        )
     rows = []
     if args.mode in ("delay", "both"):
         est = estimate_delay(
@@ -336,21 +350,14 @@ def cmd_simulate(args) -> int:
             ["delay", config.kind.value, args.scenario, _fmt(args.gamma), _fmt(est.mean_delay),
              _fmt(est.delay_se), est.n_trials, est.n_censored, ""]
         )
-    if args.mode in ("pf", "both"):
-        est = estimate_pf(
-            spec,
-            config,
-            args.gamma,
-            seed=[args.seed, PF_SEED_TAG, 0],
-            target_crossings=args.trials,
-        )
+    if pf is not None:
         print(
-            f"pf: {est.pf:.6g} +/- {est.pf_se:.3g} "
-            f"({est.n_trials} crossings over {est.observed_steps} samples)"
+            f"pf: {pf.pf:.6g} +/- {pf.pf_se:.3g} "
+            f"({pf.n_trials} crossings over {pf.observed_steps} samples)"
         )
         rows.append(
-            ["pf", config.kind.value, args.scenario, _fmt(args.gamma), _fmt(est.pf),
-             _fmt(est.pf_se), est.n_trials, "", est.observed_steps]
+            ["pf", config.kind.value, args.scenario, _fmt(args.gamma), _fmt(pf.pf),
+             _fmt(pf.pf_se), pf.n_trials, "", pf.observed_steps]
         )
 
     if args.output is not None:

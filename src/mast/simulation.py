@@ -22,27 +22,26 @@ lines to directly measured points and may evaluate them at thresholds
 beyond Monte Carlo reach.  Those extrapolated points are unchecked
 straight-line fits: nothing measures or bounds their error.  For scenario
 1 MAST at ``gamma = 12`` the packaged curve's extrapolated false-alarm
-rate is about 5.4 times too optimistic against a Brook-Evans run-length
+rate is about 5.8 times too optimistic against a Brook-Evans run-length
 calculation.
 
 Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
 consecutive indices.  Each lane owns its PCG64 generators, derived from
-``(seed, lane)``: the noise comes from spawn key ``(lane, 0)`` and, in
-scenario 2 only, the daily means from ``(lane, 1)``.  The words that seed
-them are ``SeedSequence(seed, spawn_key=(lane, stream))``'s, bit for bit,
-but computed for every lane at once by one vectorised pass
-(``_seed_words``) and handed to each PCG64 directly; ``numpy.random`` is
-imported only when the first lanes are seeded.  A lane draws
-time-major: a step of ``cols`` samples fills a ``(cols, _LANE)`` slice
-whose row ``t`` is time and whose column ``r`` belongs to trial
-``lane * _LANE + r``.  Sample ``t`` of that trial is then element
-``t * _LANE + r`` of each of its lane's streams, whatever the step sizes,
-so results are a deterministic function of the seed and the trial count
-and do not depend on the chunk schedule.  The live lanes' slices make up
+``(seed, lane)``: the noise and, in scenario 2 only, the daily means.  One
+``SeedSequence.generate_state`` call on the seed gives every lane the
+words of both (``_lane_rngs``), and they are handed to each PCG64
+directly; ``numpy.random`` is imported only when the first lanes are
+seeded.  A lane draws time-major: a step of ``cols`` samples fills a
+``(cols, _LANE)`` slice whose row ``t`` is time and whose column ``r``
+belongs to trial ``lane * _LANE + r``.  Sample ``t`` of that trial is then
+element ``t * _LANE + r`` of each of its lane's streams, whatever the
+step sizes, so results are a deterministic function of the seed and the
+trial count and do not depend on the chunk schedule.  The live lanes' slices make up
 one ``(lanes, cols, _LANE)`` block: each lane's generators fill only its
 slice, and the affine steps (the scale by ``sigma``, the mean, scenario
 2's mean plus noise) then run once over the whole block.  A seed is an
-int or a sequence of ints.
+int >= 0 or a sequence of them, and seeds that differ, as ints or as
+sequences, give different streams.
 
 Every chain runs the recursion of ``run_stream``,
 ``T_n = max(0, T_{n-1} + increment(x_n))``, with the same float
@@ -164,72 +163,12 @@ def _seed_entropy(seed, *tags: int) -> list[int]:
     return [int(s) for s in entropy + list(tags)]
 
 
-_MASK32 = 0xFFFFFFFF
-# SeedSequence's hash constants and pool size (numpy.random.bit_generator)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _powers(init: int, mult: int, n: int) -> list[int]:
-    """``init * mult**k`` modulo 2**32 for ``k < n``."""
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _hash(value, xor, mult):
-    """``SeedSequence``'s hash of 32-bit words, given the multiplier before
-    and after its update.  A product of two words fits in 64 bits, so uint64
-    arrays hold it exactly."""
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """``SeedSequence``'s mix of a pool word ``x`` with a hashed word ``y``."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _seed_words(entropy: list[int], lanes: int, streams: int) -> np.ndarray:
-    """The C-contiguous ``(lanes, streams, 4)`` uint64 array whose
-    ``[lane, stream]`` row is
-    ``SeedSequence(entropy, spawn_key=(lane, stream)).generate_state(4, np.uint64)``,
-    bit for bit, for non-negative ints ``entropy`` and lanes below 2**32.
-
-    This is ``SeedSequence``'s own mixing.  The spawn key's words come
-    after the run entropy (padded to the pool size), so the pool up to them
-    is ``SeedSequence(entropy).pool``, shared by every lane; the lane and
-    stream words are then mixed into its four words at once, which makes
-    the pool a ``(4, lanes, streams)`` array.
-    """
-    from numpy.random import SeedSequence
-
-    n_words = sum(max(1, -(-value.bit_length() // 32)) for value in entropy)
-    # hashmix call k hashes with multipliers a[k] and a[k + 1]: the pool
-    # took one call per pool word, one per ordered pair of distinct pool
-    # words and one per pool word for each entropy word past the pool size
-    k = _POOL * _POOL + _POOL * max(0, n_words - _POOL)
-    a = np.array(_powers(_INIT_A, _MULT_A, k + 2 * _POOL + 1), dtype=np.uint64)[:, None, None]
-    pool = SeedSequence(entropy).pool.astype(np.uint64)[:, None, None]
-    for key in np.arange(lanes, dtype=np.uint64)[:, None], np.arange(streams, dtype=np.uint64):
-        pool = _mix(pool, _hash(key, a[k : k + _POOL], a[k + 1 : k + _POOL + 1]))
-        k += _POOL
-    # generate_state(4, np.uint64): eight 32-bit words, from the pool in
-    # turn, paired little-endian
-    b = np.array(_powers(_INIT_B, _MULT_B, 9), dtype=np.uint64)[:, None, None]
-    state = np.moveaxis(_hash(pool[np.arange(8) % _POOL], b[:8], b[1:]), 0, -1)
-    return np.ascontiguousarray(state[..., ::2] | state[..., 1::2] << 32)
-
-
 @functools.cache
 def _generator_factory():
-    """``words -> Generator(PCG64(...))`` seeded with the four uint64 words of
-    a ``_seed_words`` row.  ``numpy.random`` is imported here, at first
-    use, because it costs more than the rest of ``import mast.cli``."""
+    """``words -> Generator(PCG64(...))`` seeded with four uint64 words, a
+    row of ``_lane_rngs``'s ``generate_state`` call.  ``numpy.random`` is
+    imported here, at first use, because it costs more than the rest of
+    ``import mast.cli``."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -249,11 +188,23 @@ def _generator_factory():
 
 def _lane_rngs(seed, lanes: int, scenario: int) -> list[tuple[np.random.Generator, ...]]:
     """The generators of lanes ``0 .. lanes - 1``, one tuple per lane (lane
-    ``i`` holds trials ``i * _LANE`` onward): the noise, from spawn key
-    ``(i, 0)``, then for scenario 2 the daily means, from ``(i, 1)``."""
-    words = _seed_words(_seed_entropy(seed), lanes, 2 if scenario == 2 else 1)
+    ``i`` holds trials ``i * _LANE`` onward): the noise, then for scenario 2
+    the daily means.
+
+    One ``SeedSequence`` call gives every lane its eight words: row 0 seeds
+    the noise and row 1 the means.  Word ``k`` of ``generate_state`` does
+    not depend on how many words are asked for, so a lane's streams depend
+    only on the seed and the lane index.  ``SeedSequence`` flattens its
+    entropy into 32-bit words, so each entry's word count goes ahead of it:
+    ``[2**32 + 1]`` then differs from ``[1, 1]``, and ``[5]`` from ``[5, 0]``.
+    """
+    from numpy.random import SeedSequence
+
+    entropy = [w for s in _seed_entropy(seed) for w in (max(1, -(-s.bit_length() // 32)), s)]
+    words = SeedSequence(entropy).generate_state(8 * lanes, np.uint64).reshape(lanes, 2, 4)
     generator = _generator_factory()
-    return [tuple(map(generator, lane)) for lane in words]
+    streams = 2 if scenario == 2 else 1
+    return [tuple(map(generator, lane[:streams])) for lane in words]
 
 
 def _draw(
@@ -448,6 +399,13 @@ def _measured_gamma(gamma) -> float:
     return gamma
 
 
+def _check_change_time(change_time) -> None:
+    """``ValueError`` unless ``change_time`` is an int >= 1."""
+    # a bool is an int to Python; change_time=True must not run as 1
+    if type(change_time) is not int or change_time < 1:
+        raise ValueError(f"change_time must be an integer >= 1, got {change_time!r}")
+
+
 def estimate_delay(
     spec: ScenarioSpec,
     config: DetectorConfig,
@@ -469,13 +427,12 @@ def estimate_delay(
     sample is delay 1.  The default ``change_time=1`` starts the statistic
     at zero at the change: the worst-case convention.
 
-    Lane ``i``'s generators are seeded like
-    ``SeedSequence(seed, spawn_key=(i, stream))``, from words computed for
-    all lanes at once; each lane draws its own slice of a block, and the
-    affine steps run once over the block (see the module docstring).  The
-    run-in draws exactly ``change_time - 1`` samples per trial, in steps
-    of at most ``_STEP`` whose crossings are dropped, so it holds no more
-    memory however long it is.  The post-change steps are at most
+    Lane ``i``'s generators are seeded from words computed for all lanes
+    at once (``_lane_rngs``); each lane draws its own slice of a block, and
+    the affine steps run once over the block (see the module docstring).
+    The run-in draws exactly ``change_time - 1`` samples per trial, in
+    steps of at most ``_STEP`` whose crossings are dropped, so it holds no
+    more memory however long it is.  The post-change steps are at most
     ``_STEP`` samples too; within one, a block after ``c`` post-change
     columns is at most ``max(2, c // 2)`` columns long, so a lane whose
     trials have all alarmed is dropped soon after the last alarm.  A
@@ -496,9 +453,7 @@ def estimate_delay(
     gamma = _measured_gamma(gamma)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    # a bool is an int to Python; change_time=True must not run as 1
-    if type(change_time) is not int or change_time < 1:
-        raise ValueError(f"change_time must be an integer >= 1, got {change_time!r}")
+    _check_change_time(change_time)
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
@@ -758,12 +713,13 @@ def operational_curve(
 
     ``curves`` holds one ``(config, gamma_grid, extrapolation_grid)`` per
     detector; one ``OperationalCurve`` comes back for each, in order.
-    Every grid is checked by ``_check_grids`` before anything runs.
+    Every grid, and ``change_time``, is checked before anything runs.
 
     Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
-    delay trials with the regime change at ``change_time`` (see
-    ``estimate_delay``), on the point's own seed
-    ``[seed, _KIND_SEED_TAG[kind], DELAY_SEED_TAG, i]``, and false alarms.
+    false alarms, and then delay trials with the regime change at
+    ``change_time`` (see ``estimate_delay``), on the point's own seed
+    ``[seed, _KIND_SEED_TAG[kind], DELAY_SEED_TAG, i]``.  So a rate out of
+    Monte Carlo reach fails before any delay trial runs.
     The false-alarm chains are shared by every point of every detector:
     one ``_estimate_pf_grid`` on seed ``[seed, PF_SEED_TAG, 0]`` draws each
     controlled sample once, scores it once per detector, and stops each
@@ -780,7 +736,17 @@ def operational_curve(
     """
     grids = [_check_grids(gamma_grid, extra_grid, r2_floor) for _, gamma_grid, extra_grid in curves]
     configs = [config for config, _, _ in curves]
+    _check_change_time(change_time)
 
+    # the pf estimates come back detector by detector, as their rows went in
+    pfs = iter(
+        _estimate_pf_grid(
+            spec,
+            [(config, gamma) for config, (gammas, _) in zip(configs, grids) for gamma in gammas],
+            _seed_entropy(seed, PF_SEED_TAG, 0),
+            target_crossings=n_trials,
+        )
+    )
     delays = [
         [
             estimate_delay(
@@ -795,15 +761,6 @@ def operational_curve(
         ]
         for config, (gammas, _) in zip(configs, grids)
     ]
-    # the pf estimates come back detector by detector, as their rows went in
-    pfs = iter(
-        _estimate_pf_grid(
-            spec,
-            [(config, gamma) for config, (gammas, _) in zip(configs, grids) for gamma in gammas],
-            _seed_entropy(seed, PF_SEED_TAG, 0),
-            target_crossings=n_trials,
-        )
-    )
     return [
         _fit_curve(
             config, gammas, extra_gammas, [(delay, next(pfs)) for delay in curve_delays], r2_floor

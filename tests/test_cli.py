@@ -283,18 +283,18 @@ class TestBarrierPair:
 PINNED_CSV = [
     (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
-     "e34d66c16d990e3ff1189f9c4369db47e8294eb05ec1c8a07984af7ec961310e"),
+     "2724c83f9335bcfc6204ab78bc96b6a947a2f71a2a2461541b95b30c39e3770c"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
-     "d053379923f7749b0f7540861eac358c7d2c102bdb8e9307d99c240705748558"),
+     "23ad8181ac8aee711f628954ee81500cf0c17e520312d37f837cd4f562ea1463"),
     # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--change-time", "50"],
-     "db6f6d20ad1bb76b181395c7b8e2f3a9e1d0f0da5a0e34014c58b453ef95e295"),
+     "8a21399b7bde2ab675c29853f9cf945df4b01946ae4e199f0dcbc822875a9fa2"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
       "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
       "--extrapolate-grid", "none"],
-     "d2ed18a7109fa655bdd38bde1864093efe2c6f9bbd7ba586d4d5572f46c5a9eb"),
+     "b275d749a92302a2bdb220a13bd31458d469e071a7cb3d3f54b9b14364148607"),
 ]
 
 
@@ -396,8 +396,47 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "out of Monte Carlo reach: lower gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--scenario", "1", "--gamma", "60", "--mode", "both"],
+         ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,60",
+          "--extrapolate-grid", "none"]],
+        ids=["simulate", "curve"],
+    )
+    def test_unreachable_pf_fails_before_any_delay_trial(self, capsys, monkeypatch, tmp_path, args):
+        # the false alarms run first, so no delay trial runs, no delay is
+        # printed and no output is written; the cap is cut to three steps
+        # as in test_insufficient_events_guidance
+        def no_delay(*args, **kwargs):
+            raise AssertionError("a delay trial ran before the false alarms")
+
+        monkeypatch.setattr(
+            simulation, "_MAX_SAMPLES", 3 * simulation._CHAINS * simulation._STEP
+        )
+        monkeypatch.setattr(cli, "estimate_delay", no_delay)
+        monkeypatch.setattr(simulation, "estimate_delay", no_delay)
+        out = tmp_path / "out.csv"
+        code = main(args + ["--trials", "500", "--seed", "1", "--output", str(out)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "out of Monte Carlo reach: lower gamma" in captured.err
+        assert "delay" not in captured.out
+        assert not out.exists()
+
+    def test_bad_horizon_rejected_before_simulating(self, capsys, monkeypatch):
+        # the false alarms run first, so the delay trials' horizon is
+        # checked before them
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built before the horizon was checked")
+
+        monkeypatch.setattr(simulation, "_Lanes", unbuilt)
+        code = main(["simulate", "--scenario", "1", "--gamma", "2", "--mode", "both",
+                     "--trials", "10", "--seed", "1", "--horizon", "0"])
+        assert code == EXIT_ERROR
+        assert "error: --horizon must be an integer >= 1, got 0" in capsys.readouterr().err
+
     def test_met_target_below_crossing_floor_succeeds(self, capsys):
-        # 20 target crossings, met within four steps: fewer than the
+        # 20 target crossings, met within three steps: fewer than the
         # 100-crossing floor of an estimate the sample cap stops, but no
         # estimate that met its target is short
         code = main(
@@ -405,7 +444,7 @@ class TestSimulate:
              "--trials", "20", "--seed", "1"]
         )
         assert code == EXIT_OK
-        assert "(24 crossings over 4194304 samples)" in capsys.readouterr().out
+        assert "(23 crossings over 3145728 samples)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["delay", "pf", "both"])
     def test_infinite_gamma_rejected_before_simulating(self, capsys, monkeypatch, mode):
@@ -508,7 +547,7 @@ class TestSimulate:
         code = main(args + ["--horizon", "3", "--change-time", "40", "--output", str(flagged)])
         assert code == EXIT_OK
         assert capsys.readouterr().err == (
-            "warning: 42 of 100 trials never alarmed within 3 samples; "
+            "warning: 37 of 100 trials never alarmed within 3 samples; "
             "their delay is counted at the horizon (lower bound)\n"
         )
         (_, delay, pf), (_, delay_flagged, pf_flagged) = (
@@ -524,7 +563,7 @@ class TestSimulate:
                      "1", "--mode", "delay", "--horizon", "5"])
         assert code == EXIT_OK
         assert capsys.readouterr().err == (
-            "warning: 98 of 700 trials never alarmed within 5 samples; "
+            "warning: 123 of 700 trials never alarmed within 5 samples; "
             "their delay is counted at the horizon (lower bound)\n"
         )
 

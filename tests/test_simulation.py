@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import linregress, norm
 
 from mast import simulation
@@ -19,6 +20,7 @@ from mast.detectors import DetectorConfig, DetectorKind, run_stream
 from mast.simulation import (
     _LANE,
     _STEP,
+    DELAY_SEED_TAG,
     ExtrapolationError,
     InsufficientEventsError,
     LinearFit,
@@ -29,7 +31,6 @@ from mast.simulation import (
     _estimate_pf_grid,
     _lane_rngs,
     _seed_entropy,
-    _seed_words,
     estimate_delay,
     estimate_pf,
     fit_linear,
@@ -66,6 +67,36 @@ def trial_samples(spec, seed, index, n, *, critical=True):
     block, noise = np.empty((2, 1, n, _LANE))
     _draw(spec, _lane_rngs(seed, lane + 1, spec.scenario)[lane:], critical, block, noise)
     return block[0, :, index % _LANE].copy()
+
+
+class SeedWords(ISeedSequence):
+    """Hands PCG64 four given uint64 words as its ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def reference_rngs(entropy, lanes, streams):
+    """Lane by lane, the generators of the documented seed layout, built
+    here from ``SeedSequence`` and not by ``_lane_rngs``: the entropy is
+    each entry's count of 32-bit words followed by the entry, and lane
+    ``i``'s stream ``j`` is seeded with words ``8 i + 4 j`` to
+    ``8 i + 4 j + 3`` of one ``generate_state(..., np.uint64)`` call."""
+    prefixed = []
+    for value in entropy:
+        prefixed += [max(1, (value.bit_length() + 31) // 32), value]
+    words = np.random.SeedSequence(prefixed).generate_state(8 * lanes, np.uint64)
+    return [
+        tuple(
+            np.random.Generator(np.random.PCG64(SeedWords(words[k : k + 4])))
+            for k in range(8 * i, 8 * i + 4 * streams, 4)
+        )
+        for i in range(lanes)
+    ]
 
 
 def advance_crossings(lanes, steps, critical=False):
@@ -175,25 +206,56 @@ class TestSeeds:
         ids=["zero", "two-words", "three-words", "five-words", "long-multiword", "tagged"],
     )
     def test_seed_words_match_seed_sequence(self, entropy):
-        # the vectorised words are SeedSequence's own, for every lane and stream
-        words = _seed_words(entropy, 501, 2)
-        assert words.shape == (501, 2, 4) and words.dtype == np.uint64
-        for lane in range(501):
-            for stream in range(2):
-                seq = np.random.SeedSequence(entropy, spawn_key=(lane, stream))
-                expected = seq.generate_state(4, np.uint64)
-                np.testing.assert_array_equal(words[lane, stream], expected)
+        # every lane is seeded with SeedSequence's own words, and a lane's
+        # words do not depend on how many lanes are seeded
+        rngs = _lane_rngs(entropy, 501, 2)
+        assert len(rngs) == 501 and all(len(lane) == 2 for lane in rngs)
+        states = [[rng.bit_generator.state for rng in lane] for lane in rngs]
+        assert states == [
+            [rng.bit_generator.state for rng in lane] for lane in reference_rngs(entropy, 501, 2)
+        ]
+        for lanes in (1, 64):
+            assert [
+                [rng.bit_generator.state for rng in lane] for lane in _lane_rngs(entropy, lanes, 2)
+            ] == states[:lanes]
+        # scenario 1 seeds only the noise, with scenario 2's noise words
+        assert [[lane[0].bit_generator.state] for lane in _lane_rngs(entropy, 3, 1)] == [
+            lane[:1] for lane in states[:3]
+        ]
+
+    @pytest.mark.parametrize(
+        "seed, alias",
+        [([42949672961, DELAY_SEED_TAG, 0], [1, 10, DELAY_SEED_TAG, 0]), ([5], [5, 0]),
+         ([2**64], [0, 0, 1])],
+        ids=["seed-and-curve-tag", "zero-padding", "three-words"],
+    )
+    def test_aliasing_seeds_give_different_streams(self, seed, alias):
+        # SeedSequence alone flattens each pair into the same 32-bit words
+        # (42949672961 is 10 * 2**32 + 1) and pads them with zeros
+        words = [np.random.SeedSequence(s).generate_state(8) for s in (seed, alias)]
+        assert np.array_equal(*words)
+        for ours, theirs in zip(_lane_rngs(seed, 2, 2), _lane_rngs(alias, 2, 2)):
+            for a, b in zip(ours, theirs):
+                assert a.bit_generator.state != b.bit_generator.state
+        assert not np.array_equal(trial_samples(S2, seed, 0, 50), trial_samples(S2, alias, 0, 50))
 
     def test_lane_generators_match_default_rng(self):
-        # the generators seeded from those words draw what numpy's own do
+        # lane 0's noise generator is numpy's default_rng on the
+        # word-counted entropy, and every lane's generators draw what
+        # PCG64s seeded with the reference words draw
         rngs = _lane_rngs([7, 3], 5, 2)
         assert len(rngs) == 5 and all(len(lane) == 2 for lane in rngs)
+        ((noise,),) = _lane_rngs([7, 3], 1, 1)
+        np.testing.assert_array_equal(
+            noise.standard_normal(9),
+            np.random.default_rng(np.random.SeedSequence([1, 7, 1, 3])).standard_normal(9),
+        )
+        reference = reference_rngs([7, 3], 5, 2)
         for lane in (0, 4):
             for stream in range(2):
-                seq = np.random.SeedSequence([7, 3], spawn_key=(lane, stream))
                 np.testing.assert_array_equal(
                     rngs[lane][stream].standard_normal(9),
-                    np.random.default_rng(seq).standard_normal(9),
+                    reference[lane][stream].standard_normal(9),
                 )
 
     def test_pinned_estimates(self, monkeypatch):
@@ -206,7 +268,7 @@ class TestSeeds:
         monkeypatch.setattr(simulation, "_CHAINS", 16)
         pf = estimate_pf(S1, PAGE, 2.0, seed=[3, 1], target_crossings=300)
         assert pf == PerformanceEstimate(
-            gamma=2.0, n_trials=438, pf=0.0267333984375, pf_se=0.0012891703786016273,
+            gamma=2.0, n_trials=440, pf=0.02685546875, pf_se=0.0012894945499407392,
             observed_steps=16384,
         )
         # plain Python numbers, so that callers can serialise an estimate
@@ -330,12 +392,8 @@ class TestEstimateDelay:
         for spec, cfg in [(S1, MAST), (S1, PAGE), (S2, MAST), (S1, at_mean)]:
             for gamma in (0.5, 2.0, 8.0):
                 est = estimate_delay(spec, cfg, gamma, n_trials, seed=61, change_time=nu)
-                # the lane's generators, keyed here independently of the engine
-                keys = [(0, 0), (0, 1)] if spec.scenario == 2 else [(0, 0)]
-                rngs = tuple(
-                    np.random.default_rng(np.random.SeedSequence([61], spawn_key=key))
-                    for key in keys
-                )
+                # the lane's generators, seeded here independently of the engine
+                (rngs,) = reference_rngs([61], 1, spec.scenario)
                 pre = _draw(spec, [rngs], False, *np.empty((2, 1, nu - 1, _LANE)))[0].T
                 post = _draw(spec, [rngs], True, *np.empty((2, 1, 3200, _LANE)))[0].T
                 reference = []
@@ -1006,9 +1064,16 @@ class TestOperationalCurve:
                 r2_floor=0.999999,
             )
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="change_time"):
-            operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], change_time=0)
+    def test_spec_validation(self, monkeypatch):
+        # the false-alarm chains run first, so the change time is checked
+        # before any of them is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built before change_time was checked")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simulation, "_Lanes", unbuilt)
+            with pytest.raises(ValueError, match="change_time"):
+                operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], change_time=0)
         with pytest.raises(ValueError):
             operational_curve(S1, [(PAGE, [], [])])
 
