@@ -5,4 +5,4 @@ series, a Monte Carlo harness measuring their delay/false-alarm tradeoff,
 and ingestion helpers for running them on real data.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -6,7 +6,8 @@ Three subcommands:
 * ``mast simulate`` -- Monte Carlo delay and false-alarm estimates at one
   threshold under a synthetic scenario.
 * ``mast curve``    -- measured plus extrapolated operational curves as
-  plot-ready CSV.
+  plot-ready CSV: Monte Carlo delays, and false-alarm rates from a
+  run-length solver.
 
 Exit codes are a stable contract: 0 = ran, no alarm; 2 = alarm raised;
 1 = usage or input error.  A warning raised while a command runs goes to
@@ -197,15 +198,16 @@ def _add_detector_flags(parser: argparse.ArgumentParser, *, several: bool = Fals
     parser.add_argument("--alpha", type=float, help="nominal mean offset of page" + also)
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser, trials_help: str) -> None:
     """The flags ``simulate`` and ``curve`` share, with their defaults, and
-    the default of their ``--alpha``, the scenario's mean offset."""
+    the default of their ``--alpha``, the scenario's mean offset;
+    ``trials_help`` says what ``--trials`` counts."""
     parser.set_defaults(alpha=0.05)
     parser.add_argument("--scenario", type=int, choices=(1, 2), required=True)
     parser.add_argument("--sigma", type=float, default=0.05,
                         help="ratio noise level (default: %(default)s)")
     parser.add_argument("--trials", type=int, default=10000,
-                        help="trials / target crossings (default: %(default)s)")
+                        help=trials_help + " (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=42, help="master seed (default: %(default)s)")
     parser.add_argument(
         "--change-time", type=int,
@@ -462,7 +464,7 @@ def build_parser() -> _Parser:
     detect.set_defaults(func=cmd_detect)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo estimates at one threshold")
-    _add_experiment_flags(simulate)
+    _add_experiment_flags(simulate, "trials / target crossings")
     _add_detector_flags(simulate)
     simulate.add_argument("--gamma", type=float, required=True)
     simulate.add_argument("--mode", choices=("delay", "pf", "both"), default="both",
@@ -471,8 +473,11 @@ def build_parser() -> _Parser:
     simulate.add_argument("--output", help="write estimates as CSV here")
     simulate.set_defaults(func=cmd_simulate)
 
-    curve = sub.add_parser("curve", help="operational curves as plot-ready CSV")
-    _add_experiment_flags(curve)
+    curve = sub.add_parser(
+        "curve", help="operational curves as plot-ready CSV (Monte Carlo delays, solved pf)"
+    )
+    _add_experiment_flags(curve, "delay trials per measured point; the false-alarm rates are "
+                          "solved, not simulated")
     _add_detector_flags(curve, several=True)
     curve.add_argument("--gamma-grid", help="measured grid: comma list or lo:hi:n (default: packaged)")
     curve.add_argument(

@@ -18,12 +18,11 @@ controlled regime and is reset to zero at every crossing.
 
 Both maps ``gamma -> delay`` and ``gamma -> log10(pf)`` are close to
 linear over the measured grids, so an operational curve fits straight
-lines to directly measured points and may evaluate them at thresholds
-beyond Monte Carlo reach.  Those extrapolated points are unchecked
+lines to the points computed at their thresholds and may evaluate them
+beyond the measured grid.  Those extrapolated points are unchecked
 straight-line fits: nothing measures or bounds their error.  For scenario
 1 MAST at ``gamma = 12`` the packaged curve's extrapolated false-alarm
-rate is about 5.8 times too optimistic against a Brook-Evans run-length
-calculation.
+rate is about 5.6 times too optimistic against the run-length solver.
 
 Trials (and monitoring chains) are cut into fixed lanes of ``_LANE``
 consecutive indices.  Each lane owns its PCG64 generators, derived from
@@ -64,14 +63,15 @@ over all its lanes, and at least one.
 Every estimate loop steps its chains ``_STEP`` samples at a time: a delay
 trial's run-in of exactly ``change_time - 1`` controlled samples, its
 post-change part, and the false-alarm chains, whose target, like a delay
-horizon, is checked only between steps.  An operational curve estimates
-the false-alarm rates of every detector's whole grid on one set of
-chains, one row per (detector, threshold) (``_estimate_pf_grid``), and
-drops each row at the first step boundary where it has met its target.
-Each point's estimate is exactly that of a lone ``estimate_pf`` on the
-curve's false-alarm seed, the seed of ``mast simulate --mode pf``,
-whatever the other rows are; the points' errors are correlated, across
-detectors too, and a repeated threshold repeats its estimate.
+horizon, is checked only between steps.  ``_estimate_pf_grid`` runs the
+false-alarm chains of several (detector, threshold) rows on one set of
+chains and drops each row at the first step boundary where it has met its
+target; each row's estimate is exactly that of a lone ``estimate_pf``.
+
+An operational curve takes its false-alarm rates from the run-length
+solver (``runlength``), not from chains: each is a deterministic function
+of the detector, the threshold and the scenario, with its discretisation
+error in place of a standard error.  Only its delays are Monte Carlo.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import runlength
 from .core import check_gamma, check_sigma
 from .detectors import DetectorConfig, DetectorKind
 
@@ -118,6 +119,10 @@ _BLOCK = _LANE * _STEP
 _CHAINS = 2048
 _MAX_SAMPLES = 200_000_000
 _MIN_CROSSINGS = 100
+# Poisson standard deviations by which the crossings the solver expects
+# within the cap must fall short of that floor for estimate_pf to refuse
+# before running
+_REACH_SDS = 6.0
 # seed-path tags separating the delay and false-alarm substreams of one seed
 DELAY_SEED_TAG = 1
 PF_SEED_TAG = 2
@@ -148,6 +153,14 @@ class ScenarioSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
+
+    def means(self, critical: bool) -> tuple[float, float]:
+        """``(low, high)``: the regime's daily mean is uniform on it, or is
+        ``low == high`` in scenario 1, ``1 -/+ alpha``."""
+        if self.scenario == 1:
+            mean = 1.0 + self.alpha if critical else 1.0 - self.alpha
+            return mean, mean
+        return (1.0, 1.0 + 10.0 * self.alpha) if critical else (1.0 - self.alpha, 1.0)
 
 
 def _seed_entropy(seed, *tags: int) -> list[int]:
@@ -224,18 +237,19 @@ def _draw(
     columns and then ``b`` gives the same samples as drawing ``a + b`` at
     once.  The affine steps then run once over the whole block; their
     in-place arithmetic is that of ``means + sigma * z`` with the means
-    from ``rng.uniform(low, high, shape)``, bit for bit.
+    from ``rng.uniform(low, high, shape)``, bit for bit, with ``(low, high)``
+    from ``spec.means``.
     """
+    low, high = spec.means(critical)
     if spec.scenario == 1:
         for (rng,), lane in zip(rngs, out):
             rng.standard_normal(out=lane)
         out *= spec.sigma
-        out += 1.0 + spec.alpha if critical else 1.0 - spec.alpha
+        out += low
         return out
     for (noise_rng, mean_rng), lane, scratch in zip(rngs, out, noise):
         mean_rng.random(out=lane)
         noise_rng.standard_normal(out=scratch)
-    low, high = (1.0, 1.0 + 10.0 * spec.alpha) if critical else (1.0 - spec.alpha, 1.0)
     out *= high - low
     out += low
     noise *= spec.sigma
@@ -525,14 +539,42 @@ def estimate_pf(
     ``min(target_crossings, _MIN_CROSSINGS)`` crossings raises
     ``InsufficientEventsError``: the rate is then out of Monte Carlo
     reach, and a lower ``gamma`` brings it back.  One that met its target
-    never raises.  ``gamma`` must be finite.
+    never raises.  ``gamma`` must be finite.  Before any chain runs, the
+    run-length solver's rate gives the crossings expected within the cap;
+    where that count is more than ``_REACH_SDS`` Poisson standard
+    deviations below the floor, the estimate raises at once.
 
-    This is the one-row case of ``_estimate_pf_grid``, which
-    ``operational_curve`` runs over every detector's grid on one set of
-    chains; each of its rows is this function's estimate on the same seed.
+    This is the one-row case of ``_estimate_pf_grid``, which runs several
+    rows on one set of chains; each of its rows is this function's
+    estimate on the same seed.
     """
+    gamma = _measured_gamma(gamma)
+    if target_crossings < 1:
+        raise ValueError(f"target_crossings must be >= 1, got {target_crossings}")
+    _check_reach(spec, config, gamma, min(target_crossings, _MIN_CROSSINGS))
     (est,) = _estimate_pf_grid(spec, [(config, gamma)], seed, target_crossings=target_crossings)
     return est
+
+
+def _check_reach(spec: ScenarioSpec, config: DetectorConfig, gamma: float, floor: int) -> None:
+    """``InsufficientEventsError`` if the run-length solver expects so few
+    crossings within ``_MAX_SAMPLES`` that ``floor`` of them lies more than
+    ``_REACH_SDS`` Poisson standard deviations above the expected count.
+    A rate the solver cannot resolve is left to the chains."""
+    samples = _CHAINS * -(-_MAX_SAMPLES // _CHAINS)
+    try:
+        expected = 10.0 ** runlength.log10_pf(config, gamma, spec.means(False), spec.sigma)[0]
+    except runlength.PfUnderflowError:
+        expected = 0.0
+    except ValueError:
+        return
+    expected *= samples
+    if floor > expected + _REACH_SDS * math.sqrt(expected):
+        raise InsufficientEventsError(
+            f"the run-length solver expects {expected:.3g} crossings in the {samples} "
+            f"controlled samples allowed at gamma={gamma} for {config.kind.value} "
+            f"(need >= {floor}); this rate is out of Monte Carlo reach: lower gamma"
+        )
 
 
 def _estimate_pf_grid(
@@ -665,7 +707,8 @@ def fit_linear(points: Iterable[tuple[float, float]]) -> LinearFit:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One operational-curve point; ``measured`` separates MC from fit output."""
+    """One operational-curve point; ``measured`` separates the points
+    computed at their threshold from the fits' output."""
 
     gamma: float
     delay: float
@@ -715,38 +758,27 @@ def operational_curve(
     detector; one ``OperationalCurve`` comes back for each, in order.
     Every grid, and ``change_time``, is checked before anything runs.
 
-    Direct Monte Carlo runs on every ``gamma_grid`` point, each finite:
-    false alarms, and then delay trials with the regime change at
-    ``change_time`` (see ``estimate_delay``), on the point's own seed
-    ``[seed, _KIND_SEED_TAG[kind], DELAY_SEED_TAG, i]``.  So a rate out of
-    Monte Carlo reach fails before any delay trial runs.
-    The false-alarm chains are shared by every point of every detector:
-    one ``_estimate_pf_grid`` on seed ``[seed, PF_SEED_TAG, 0]`` draws each
-    controlled sample once, scores it once per detector, and stops each
-    point at its own crossing target.  Each point's ``log10_pf`` and
-    ``pf_se`` are exactly those of a lone ``estimate_pf`` at its config and
-    threshold on that seed, which is ``mast simulate --mode pf``'s, so no
-    point depends on the other detectors named.  But the points' errors
-    are correlated, within a detector and across detectors: the log10 pf
-    fit's r-squared does not come from independent points, and a repeated
-    threshold repeats its estimate.  Straight lines are fitted to
-    ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated on
-    ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
+    Each point of every ``gamma_grid``, each finite, is computed at its
+    threshold: first the false-alarm rate of every point of every
+    detector, from the run-length solver (``_solver_pf``), so that a
+    threshold it refuses fails before any delay trial runs; then
+    ``n_trials`` delay trials with the regime change at ``change_time``
+    (see ``estimate_delay``), on the point's own seed
+    ``[seed, _KIND_SEED_TAG[kind], DELAY_SEED_TAG, i]``.  No point depends
+    on the other detectors named, and a point's ``log10_pf`` and ``pf_se``
+    depend on neither the seed nor ``n_trials``.  Straight lines are
+    fitted to ``gamma -> delay`` and ``gamma -> log10(pf)`` and evaluated
+    on ``extrapolation_grid``, but only if both fits reach ``r2_floor``, a
     number in [0, 1].
     """
     grids = [_check_grids(gamma_grid, extra_grid, r2_floor) for _, gamma_grid, extra_grid in curves]
     configs = [config for config, _, _ in curves]
     _check_change_time(change_time)
 
-    # the pf estimates come back detector by detector, as their rows went in
-    pfs = iter(
-        _estimate_pf_grid(
-            spec,
-            [(config, gamma) for config, (gammas, _) in zip(configs, grids) for gamma in gammas],
-            _seed_entropy(seed, PF_SEED_TAG, 0),
-            target_crossings=n_trials,
-        )
-    )
+    pfs = [
+        [_solver_pf(spec, config, gamma) for gamma in gammas]
+        for config, (gammas, _) in zip(configs, grids)
+    ]
     delays = [
         [
             estimate_delay(
@@ -762,33 +794,43 @@ def operational_curve(
         for config, (gammas, _) in zip(configs, grids)
     ]
     return [
-        _fit_curve(
-            config, gammas, extra_gammas, [(delay, next(pfs)) for delay in curve_delays], r2_floor
+        _fit_curve(config, gammas, extra_gammas, list(zip(curve_delays, curve_pfs)), r2_floor)
+        for config, (gammas, extra_gammas), curve_delays, curve_pfs in zip(
+            configs, grids, delays, pfs
         )
-        for config, (gammas, extra_gammas), curve_delays in zip(configs, grids, delays)
     ]
+
+
+def _solver_pf(spec: ScenarioSpec, config: DetectorConfig, gamma: float) -> tuple[float, float]:
+    """``(log10 pf, pf_se)`` of ``config`` at ``gamma`` in ``spec``'s
+    controlled regime from ``runlength.log10_pf``.  ``pf_se`` is the
+    discretisation error of log10 pf carried over to pf:
+    ``pf * ln(10) * |L(2m) - L(m)|``."""
+    log10_pf, gap = runlength.log10_pf(config, gamma, spec.means(False), spec.sigma)
+    return log10_pf, 10.0**log10_pf * math.log(10.0) * gap
 
 
 def _fit_curve(
     config: DetectorConfig,
     gammas: list[float],
     extra_gammas: list[float],
-    estimates: list[tuple[PerformanceEstimate, PerformanceEstimate]],
+    estimates: list[tuple[PerformanceEstimate, tuple[float, float]]],
     r2_floor: float,
 ) -> OperationalCurve:
-    """The curve of the detector ``config`` from its (delay, pf) estimate at
-    each measured threshold: the measured points, the fits, and the
-    extrapolated points.  A refused extrapolation names the detector."""
+    """The curve of the detector ``config`` from its delay estimate and
+    ``(log10 pf, pf_se)`` at each measured threshold: the measured points,
+    the fits, and the extrapolated points.  A refused extrapolation names
+    the detector."""
     measured = [
         CurvePoint(
             gamma=gamma,
             delay=delay.mean_delay,
             delay_se=delay.delay_se,
-            log10_pf=math.log10(pf.pf),
-            pf_se=pf.pf_se,
+            log10_pf=log10_pf,
+            pf_se=pf_se,
             measured=True,
         )
-        for gamma, (delay, pf) in zip(gammas, estimates)
+        for gamma, (delay, (log10_pf, pf_se)) in zip(gammas, estimates)
     ]
 
     delay_fit = logpf_fit = None

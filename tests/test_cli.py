@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import mast
-from mast import cli, simulation
+from mast import cli, runlength, simulation
 from mast.cli import EXIT_ALARM, EXIT_ERROR, EXIT_OK, main
+from mast.core import Barriers
+from mast.detectors import DetectorConfig, DetectorKind
 from mast.ingestion import parse_counts
 
 
@@ -279,22 +281,22 @@ class TestBarrierPair:
 
 
 # sha256 of the CSV each command writes; a change means the seeds, the
-# random-stream layout or the CSV formatting moved
+# random-stream layout, the solver or the CSV formatting moved
 PINNED_CSV = [
     (["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "1,2,3", "--extrapolate-grid", "none"],
-     "2724c83f9335bcfc6204ab78bc96b6a947a2f71a2a2461541b95b30c39e3770c"),
+     "ed15889312a3f0e67465c668b936e8991e0feac266a861deab00f9499f243285"),
     (["simulate", "--scenario", "2", "--gamma", "1.5", "--trials", "600", "--seed", "3"],
      "23ad8181ac8aee711f628954ee81500cf0c17e520312d37f837cd4f562ea1463"),
-    # scenario 2 pf draws and the run-in monitor (exactly 49 samples, part of a chunk)
+    # scenario 2's solver and the run-in monitor (exactly 49 samples, part of a chunk)
     (["curve", "--scenario", "2", "--detectors", "mast,page", "--trials", "300", "--seed", "4",
       "--gamma-grid", "2,3,4", "--extrapolate-grid", "none", "--change-time", "50"],
-     "8a21399b7bde2ab675c29853f9cf945df4b01946ae4e199f0dcbc822875a9fa2"),
+     "ffbb48e2dad1c94fc829524f2950c9ddb42e30c068b0f57abdae55aa69132a9d"),
     # a barrier pair with a middle branch
     (["curve", "--scenario", "1", "--detectors", "mast", "--delta-lower", "0.99",
       "--delta-upper", "1.02", "--trials", "300", "--seed", "4", "--gamma-grid", "1,2,3",
       "--extrapolate-grid", "none"],
-     "b275d749a92302a2bdb220a13bd31458d469e071a7cb3d3f54b9b14364148607"),
+     "6bb122ecf078da731995e147f398c913288e8f18d41320e612a1c2eba7f8d5c1"),
 ]
 
 
@@ -329,7 +331,7 @@ class TestDetectBytes:
 
     # sha256 of the trace, its manifest and stdout
     PINNED = ("013af0e8ffc006279a8ada1884950f031a40ae3a3898ac57808c090e93a5cd1f",
-              "d3e5ed1ca7a4bf8e8ebb832c4a29f22f1c0e8c1e7c06e1957253a27b20450ec0",
+              "384ab3f9efea260a70c84f00ef851924dee80cb9aa5aa298453209b4b6894152",
               "db7407444a18229a569c7372b9472bd1759cd62e3e02d5453419852284bc0777")
 
     def test_long_trace_pinned(self, tmp_path, monkeypatch, capsys):
@@ -384,11 +386,12 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_insufficient_events_guidance(self, capsys, monkeypatch):
-        # no chain crosses at gamma 60: a cap of three steps stops them as
-        # the 200 M-sample one would, only sooner
-        monkeypatch.setattr(
-            simulation, "_MAX_SAMPLES", 3 * simulation._CHAINS * simulation._STEP
-        )
+        # the solver expects 1e-24 crossings within the 200 M-sample cap at
+        # gamma 60, so the estimate fails before any chain is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built at an unreachable gamma")
+
+        monkeypatch.setattr(simulation, "_Lanes", unbuilt)
         code = main(
             ["simulate", "--scenario", "1", "--gamma", "60", "--mode", "pf",
              "--trials", "500", "--seed", "1"]
@@ -397,29 +400,31 @@ class TestSimulate:
         assert "out of Monte Carlo reach: lower gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args",
-        [["simulate", "--scenario", "1", "--gamma", "60", "--mode", "both"],
-         ["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,60",
-          "--extrapolate-grid", "none"]],
+        "args, message",
+        [(["simulate", "--scenario", "1", "--gamma", "60", "--mode", "both"],
+          "out of Monte Carlo reach: lower gamma"),
+         # Page's rate at gamma 1000 is about e^-1000, no float
+         (["curve", "--scenario", "1", "--detectors", "page", "--gamma-grid", "1,1000",
+           "--extrapolate-grid", "none"],
+          "error: the false-alarm rate of page at gamma=1000 is below the smallest normal "
+          "float: lower gamma")],
         ids=["simulate", "curve"],
     )
-    def test_unreachable_pf_fails_before_any_delay_trial(self, capsys, monkeypatch, tmp_path, args):
-        # the false alarms run first, so no delay trial runs, no delay is
-        # printed and no output is written; the cap is cut to three steps
-        # as in test_insufficient_events_guidance
+    def test_unreachable_pf_fails_before_any_delay_trial(
+        self, capsys, monkeypatch, tmp_path, args, message
+    ):
+        # the false alarms come first, so a gamma refused there runs no
+        # delay trial, prints no delay and writes no output
         def no_delay(*args, **kwargs):
             raise AssertionError("a delay trial ran before the false alarms")
 
-        monkeypatch.setattr(
-            simulation, "_MAX_SAMPLES", 3 * simulation._CHAINS * simulation._STEP
-        )
         monkeypatch.setattr(cli, "estimate_delay", no_delay)
         monkeypatch.setattr(simulation, "estimate_delay", no_delay)
         out = tmp_path / "out.csv"
         code = main(args + ["--trials", "500", "--seed", "1", "--output", str(out)])
         assert code == EXIT_ERROR
         captured = capsys.readouterr()
-        assert "out of Monte Carlo reach: lower gamma" in captured.err
+        assert message in captured.err
         assert "delay" not in captured.out
         assert not out.exists()
 
@@ -656,7 +661,8 @@ class TestCurve:
         assert not out.exists()
 
     def test_met_targets_below_crossing_floor_succeed(self, tmp_path):
-        # every pf row meets its 50-crossing target, the top one with 56
+        # --trials 50 is below the 100-crossing floor of a capped false-alarm
+        # estimate; a curve runs none, as its rates come from the solver
         out = tmp_path / "curve.csv"
         code = main(
             ["curve", "--scenario", "1", "--detectors", "mast", "--trials", "50",
@@ -672,13 +678,12 @@ class TestCurve:
         assert "gamma must be >= 0" in capsys.readouterr().err
 
     def test_infinite_measured_gamma_rejected_before_simulating(self, capsys, monkeypatch):
-        # an inf point would run its delay trials to the 1 M-sample cap and
-        # draw 200 M pf samples before the pf estimate failed
+        # an inf point would run its delay trials to the 1 M-sample cap
         def unreachable(*args, **kwargs):
             raise AssertionError("simulated before the grid was checked")
 
         monkeypatch.setattr(simulation, "estimate_delay", unreachable)
-        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        monkeypatch.setattr(runlength, "log10_pf", unreachable)
         code = main(["curve", "--scenario", "1", "--detectors", "page", "--trials", "100",
                      "--seed", "1", "--gamma-grid", "inf,1,2", "--extrapolate-grid", "none"])
         assert code == EXIT_ERROR
@@ -694,7 +699,7 @@ class TestCurve:
         packaged["scenario1"]["page"] = {"measure": [1.0, 2.0, math.inf]}
         monkeypatch.setattr(cli, "load_defaults", lambda: packaged)
         monkeypatch.setattr(simulation, "estimate_delay", unreachable)
-        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
+        monkeypatch.setattr(runlength, "log10_pf", unreachable)
         code = main(["curve", "--scenario", "1", "--detectors", "mast,page", "--trials", "100",
                      "--seed", "1"])
         assert code == EXIT_ERROR
@@ -754,22 +759,29 @@ class TestCurve:
         assert f"--gamma-grid {grid!r} is empty" in err
         assert "no default gamma grid" not in err
 
-    def test_pf_cells_are_simulate_pf(self, tmp_path):
-        # a curve's pf runs on the seed of `simulate --mode pf`, and each of
-        # its cells is that run's estimate at the same gamma and trials
-        out = tmp_path / "curve.csv"
-        base = ["--scenario", "1", "--trials", "200", "--seed", "6"]
-        assert main(["curve", *base, "--detectors", "mast,page", "--gamma-grid", "1,2,3",
-                     "--extrapolate-grid", "none", "--output", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(out.open()))
+    def test_pf_cells_are_the_solvers(self, tmp_path):
+        # each pf cell is the run-length solver's at its gamma, with the
+        # discretisation error as pf_se; neither --seed nor --trials moves it
+        grid = ["--scenario", "2", "--detectors", "mast,page", "--gamma-grid", "1,2,3",
+                "--extrapolate-grid", "none"]
+        tables = []
+        for run in (["--trials", "200", "--seed", "6"], ["--trials", "50", "--seed", "7"]):
+            out = tmp_path / "curve.csv"
+            assert main(["curve", *grid, *run, "--output", str(out)]) == EXIT_OK
+            tables.append(list(csv.DictReader(out.open())))
+        rows = tables[0]
         assert len(rows) == 6
+        configs = {"mast": DetectorConfig(DetectorKind.MAST, 0.05, barriers=Barriers(1.0, 1.0)),
+                   "page": DetectorConfig(DetectorKind.PAGE, 0.05, alpha=0.05)}
         for row in rows:
-            sim = tmp_path / "pf.csv"
-            assert main(["simulate", *base, "--detector", row["detector"], "--gamma",
-                         row["gamma"], "--mode", "pf", "--output", str(sim)]) == EXIT_OK
-            (pf,) = csv.DictReader(sim.open())
-            assert row["log10_pf"] == repr(math.log10(float(pf["value"])))
-            assert row["pf_se"] == pf["std_error"]
+            log10_pf, error = runlength.log10_pf(
+                configs[row["detector"]], float(row["gamma"]), (0.95, 1.0), 0.05
+            )
+            assert row["log10_pf"] == repr(log10_pf)
+            assert row["pf_se"] == repr(10.0**log10_pf * math.log(10.0) * error)
+        assert [(r["log10_pf"], r["pf_se"]) for r in tables[1]] == [
+            (r["log10_pf"], r["pf_se"]) for r in rows
+        ]
 
     def test_page_rows_independent_of_other_detectors(self, capsys):
         # per-kind delay seeds and per-row pf estimates: naming mast too,

@@ -24,15 +24,23 @@ the chain to state 0: ``(I - P) L = 1`` with ``P = Q`` plus ``z`` in column
 ``nu - 1`` times, and the delay is its dot product with ``L``.  Both
 converge at second order in ``w``; the gap between ``m = 400`` and
 ``m = 800`` is their discretisation error.
+
+``mast.runlength`` is the package's own solver of the same form, for the
+false-alarm rate only, built on ``math.erfc`` in place of scipy.  It is
+checked against this one, and the Monte Carlo false-alarm rates are
+checked against it.
 """
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.special import erfcx
 from scipy.stats import norm
 
+from mast import runlength
 from mast.core import Barriers
 from mast.detectors import DetectorConfig, DetectorKind
 from mast.simulation import (
@@ -68,6 +76,16 @@ POINT_IDS = [
 ]
 # (spec, config, gamma, change time, mean delay) at m = 400
 RUN_IN = (S1, MAST, 3.2, 50, 4.7081)
+# every measured point of the packaged curves, as (spec, config, gamma)
+PACKAGED = [
+    (spec, config, gamma)
+    for spec in (S1, S2)
+    for config in (MAST, PAGE)
+    for gamma in json.loads(resources.files("mast").joinpath("default_experiments.json").read_text())[
+        f"scenario{spec.scenario}"
+    ][config.kind.value]["measure"]
+]
+PACKAGED_IDS = [f"s{spec.scenario}-{config.kind.value}-{gamma}" for spec, config, gamma in PACKAGED]
 
 
 def inverse_increment(config, t):
@@ -153,6 +171,11 @@ def solver_log10_pf(config, gamma, spec=S1, m=400):
     return math.log10(h / n)
 
 
+def module_log10_pf(config, gamma, spec=S1):
+    """``runlength.log10_pf``'s value under ``spec``'s controlled law."""
+    return runlength.log10_pf(config, gamma, spec.means(False), spec.sigma)[0]
+
+
 def solver_delay(config, gamma, spec=S1, m=400, change_time=1):
     """Mean delay after a change at sample ``change_time`` under ``spec``."""
     q, _, z = kernel(config, law(spec, True), gamma, m)
@@ -223,12 +246,79 @@ class TestSolver:
         assert (4.0 * slope[800] - slope[400]) / 3.0 == pytest.approx(lundberg, abs=1e-5)
 
 
+class TestModule:
+    """``mast.runlength`` against scipy and the solver above."""
+
+    # z down to -40 takes G's erfcx to u / sqrt(2) = 28.3, past the series' start at 25
+    Z = np.linspace(-40.0, 40.0, 8001)
+
+    def test_normal_cdf_and_sf_match_scipy(self):
+        # below the smallest normal float the two may round differently
+        tiny = np.finfo(float).tiny
+        for ours, theirs in ((runlength.norm_cdf, norm.cdf), (runlength.norm_sf, norm.sf)):
+            np.testing.assert_allclose(ours(self.Z), theirs(self.Z), rtol=1e-12, atol=tiny)
+
+    def test_erfcx_matches_scipy_on_both_branches(self):
+        x = np.linspace(0.0, 60.0, 6001)
+        assert (x >= runlength._ERFCX_SERIES_FROM).sum() > 1000
+        np.testing.assert_allclose(runlength._erfcx(x), erfcx(x), rtol=1e-12, atol=0.0)
+
+    def test_g_integral_matches_scipy(self):
+        # the deep tail loses about u^2 of its relative digits to cancellation
+        ours, theirs = runlength.g_integral(self.Z), g_integral(self.Z)
+        assert (theirs[self.Z < -25.0 * math.sqrt(2.0)] > 0.0).any()
+        np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=np.finfo(float).tiny)
+
+    def test_ratio_law_matches_the_oracles(self):
+        x = np.linspace(0.6, 1.9, 1301)
+        for spec in (S1, S2):
+            for critical in (False, True):
+                oracle = law(spec, critical)
+                assert (*spec.means(critical), spec.sigma) == oracle
+                for ours, theirs in ((runlength.ratio_cdf, cdf), (runlength.ratio_sf, sf)):
+                    np.testing.assert_allclose(ours(oracle, x), theirs(*oracle, x), rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, config, gamma",
+        PACKAGED + [p[:3] for p in POINTS],
+        ids=PACKAGED_IDS + POINT_IDS,
+    )
+    def test_matches_oracle_richardson(self, spec, config, gamma):
+        value, error = runlength.log10_pf(config, gamma, spec.means(False), spec.sigma)
+        fine = [solver_log10_pf(config, gamma, spec=spec, m=m) for m in (800, 1600)]
+        assert value == pytest.approx((4.0 * fine[1] - fine[0]) / 3.0, abs=1e-4)
+        assert 0.0 < error <= runlength._TOLERANCE
+
+    @pytest.mark.parametrize("spec, config", [(S1, MAST), (S1, PAGE), (S1, PAIR), (S2, MAST)])
+    def test_zero_threshold_is_the_chance_of_a_positive_increment(self, spec, config):
+        # at gamma 0 every positive increment crosses and nothing else does
+        value, error = runlength.log10_pf(config, 0.0, spec.means(False), spec.sigma)
+        closed = sf(*law(spec, False), inverse_increment(config, 0.0))
+        assert 10.0**value == pytest.approx(closed, rel=1e-12)
+        assert error == 0.0
+
+    def test_underflow_refused(self):
+        # Page's rate falls by a factor of e per unit of gamma: e^-1000 is no float
+        with pytest.raises(runlength.PfUnderflowError, match="below the smallest normal float"):
+            runlength.log10_pf(PAGE, 1000.0, S1.means(False), S1.sigma)
+
+    def test_unresolved_rate_refused(self):
+        with pytest.raises(ValueError, match="cannot resolve .* between 800 and 1600 states") as err:
+            runlength.log10_pf(PAGE, 300.0, S1.means(False), S1.sigma)
+        assert not isinstance(err.value, runlength.PfUnderflowError)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            runlength.log10_pf(PAGE, gamma, S1.means(False), S1.sigma)
+
+
 class TestMonteCarloAgainstSolver:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("spec, config, gamma", [p[:3] for p in POINTS], ids=POINT_IDS)
     def test_pf(self, spec, config, gamma, seed):
         est = estimate_pf(spec, config, gamma, seed=[seed, PF_SEED_TAG, 0], target_crossings=3000)
-        solver = 10.0 ** solver_log10_pf(config, gamma, spec=spec)
+        solver = 10.0 ** module_log10_pf(config, gamma, spec=spec)
         assert abs(est.pf - solver) <= 4.0 * est.pf_se
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -252,7 +342,7 @@ class TestMonteCarloAgainstSolver:
     def test_pf_se_covers_the_spread_over_seeds(self):
         # a curve-s1 row (S1 MAST (1, 1) at gamma 2.8, target 500) over 24
         # seeds: if pf_se were the standard error, z would have sd about 1
-        solver = 10.0 ** solver_log10_pf(MAST, 2.8)
+        solver = 10.0 ** module_log10_pf(MAST, 2.8)
         z = []
         for seed in range(1, 25):
             est = estimate_pf(S1, MAST, 2.8, seed=[seed, PF_SEED_TAG, 0], target_crossings=500)
@@ -266,6 +356,6 @@ class TestMonteCarloAgainstSolver:
     def test_pf_at_the_barrier_mean(self):
         # as `mast simulate --scenario 1 --alpha 1e-9 --gamma 12 --trials 5000
         # --seed 7 --mode pf` runs it
-        solver = 10.0 ** solver_log10_pf(MAST, 12.0, spec=BARRIER_MEAN)
+        solver = 10.0 ** module_log10_pf(MAST, 12.0, spec=BARRIER_MEAN)
         est = estimate_pf(BARRIER_MEAN, MAST, 12.0, seed=[7, PF_SEED_TAG, 0], target_crossings=5000)
         assert abs(est.pf - solver) <= 4.0 * est.pf_se

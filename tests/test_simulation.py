@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import linregress, norm
 
-from mast import simulation
+from mast import runlength, simulation
 from mast.core import Barriers
 from mast.detectors import DetectorConfig, DetectorKind, run_stream
 from mast.simulation import (
@@ -265,6 +265,13 @@ class TestSeeds:
         assert delay == PerformanceEstimate(
             gamma=1.5, n_trials=200, mean_delay=1.2, delay_se=0.03170213124741207
         )
+        # every delay of the pin above is 1, 2 or 3, so a new layout can
+        # keep its counts; these spread over a dozen values (the layout
+        # before seeds carried their word counts gave 5.7 here)
+        spread = estimate_delay(S1, MAST, 4.0, 200, seed=17)
+        assert spread == PerformanceEstimate(
+            gamma=4.0, n_trials=200, mean_delay=5.515, delay_se=0.2077611573236497
+        )
         monkeypatch.setattr(simulation, "_CHAINS", 16)
         pf = estimate_pf(S1, PAGE, 2.0, seed=[3, 1], target_crossings=300)
         assert pf == PerformanceEstimate(
@@ -272,7 +279,7 @@ class TestSeeds:
             observed_steps=16384,
         )
         # plain Python numbers, so that callers can serialise an estimate
-        for est in (delay, pf):
+        for est in (delay, spread, pf):
             assert all(type(v) in (int, float, type(None)) for v in vars(est).values())
 
 
@@ -606,10 +613,33 @@ class TestEstimatePf:
 
     def test_insufficient_events(self, monkeypatch):
         # the sample cap stops the chains short of both the target and the
-        # crossing floor
-        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
-        with pytest.raises(InsufficientEventsError, match=r"need >= 100\)"):
+        # crossing floor (the solver's refusal is turned off)
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000, "_REACH_SDS": math.inf})
+        with pytest.raises(InsufficientEventsError, match=r"only 0 crossings .*need >= 100\)"):
             estimate_pf(S1, MAST, 50.0, seed=1)
+
+    def test_unreachable_gamma_fails_before_any_chain(self, monkeypatch):
+        # at gamma 60 the solver expects 1e-24 crossings within the cap
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("chains built at an unreachable gamma")
+
+        monkeypatch.setattr(simulation, "_Lanes", unbuilt)
+        with pytest.raises(InsufficientEventsError, match=r"expects .* crossings .*need >= 100\)"):
+            estimate_pf(S1, MAST, 60.0, seed=1)
+
+    @pytest.mark.parametrize("expected, refused", [(40.0, True), (70.0, False)])
+    def test_fails_fast_only_far_below_the_floor(self, monkeypatch, expected, refused):
+        # a cap that holds `expected` crossings by the solver's rate: 100 is
+        # 9.5 Poisson sds above 40 crossings, but only 3.6 above 70, so the
+        # chains run there and the cap stops them short
+        pf = 10.0 ** runlength.log10_pf(MAST, 4.0, S1.means(False), S1.sigma)[0]
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": round(expected / pf)})
+        built = []
+        monkeypatch.setattr(simulation, "_Lanes", lambda *a: built.append(1) or _Lanes(*a))
+        with pytest.raises(InsufficientEventsError, match="need >= 100") as err:
+            estimate_pf(S1, MAST, 4.0, seed=1)
+        assert bool(built) is not refused
+        assert str(err.value).startswith("the run-length solver" if refused else "only ")
 
     @pytest.mark.parametrize("gamma", [-1.0, float("nan")])
     def test_rejects_bad_gamma(self, gamma):
@@ -735,7 +765,8 @@ class TestEstimatePfGrid:
                 assert max(observed[:-n]) < cap
 
     def test_first_short_gamma_raises_lone_message(self, monkeypatch):
-        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
+        # the lone estimate's chains run, with the solver's refusal off
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000, "_REACH_SDS": math.inf})
         with pytest.raises(InsufficientEventsError) as lone:
             estimate_pf(S1, MAST, 50.0, seed=1)
         with pytest.raises(InsufficientEventsError) as grid:
@@ -751,8 +782,9 @@ class TestEstimatePfGrid:
     )
     def test_first_short_row_named_with_its_detector(self, monkeypatch, rows, short):
         # the first short row in detector-then-grid order raises, and its
-        # message is the lone estimate's, naming the detector
-        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000})
+        # message is the lone estimate's, naming the detector; the lone
+        # estimate's chains run, with the solver's refusal off
+        set_constants(monkeypatch, {"_CHAINS": 8, "_MAX_SAMPLES": 20_000, "_REACH_SDS": math.inf})
         with pytest.raises(InsufficientEventsError) as lone:
             estimate_pf(S1, *short, seed=1)
         with pytest.raises(InsufficientEventsError) as grid:
@@ -1034,19 +1066,20 @@ class TestOperationalCurve:
             assert curve.delay_fit.slope > 0
             assert curve.logpf_fit.slope < 0
 
-    def test_points_share_false_alarm_chains(self, small_curves):
-        # every point of both detectors has the lone pf estimate on the
-        # curve's one pf seed [seed, PF_SEED_TAG, 0], that of `simulate
-        # --mode pf`, and the lone delay estimate on its own seed
-        # [seed, kind tag, DELAY_SEED_TAG, i], mast's tag 10 and page's 13
+    def test_pf_cells_are_the_solvers(self, small_curves):
+        # every point of both detectors has the solver's log10 pf, with its
+        # discretisation error carried over to pf as pf_se, and the lone
+        # delay estimate on its own seed [seed, kind tag, DELAY_SEED_TAG, i],
+        # mast's tag 10 and page's 13
         for cfg, tag, curve in ((MAST, 10, small_curves[0]), (PAGE, 13, small_curves[1])):
             measured = [p for p in curve.points if p.measured]
             for i, point in enumerate(measured):
-                pf = estimate_pf(S1, cfg, point.gamma, seed=[31, 2, 0], target_crossings=500)
+                log10_pf, error = runlength.log10_pf(cfg, point.gamma, (0.95, 0.95), 0.05)
                 delay = estimate_delay(S1, cfg, point.gamma, 500, seed=[31, tag, 1, i])
-                assert (point.log10_pf, point.pf_se) == (math.log10(pf.pf), pf.pf_se)
+                assert point.log10_pf == log10_pf
+                assert point.pf_se == 10.0**log10_pf * math.log(10.0) * error
                 assert (point.delay, point.delay_se) == (delay.mean_delay, delay.delay_se)
-        assert (simulation.PF_SEED_TAG, simulation.DELAY_SEED_TAG) == (2, 1)
+        assert simulation.DELAY_SEED_TAG == 1
 
     def test_empty_extrapolation_grid(self):
         (curve,) = operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], n_trials=300, seed=32)
@@ -1065,13 +1098,14 @@ class TestOperationalCurve:
             )
 
     def test_spec_validation(self, monkeypatch):
-        # the false-alarm chains run first, so the change time is checked
-        # before any of them is built
+        # the false-alarm rates are solved first, so the change time is
+        # checked before the solver or any chain runs
         def unbuilt(*args, **kwargs):
-            raise AssertionError("chains built before change_time was checked")
+            raise AssertionError("ran before change_time was checked")
 
         with monkeypatch.context() as patched:
             patched.setattr(simulation, "_Lanes", unbuilt)
+            patched.setattr(runlength, "log10_pf", unbuilt)
             with pytest.raises(ValueError, match="change_time"):
                 operational_curve(S1, [(PAGE, [1.0, 2.0, 3.0], [])], change_time=0)
         with pytest.raises(ValueError):
@@ -1089,8 +1123,7 @@ class TestOperationalCurve:
             raise AssertionError("simulated before the grid was checked")
 
         monkeypatch.setattr(simulation, "estimate_delay", unreachable)
-        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
-        monkeypatch.setattr(simulation, "_estimate_pf_grid", unreachable)
+        monkeypatch.setattr(runlength, "log10_pf", unreachable)
         with pytest.raises(ValueError, match=message):
             operational_curve(S1, [(PAGE, [1.0, 2.0, point], [])], n_trials=200)
 
@@ -1106,8 +1139,7 @@ class TestOperationalCurve:
             raise AssertionError("simulated before every grid was checked")
 
         monkeypatch.setattr(simulation, "estimate_delay", unreachable)
-        monkeypatch.setattr(simulation, "estimate_pf", unreachable)
-        monkeypatch.setattr(simulation, "_estimate_pf_grid", unreachable)
+        monkeypatch.setattr(runlength, "log10_pf", unreachable)
         with pytest.raises(ValueError, match=message):
             operational_curve(S1, [(MAST, [1.0, 2.0, 3.0], []), (PAGE, *grids)], n_trials=200)
 
